@@ -13,6 +13,7 @@ directly from Q").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.relational.expressions import (
@@ -42,27 +43,36 @@ class SelectQuery:
 
     def normalized(self) -> "SelectQuery":
         """Return an equivalent query with a canonical per-attribute predicate."""
-        return SelectQuery(
+        canonical = normalize(self.predicate)
+        query = SelectQuery(
             table_name=self.table_name,
-            predicate=normalize(self.predicate),
+            predicate=canonical,
             projection=self.projection,
         )
+        # A canonical predicate is its own normal form, so both queries
+        # share one split instead of normalizing it again on first use.
+        split = _split_canonical(canonical)
+        self.__dict__.setdefault("_conditions", split)
+        query.__dict__["_conditions"] = split
+        return query
+
+    @cached_property
+    def _conditions(self) -> dict[str, Predicate]:
+        """The canonical conditions, computed once per query (do not mutate)."""
+        return _split_canonical(normalize(self.predicate))
 
     def conditions(self) -> dict[str, Predicate]:
         """Return the canonical per-attribute selection conditions.
 
         The result maps each constrained attribute to its single In/Range
-        predicate — the form Sections 4.2 and 5.1 consume.
+        predicate — the form Sections 4.2 and 5.1 consume.  Each call
+        returns a fresh dict the caller may keep or change.
         """
-        canonical = normalize(self.predicate)
-        if isinstance(canonical, TruePredicate):
-            return {}
-        parts = list(canonical) if isinstance(canonical, Conjunction) else [canonical]
-        return {next(iter(part.attributes())): part for part in parts}
+        return dict(self._conditions)
 
     def condition_on(self, attribute: str) -> Predicate | None:
         """Return the canonical condition on ``attribute``, or None."""
-        return self.conditions().get(attribute)
+        return self._conditions.get(attribute)
 
     def range_on(self, attribute: str) -> tuple[float, float] | None:
         """Return (vmin, vmax) for a numeric condition on ``attribute``.
@@ -116,3 +126,11 @@ class SelectQuery:
             else f" WHERE {self.predicate}"
         )
         return f"SELECT {columns} FROM {self.table_name}{where}"
+
+
+def _split_canonical(canonical: Predicate) -> dict[str, Predicate]:
+    """Map each attribute of a normalized predicate to its one condition."""
+    if isinstance(canonical, TruePredicate):
+        return {}
+    parts = list(canonical) if isinstance(canonical, Conjunction) else [canonical]
+    return {next(iter(part.attributes())): part for part in parts}

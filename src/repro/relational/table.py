@@ -140,41 +140,22 @@ class Table:
         Every schema attribute must be present in ``columns`` and all
         columns must have equal length.  With ``coerce=True`` (default)
         each column is validated through the schema's data types; loaders
-        that already coerced per value (``read_csv``) pass ``coerce=False``
-        to skip the second pass.
+        whose values are already coerced (warm start) pass
+        ``coerce=False`` to skip that pass.
 
         Raises:
             KeyError: on missing or unknown column names.
             ValueError: on ragged column lengths, or (with ``coerce=True``)
                 the first uncoercible value, named as ``column 'a'[i]``.
         """
-        names = schema.names()
-        missing = [name for name in names if name not in columns]
-        if missing:
-            raise KeyError(
-                f"missing columns {missing} for table {schema.name!r}"
-            )
-        unknown = sorted(set(columns) - set(names))
-        if unknown:
-            raise KeyError(
-                f"unknown attributes {unknown} for table {schema.name!r}"
-            )
-        lengths = {name: len(columns[name]) for name in names}
-        if len(set(lengths.values())) > 1:
-            raise ValueError(f"ragged columns for {schema.name!r}: {lengths}")
-
+        _column_length(schema, columns)
         table = cls(schema, backend=backend, backend_options=backend_options)
         if coerce:
-            loaded: Mapping[str, Sequence[Any]] = {
-                attribute.name: _coerce_column(
-                    attribute, columns[attribute.name]
-                )
+            columns = {
+                attribute.name: _coerce_column(attribute, columns[attribute.name])
                 for attribute in schema
             }
-        else:
-            loaded = {name: columns[name] for name in names}
-        table._backend.load_columns(loaded)
-        table._size = next(iter(lengths.values()), 0)
+        table.load_columns(columns)
         return table
 
     @classmethod
@@ -252,6 +233,24 @@ class Table:
         for row in rows:
             self.insert(row)
 
+    def load_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        """Append whole columns of already-coerced values to the table.
+
+        The bulk append behind :meth:`from_columns` and ``read_csv``'s
+        chunks: values go straight to the backend unvalidated, so the
+        producer must have coerced them.  Invalidates every cached groupby
+        index.
+
+        Raises:
+            KeyError: on missing or unknown column names.
+            ValueError: on ragged column lengths.
+        """
+        length = _column_length(self.schema, columns)
+        self._backend.load_columns(columns)
+        self._size += length
+        if self._groupby_indexes:
+            self._groupby_indexes.clear()
+
     # -- access ------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -319,6 +318,26 @@ class Table:
             f"Table({self.schema.name!r}, rows={self._size}, "
             f"backend={self._backend.name!r})"
         )
+
+
+def _column_length(schema: TableSchema, columns: Mapping[str, Sequence[Any]]) -> int:
+    """The length shared by one column per schema attribute.
+
+    Raises:
+        KeyError: on missing or unknown column names.
+        ValueError: on ragged column lengths.
+    """
+    names = schema.names()
+    missing = [name for name in names if name not in columns]
+    if missing:
+        raise KeyError(f"missing columns {missing} for table {schema.name!r}")
+    unknown = sorted(set(columns) - set(names))
+    if unknown:
+        raise KeyError(f"unknown attributes {unknown} for table {schema.name!r}")
+    lengths = {name: len(columns[name]) for name in names}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"ragged columns for {schema.name!r}: {lengths}")
+    return next(iter(lengths.values()), 0)
 
 
 def _coerce_column(attribute: Attribute, values: Sequence[Any]) -> list[Any]:

@@ -1,12 +1,54 @@
-"""Tokenizer for the workload SQL dialect."""
+"""Tokenizer for the workload SQL dialect.
+
+One compiled scanner walks the whole string: each match is one token
+(after any leading whitespace), so Python code runs once per token rather
+than once per character.  Boot parses the entire statistics log through
+here (Section 4.2), which makes this the hottest loop of a cold start.
+"""
 
 from __future__ import annotations
+
+import re
 
 from repro import perf
 from repro.sql.errors import SqlError, SqlSyntaxError
 from repro.sql.tokens import KEYWORDS, OPERATORS, Token, TokenType
 
 __all__ = ["SqlError", "SqlSyntaxError", "tokenize"]
+
+#: One alternative per token kind; ``lastgroup`` names the kind matched.
+#: ``\s``/``\w``/``\d`` are the Unicode classes of ``str.isspace``,
+#: ``str.isalnum`` (plus ``_``) and ``str.isdecimal``.  A string literal
+#: must not be followed by a quote, so ``'a''`` (an escape with no closing
+#: quote) fails as a whole instead of backtracking to ``'a'``.  Operators
+#: are tried longest first, in ``OPERATORS`` order.  ``end`` matches only
+#: at the end of input; ``bad`` catches any other character.
+_SCANNER = re.compile(
+    r"""
+    \s*
+    (?:
+        (?P<word>[^\W\d]\w*)
+      | (?P<punct>[,()*])
+      | '(?P<string>[^']*(?:''[^']*)*)'(?!')
+      | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)[kKmM]?)
+      | (?P<operator>OPERATORS)
+      | "(?P<quoted>[^"]*)"
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )
+    """.replace("OPERATORS", "|".join(map(re.escape, OPERATORS))),
+    re.VERBOSE | re.DOTALL,
+)
+
+_PUNCTUATION = {
+    ",": TokenType.COMMA,
+    "(": TokenType.LPAREN,
+    ")": TokenType.RPAREN,
+    "*": TokenType.STAR,
+}
+
+#: Number suffixes real-estate logs use (``250K`` == 250000).
+_MULTIPLIERS = {"k": 1_000, "K": 1_000, "m": 1_000_000, "M": 1_000_000}
 
 
 def tokenize(source: str) -> list[Token]:
@@ -16,7 +58,7 @@ def tokenize(source: str) -> list[Token]:
     neighborhood names like ``"Queen Anne"``).  String literals use single
     quotes with ``''`` escaping.  Numbers may be integers, decimals, or use
     a trailing ``K``/``M`` multiplier as real-estate logs commonly do
-    (``250K`` == 250000).
+    (``250K`` == 250000).  Every token carries the offset where it starts.
 
     Raises:
         SqlError: on any character sequence outside the dialect.
@@ -27,113 +69,74 @@ def tokenize(source: str) -> list[Token]:
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    length = len(source)
-    while i < length:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(TokenType.COMMA, ",", i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token(TokenType.LPAREN, "(", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token(TokenType.RPAREN, ")", i))
-            i += 1
-            continue
-        if ch == "*":
-            tokens.append(Token(TokenType.STAR, "*", i))
-            i += 1
-            continue
-        if ch == "'":
-            literal, i = _read_string(source, i)
-            tokens.append(Token(TokenType.STRING, literal, i))
-            continue
-        if ch == '"':
-            name, i = _read_quoted_identifier(source, i)
-            tokens.append(Token(TokenType.IDENTIFIER, name, i))
-            continue
-        operator = _match_operator(source, i)
-        if operator is not None:
-            tokens.append(Token(TokenType.OPERATOR, operator, i))
-            i += len(operator)
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and source[i + 1].isdigit()):
-            number, i = _read_number(source, i)
-            tokens.append(Token(TokenType.NUMBER, number, i))
-            continue
-        if ch.isalpha() or ch == "_":
-            word, i = _read_word(source, i)
+    append = tokens.append
+    for match in _SCANNER.finditer(source):
+        kind = match.lastgroup
+        if kind == "word":
+            word = match.group(kind)
+            start = match.start(kind)
+            first = word[0]
+            # [^\W\d] also admits numerics that are not decimal digits
+            # ('²', '½'); a word starts with a letter or an underscore.
+            if not (first.isalpha() or first == "_"):
+                _reject(source, start)
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, i))
+                append(Token(TokenType.KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenType.IDENTIFIER, word, i))
-            continue
-        raise SqlError(f"unexpected character {ch!r}", i, source)
-    tokens.append(Token(TokenType.EOF, None, length))
+                append(Token(TokenType.IDENTIFIER, word, start))
+        elif kind == "punct":
+            text = match.group(kind)
+            append(Token(_PUNCTUATION[text], text, match.start(kind)))
+        elif kind == "string":
+            append(
+                Token(
+                    TokenType.STRING,
+                    match.group(kind).replace("''", "'"),
+                    match.start(kind) - 1,
+                )
+            )
+        elif kind == "number":
+            append(Token(TokenType.NUMBER, _number(source, match), match.start(kind)))
+        elif kind == "operator":
+            append(Token(TokenType.OPERATOR, match.group(kind), match.start(kind)))
+        elif kind == "quoted":
+            append(
+                Token(TokenType.IDENTIFIER, match.group(kind), match.start(kind) - 1)
+            )
+        elif kind == "end":
+            break
+        else:
+            _reject(source, match.start(kind))
+    append(Token(TokenType.EOF, None, len(source)))
     return tokens
 
 
-def _read_string(source: str, start: int) -> tuple[str, int]:
-    """Read a single-quoted string literal starting at ``start``."""
-    i = start + 1
-    pieces: list[str] = []
-    while i < len(source):
-        ch = source[i]
-        if ch == "'":
-            if i + 1 < len(source) and source[i + 1] == "'":
-                pieces.append("'")
-                i += 2
-                continue
-            return "".join(pieces), i + 1
-        pieces.append(ch)
-        i += 1
-    raise SqlError("unterminated string literal", start, source)
+def _number(source: str, match: re.Match) -> float | int:
+    """The value of a numeric literal, applying any K/M multiplier."""
+    text = match.group("number")
+    multiplier = _MULTIPLIERS.get(text[-1])
+    if multiplier is None:
+        multiplier = 1
+        end = match.end()
+        if end < len(source) and source[end].isdigit():
+            # A digit with no decimal value (``1²``) continues the literal
+            # but cannot be converted.
+            _reject(source, match.start("number"))
+    else:
+        text = text[:-1]
+    if "." in text:
+        return float(text) * multiplier
+    return int(text) * multiplier
 
 
-def _read_quoted_identifier(source: str, start: int) -> tuple[str, int]:
-    """Read a double-quoted identifier starting at ``start``."""
-    end = source.find('"', start + 1)
-    if end < 0:
-        raise SqlError("unterminated quoted identifier", start, source)
-    return source[start + 1 : end], end + 1
-
-
-def _match_operator(source: str, position: int) -> str | None:
-    """Return the operator starting at ``position``, if any (longest match)."""
-    for operator in OPERATORS:
-        if source.startswith(operator, position):
-            return operator
-    return None
-
-
-def _read_number(source: str, start: int) -> tuple[float | int, int]:
-    """Read a numeric literal, supporting K/M suffix multipliers."""
-    i = start
-    seen_dot = False
-    while i < len(source) and (source[i].isdigit() or (source[i] == "." and not seen_dot)):
-        if source[i] == ".":
-            seen_dot = True
-        i += 1
-    text = source[start:i]
-    multiplier = 1
-    if i < len(source) and source[i] in "kKmM":
-        multiplier = 1_000 if source[i] in "kK" else 1_000_000
-        i += 1
-    if seen_dot:
-        return float(text) * multiplier, i
-    return int(text) * multiplier, i
-
-
-def _read_word(source: str, start: int) -> tuple[str, int]:
-    """Read a bare identifier or keyword starting at ``start``."""
-    i = start
-    while i < len(source) and (source[i].isalnum() or source[i] == "_"):
-        i += 1
-    return source[start:i], i
+def _reject(source: str, position: int) -> None:
+    """Raise the SqlError for the token that cannot start at ``position``."""
+    ch = source[position]
+    if ch == "'":
+        raise SqlError("unterminated string literal", position, source)
+    if ch == '"':
+        raise SqlError("unterminated quoted identifier", position, source)
+    if ch.isdigit() or (ch == "." and source[position + 1 : position + 2].isdigit()):
+        raise SqlError(f"invalid number starting with {ch!r}", position, source)
+    raise SqlError(f"unexpected character {ch!r}", position, source)

@@ -9,8 +9,7 @@ comparison operators, ``IN`` lists, ``BETWEEN``, and ``AND``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -50,17 +49,16 @@ KEYWORDS = frozenset(
 OPERATORS = ("<=", ">=", "!=", "<>", "=", "<", ">")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position (for error messages)."""
+class Token(NamedTuple):
+    """One lexical token and the offset where it starts (for error messages).
+
+    A named tuple: the lexer builds one per token of every logged query,
+    so construction must cost no more than a tuple's.
+    """
 
     type: TokenType
     value: Any
     position: int
-
-    def is_keyword(self, word: str) -> bool:
-        """True if this token is the (case-normalized) keyword ``word``."""
-        return self.type is TokenType.KEYWORD and self.value == word.upper()
 
     def __str__(self) -> str:
         if self.type is TokenType.EOF:

@@ -11,6 +11,7 @@ from repro.relational.expressions import (
     RangePredicate,
     TruePredicate,
 )
+from repro.relational import query as query_module
 from repro.relational.query import SelectQuery
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
@@ -70,6 +71,67 @@ class TestConditions:
 
     def test_values_on_absent(self):
         assert SelectQuery("Homes").values_on("city") is None
+
+
+class TestNormalizeOnce:
+    """The canonical conditions are computed once per query."""
+
+    @pytest.fixture
+    def normalize_calls(self, monkeypatch):
+        calls = []
+        real = query_module.normalize
+
+        def counting(predicate):
+            calls.append(predicate)
+            return real(predicate)
+
+        monkeypatch.setattr(query_module, "normalize", counting)
+        return calls
+
+    @staticmethod
+    def _query():
+        return SelectQuery(
+            "Homes",
+            Conjunction(
+                [
+                    InPredicate("city", ["Seattle"]),
+                    ComparisonPredicate("price", ">=", 100),
+                    ComparisonPredicate("price", "<", 500),
+                ]
+            ),
+        )
+
+    def test_repeated_lookups_normalize_once(self, normalize_calls):
+        query = self._query()
+        for _ in range(3):
+            assert query.range_on("price") == (100.0, 500.0)
+            assert query.values_on("city") == frozenset({"Seattle"})
+            assert query.condition_on("bedrooms") is None
+            assert set(query.conditions()) == {"city", "price"}
+        assert len(normalize_calls) == 1
+
+    def test_normalized_query_reuses_the_split(self, normalize_calls):
+        query = self._query()
+        canonical = query.normalized()
+        assert canonical.conditions() == query.conditions()
+        assert canonical.range_on("price") == query.range_on("price")
+        assert len(normalize_calls) == 1
+
+    def test_workload_entry_normalizes_once(self, normalize_calls):
+        from repro.workload.model import WorkloadQuery
+
+        entry = WorkloadQuery.from_sql(
+            "SELECT * FROM Homes WHERE price >= 100 AND price < 500 AND city = 'a'"
+        )
+        assert entry.range_bounds("price") == (100.0, 500.0)
+        assert entry.query.values_on("city") == frozenset({"a"})
+        assert len(normalize_calls) == 1
+
+    def test_each_caller_gets_its_own_dict(self):
+        query = self._query()
+        query.conditions().clear()
+        assert set(query.conditions()) == {"city", "price"}
+        assert query.values_on("city") == frozenset({"Seattle"})
 
 
 class TestExecution:

@@ -185,6 +185,17 @@ class TestErrorMapping:
             assert payload["error"]["code"] == "SqlError"
             assert payload["error"]["detail"]["reason"] == "sql"
 
+    @pytest.mark.parametrize("route", ["/categorize", "/record"])
+    def test_unconvertible_digit_is_400_sql_error(self, make_service, route):
+        # '²' is a digit to str.isdigit() but not to int(): the lexer must
+        # turn it into a SqlError, not let a ValueError become a 500.
+        sql = "SELECT * FROM ListProperty WHERE price = ²"
+        with running(make_service()) as handle:
+            status, _, payload = _request(handle, "POST", route, {"sql": sql})
+        assert status == 400
+        assert payload["error"]["code"] == "SqlError"
+        assert payload["error"]["detail"]["reason"] == "sql"
+
     def test_bad_json_is_400(self, make_service):
         with running(make_service()) as handle:
             host, port = handle.address

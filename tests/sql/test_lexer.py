@@ -106,3 +106,65 @@ class TestErrors:
             tokenize("price @ 5")
         except SqlSyntaxError as exc:
             assert exc.position == 6
+
+
+class TestPositions:
+    """Every token carries the offset where it starts."""
+
+    def test_each_token_kind_starts_where_its_text_starts(self):
+        source = "SELECT \"year built\", x FROM T WHERE a >= 250K AND b IN ('it''s')"
+        for token in tokenize(source)[:-1]:
+            if token.type is TokenType.STRING:
+                assert source.startswith("'it''s'", token.position)
+            elif token.type is TokenType.IDENTIFIER and token.value == "year built":
+                assert source.startswith('"year built"', token.position)
+            elif token.type is TokenType.NUMBER:
+                assert source.startswith("250K", token.position)
+            else:
+                text = source[token.position :].upper()
+                assert text.startswith(str(token.value).upper())
+
+    def test_eof_sits_at_the_end(self):
+        assert tokenize("a  ")[-1].position == 3
+
+    def test_whitespace_is_unicode_whitespace(self):
+        assert [t.value for t in tokenize("a\u3000\u00a0b")[:-1]] == ["a", "b"]
+
+
+class TestUnicodeDigits:
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert values("\u0663") == [3]  # ARABIC-INDIC DIGIT THREE
+
+    def test_superscript_digit_is_a_sql_error_at_the_literal(self):
+        # '²'.isdigit() is true but int('²') raises: a SqlError, never a
+        # bare ValueError, located at the start of the literal.
+        with pytest.raises(SqlSyntaxError) as caught:
+            tokenize("price = 1²")
+        assert caught.value.position == 8
+
+    def test_superscript_digit_alone(self):
+        with pytest.raises(SqlSyntaxError) as caught:
+            tokenize("price = ²")
+        assert caught.value.position == 8
+
+    def test_vulgar_fraction_is_unexpected(self):
+        with pytest.raises(SqlSyntaxError, match="unexpected character") as caught:
+            tokenize("price = ½")
+        assert caught.value.position == 8
+
+
+class TestNumberEdges:
+    def test_second_dot_starts_a_new_literal(self):
+        assert values("1.2.3") == [1.2, 0.3]
+
+    def test_suffix_ends_the_literal(self):
+        tokens = tokenize("5Mfoo")
+        assert [(t.type, t.value, t.position) for t in tokens[:-1]] == [
+            (TokenType.NUMBER, 5_000_000, 0),
+            (TokenType.IDENTIFIER, "foo", 2),
+        ]
+
+    def test_escape_without_closing_quote_is_unterminated(self):
+        with pytest.raises(SqlSyntaxError, match="unterminated") as caught:
+            tokenize("x = 'abc''")
+        assert caught.value.position == 4

@@ -117,3 +117,17 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(SqlSyntaxError):
             parse("")
+
+    def test_error_points_at_the_start_of_the_culprit(self):
+        # The second literal starts at offset 30; the error must say so,
+        # not point past it.
+        source = "SELECT * FROM T WHERE a = 'x' 'y'"
+        with pytest.raises(SqlSyntaxError, match="trailing") as caught:
+            parse(source)
+        assert caught.value.position == 30
+        assert source[caught.value.position :] == "'y'"
+
+    def test_keyword_error_position(self):
+        with pytest.raises(SqlSyntaxError, match="expected FROM") as caught:
+            parse("SELECT * WHERE")
+        assert caught.value.position == 9
