@@ -38,7 +38,6 @@ GATED_METRICS: tuple[tuple[str, str], ...] = (
     ("partition_fast_path", "fast_ms"),
     ("serving_hot_path", "warm_ms"),
     ("columnar_scale", "columnar_ms"),
-    ("sharded_scale", "sharded_ms"),
     ("serving_load", "async_req_ms"),
     ("serving_load", "p99_ms"),
     ("warm_start", "warm_boot_ms"),

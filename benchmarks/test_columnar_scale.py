@@ -22,18 +22,8 @@ speed without identical results is a bug, not a win.  Measurements
 append a ``columnar_scale`` record to ``BENCH_partition.json``; CI's
 ``columnar-scale`` job gates the ``columnar_ms`` trajectory through
 ``compare_bench.py``.
-
-The **sharded scaling matrix** (``test_sharded_scaling_matrix``) takes
-the same loop beyond one process: rows × queries × workers cells, each
-asserting element-for-element equivalence with the single-process
-columnar backend before timing.  The headline cell — 1M rows, 4 workers,
-the full query mix — is recorded as ``sharded_scale`` and gated on its
-``sharded_ms`` trajectory; the >= 2x speedup floor over columnar is
-asserted only on machines with >= 4 cores (CI's ``sharded-scale`` job),
-because on a 1-2 core box the pool cannot physically deliver it.
 """
 
-import os
 import random
 import time
 
@@ -280,136 +270,3 @@ def test_columnar_scale_serve_equivalence():
     # end-to-end gain is bounded by their share; the floor here is only
     # "the columnar backend must clearly pay for itself".
     assert speedup >= 1.5
-
-
-# ---------------------------------------------------------------------------
-# Sharded scaling matrix: rows × queries × workers.
-# ---------------------------------------------------------------------------
-
-SHARDED_ROW_SCALES = (250_000, 1_000_000)
-SHARDED_WORKER_COUNTS = (1, 2, 4)
-SHARDED_HEADLINE_ROWS = 1_000_000
-SHARDED_HEADLINE_WORKERS = 4
-REQUIRED_SHARDED_SPEEDUP = 2.0
-#: The speedup floor only binds where the pool can physically deliver it.
-SHARDED_MIN_CORES = 4
-
-
-def sharded_queries() -> dict[str, SelectQuery]:
-    """Three selectivity points: the mix a serving box actually sees."""
-    return {
-        # ~30% of the table, three vectorizable conjuncts.
-        "broad": scale_query(),
-        # Under 1%: unpopular cities in a narrow price band.
-        "narrow": SelectQuery(
-            "Listings",
-            Conjunction(
-                (
-                    InPredicate("city", CITIES[:4]),
-                    RangePredicate("price", 200_000, 300_000),
-                )
-            ),
-        ),
-        # ~90%: one broad range, the worst case for result-shipping.
-        "sweep": SelectQuery("Listings", RangePredicate("rating", 1.5, 5.0)),
-    }
-
-
-def _select_bucket_loop(table: Table, queries: dict[str, SelectQuery]):
-    """The gated loop: execute each query, bucket its result by price."""
-    results = []
-    for query in queries.values():
-        rows = query.execute(table)
-        buckets = rows.partition_by_buckets("price", PRICE_BOUNDARIES)
-        results.append((rows, buckets))
-    return results
-
-
-def _assert_cell_equivalent(expected, got, cell: str) -> None:
-    for (want_rows, want_buckets), (got_rows, got_buckets) in zip(expected, got):
-        assert got_rows.indices == want_rows.indices, cell
-        assert set(got_buckets) == set(want_buckets), cell
-        for key in want_buckets:
-            assert got_buckets[key].indices == want_buckets[key].indices, cell
-
-
-def test_sharded_scaling_matrix():
-    """Equivalent at every cell; >= 2x at 1M x 4 workers on >= 4 cores."""
-    queries = sharded_queries()
-    schema = scale_schema()
-    cells = []
-    headline = None
-    for row_scale in SHARDED_ROW_SCALES:
-        columns = generate_columns(row_scale)
-        col_table = Table.from_columns(
-            schema, columns, backend="columnar", coerce=False
-        )
-        expected = _select_bucket_loop(col_table, queries)
-        columnar_ms = (
-            _timed(lambda: _select_bucket_loop(col_table, queries)) * 1e3
-        )
-        for workers in SHARDED_WORKER_COUNTS:
-            cell = f"rows={row_scale} workers={workers}"
-            sharded_table = Table.from_columns(
-                schema,
-                columns,
-                backend="sharded",
-                coerce=False,
-                backend_options={"workers": workers},
-            )
-            try:
-                # Equivalence before speed; this also seals the shards so
-                # the timed loop measures steady state, not the one-time
-                # shared-memory copy.
-                _assert_cell_equivalent(
-                    expected, _select_bucket_loop(sharded_table, queries), cell
-                )
-                sharded_ms = (
-                    _timed(lambda: _select_bucket_loop(sharded_table, queries))
-                    * 1e3
-                )
-            finally:
-                sharded_table.close()
-            record = {
-                "table_rows": row_scale,
-                "workers": workers,
-                "queries": len(queries),
-                "columnar_ms": round(columnar_ms, 3),
-                "sharded_ms": round(sharded_ms, 3),
-                "speedup": round(columnar_ms / sharded_ms, 2),
-            }
-            cells.append(record)
-            if (
-                row_scale == SHARDED_HEADLINE_ROWS
-                and workers == SHARDED_HEADLINE_WORKERS
-            ):
-                headline = record
-
-    print()
-    print(
-        format_table(
-            ["rows", "workers", "columnar ms", "sharded ms", "speedup"],
-            [
-                [
-                    cell["table_rows"],
-                    cell["workers"],
-                    f"{cell['columnar_ms']:.1f}",
-                    f"{cell['sharded_ms']:.1f}",
-                    f"{cell['speedup']:.2f}x",
-                ]
-                for cell in cells
-            ],
-            title="Sharded scaling matrix (select + bucket, 3-query mix)",
-        )
-    )
-
-    assert headline is not None
-    _append_bench_record("sharded_scale", {**headline, "cells": cells})
-    cores = os.cpu_count() or 1
-    if cores >= SHARDED_MIN_CORES:
-        assert headline["speedup"] >= REQUIRED_SHARDED_SPEEDUP, headline
-    else:
-        print(
-            f"speedup floor not asserted: {cores} core(s) < "
-            f"{SHARDED_MIN_CORES} (equivalence still held at every cell)"
-        )

@@ -176,11 +176,10 @@ class Catalog:
             persist_relation(service)
 
     def close(self) -> None:
-        """Close every relation's journal and table (idempotent)."""
+        """Close every relation's journal (idempotent)."""
         for service in self._services.values():
             if service.journal is not None:
                 service.journal.close()
-            service.table.close()
 
 
 # -- opening relations -------------------------------------------------------
@@ -213,7 +212,6 @@ def open_relation(
             descriptor.load_schema(),
             state_dir,
             backend=descriptor.backend,
-            backend_options=descriptor.backend_options(),
         )
     except SnapshotMismatch as exc:
         # Fail-stop honesty: a snapshot that does not fully check out is

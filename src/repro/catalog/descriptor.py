@@ -44,10 +44,10 @@ from repro.data.movies import (
     generate_movies,
     movie_schema,
 )
+from repro.relational.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.relational.csvio import read_csv
-from repro.relational.schema import Attribute, TableSchema
+from repro.relational.schema import TableSchema, read_schema_json
 from repro.relational.table import Table
-from repro.relational.types import AttributeKind, DataType
 from repro.workload.generator import WorkloadGeneratorConfig, generate_workload
 from repro.workload.log import Workload
 from repro.workload.preprocess import WorkloadStatistics, preprocess_workload
@@ -115,16 +115,12 @@ _SPEC_KEYS = frozenset(
         "workload_queries",
         "workload_seed",
         "backend",
-        "workers",
         "technique",
         "lenient_csv",
         "namespace",
         "separation_intervals",
     }
 )
-
-_BACKENDS = ("rows", "columnar", "sharded")
-
 
 @dataclass(frozen=True)
 class DatasetDescriptor:
@@ -153,8 +149,7 @@ class DatasetDescriptor:
     seed: int | None = None
     workload_queries: int | None = None
     workload_seed: int | None = None
-    backend: str = "rows"
-    workers: int | None = None
+    backend: str = DEFAULT_BACKEND
     technique: str = "cost-based"
     lenient_csv: bool = False
     namespace: str | None = None
@@ -174,15 +169,10 @@ class DatasetDescriptor:
                 f"dataset {self.name!r}: unknown generator "
                 f"{self.generator!r}; choose from {sorted(GENERATORS)}"
             )
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"dataset {self.name!r}: unknown backend {self.backend!r}; "
-                f"choose from {_BACKENDS}"
-            )
-        if self.workers is not None and self.backend != "sharded":
-            raise ValueError(
-                f"dataset {self.name!r}: workers= only applies to the "
-                "sharded backend"
+                f"choose from {BACKEND_NAMES}"
             )
         if self.source is not None and self.workload is None:
             raise ValueError(
@@ -194,15 +184,10 @@ class DatasetDescriptor:
 
     # -- building ------------------------------------------------------------
 
-    def backend_options(self) -> dict[str, Any] | None:
-        if self.workers is None:
-            return None
-        return {"workers": self.workers}
-
     def load_schema(self) -> TableSchema:
         """Resolve the relation schema (file > built-in > generator)."""
         if self.schema is not None:
-            schema = _read_schema_json(self.schema)
+            schema = read_schema_json(self.schema)
         elif self.generator is not None:
             schema = GENERATORS[self.generator].schema()
         elif self.name in BUILTIN_SCHEMAS:
@@ -238,14 +223,12 @@ class DatasetDescriptor:
                 self.source,
                 strict=not self.lenient_csv,
                 backend=self.backend,
-                backend_options=self.backend_options(),
             )
         generator = GENERATORS[self.generator]
         return generator.table(
             rows=self.rows if self.rows is not None else generator.default_rows,
             seed=self.seed if self.seed is not None else generator.default_seed,
             backend=self.backend,
-            backend_options=self.backend_options(),
         )
 
     def load_workload(self) -> Workload:
@@ -285,7 +268,7 @@ class DatasetDescriptor:
         for key in ("source", "workload", "schema"):
             if kwargs.get(key) is not None:
                 kwargs[key] = Path(kwargs[key])
-        for key in ("rows", "seed", "workload_queries", "workload_seed", "workers"):
+        for key in ("rows", "seed", "workload_queries", "workload_seed"):
             if kwargs.get(key) is not None:
                 kwargs[key] = int(kwargs[key])
         if "lenient_csv" in kwargs:
@@ -307,23 +290,6 @@ def _as_bool(name: str, value: Any) -> bool:
     if text in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"dataset {name!r}: not a boolean: {value!r}")
-
-
-def _read_schema_json(path: Path) -> TableSchema:
-    import json
-
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    attributes = []
-    for spec in payload["attributes"]:
-        kind = spec.get("kind")
-        attributes.append(
-            Attribute(
-                spec["name"],
-                DataType(spec["type"]),
-                AttributeKind(kind) if kind else None,
-            )
-        )
-    return TableSchema(payload["name"], tuple(attributes))
 
 
 def parse_dataset_arg(text: str) -> DatasetDescriptor:

@@ -42,10 +42,10 @@ warm-start snapshots under ``--warm-start DIR/NAME/`` — and requests
 address one via ``table=``.  Requests that name no table resolve to the
 default relation and are answered with a ``Deprecation`` header.
 
-``categorize``/``perf-report``/``serve`` accept ``--backend columnar`` to
-load the relation into the packed columnar store, or ``--backend sharded
-[--workers N]`` to spread it over shared-memory shards with a parallel
-worker pool (docs/storage.md).
+``categorize``/``perf-report``/``serve`` load the relation into the packed
+columnar store; ``--backend rows`` picks the one-list-per-attribute store
+instead, the only one that holds INT values outside int64
+(docs/storage.md).
 
 ``generate-data``/``generate-workload`` emit the synthetic MSN stand-ins;
 ``categorize`` works on any CSV whose schema is the built-in ListProperty
@@ -71,9 +71,9 @@ from repro.core.config import CategorizerConfig, PAPER_CONFIG
 from repro.core.cost import CostModel
 from repro.core.probability import ProbabilityEstimator
 from repro.data.homes import generate_homes, list_property_schema
+from repro.relational.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.relational.csvio import read_csv, write_csv
-from repro.relational.schema import Attribute, TableSchema
-from repro.relational.types import AttributeKind, DataType
+from repro.relational.schema import TableSchema, read_schema_json
 from repro.render.treeview import render_tree, summarize_tree
 from repro.sql.compiler import parse_query
 from repro.study.report import format_table
@@ -87,11 +87,19 @@ TECHNIQUES = {
     "no-cost": NoCostCategorizer,
 }
 
+BACKEND_HELP = (
+    "table storage backend (default columnar; rows also stores INT "
+    "values outside int64)"
+)
+
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # The subcommand's own usage lists the options it does take.
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.handler(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
@@ -158,12 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--explain", action="store_true",
                      help="print the per-level decision trace (candidates, "
                           "CostAll/CostOne, eliminations, chosen attribute)")
-    cat.add_argument("--backend", choices=("rows", "columnar", "sharded"),
-                     default="rows",
-                     help="table storage backend (columnar for large CSVs, "
-                          "sharded for parallel selection over many cores)")
-    cat.add_argument("--workers", type=int, default=None,
-                     help="worker-pool size for --backend sharded")
+    cat.add_argument("--backend", choices=BACKEND_NAMES,
+                     default=DEFAULT_BACKEND, help=BACKEND_HELP)
     cat.set_defaults(handler=_cmd_categorize)
 
     report = subparsers.add_parser(
@@ -187,12 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace sampling probability in [0, 1]")
     report.add_argument("--sample-every", type=int, default=None,
                         help="trace every Nth root span")
-    report.add_argument("--backend", choices=("rows", "columnar", "sharded"),
-                        default="rows",
-                        help="table storage backend (columnar for large CSVs, "
-                             "sharded for parallel selection over many cores)")
-    report.add_argument("--workers", type=int, default=None,
-                        help="worker-pool size for --backend sharded")
+    report.add_argument("--backend", choices=BACKEND_NAMES,
+                        default=DEFAULT_BACKEND, help=BACKEND_HELP)
     report.set_defaults(handler=_cmd_perf_report)
 
     serve = subparsers.add_parser(
@@ -230,12 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache TTL in seconds")
     serve.add_argument("--lenient-csv", action="store_true",
                        help="skip malformed CSV rows instead of failing")
-    serve.add_argument("--backend", choices=("rows", "columnar", "sharded"),
-                       default="rows",
-                       help="table storage backend (columnar for large CSVs, "
-                            "sharded for parallel selection over many cores)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="worker-pool size for --backend sharded")
+    serve.add_argument("--backend", choices=BACKEND_NAMES,
+                       default=DEFAULT_BACKEND, help=BACKEND_HELP)
     serve.add_argument("--async", dest="use_async", action="store_true",
                        help="serve on the asyncio front end: keep-alive event "
                             "loop, request coalescing, load shedding "
@@ -355,19 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--json", dest="as_json", action="store_true",
                     help="print the report as JSON instead of a table")
     lg.set_defaults(handler=_cmd_loadgen)
+    for command in subparsers.choices.values():
+        command.set_defaults(command_parser=command)
     return parser
 
 
 # -- handlers --------------------------------------------------------------
-
-
-def _backend_options(args) -> dict | None:
-    """Translate CLI backend flags into ``Table`` backend options."""
-    if getattr(args, "workers", None) is None:
-        return None
-    if args.backend != "sharded":
-        raise ValueError("--workers only applies to --backend sharded")
-    return {"workers": args.workers}
 
 
 def _cmd_generate_data(args) -> int:
@@ -419,10 +408,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_categorize(args) -> int:
     schema = load_schema(args.schema, table=args.table)
-    table = read_csv(
-        schema, args.data, backend=args.backend,
-        backend_options=_backend_options(args),
-    )
+    table = read_csv(schema, args.data, backend=args.backend)
     workload = Workload.load(args.workload)
     config = CategorizerConfig(
         max_tuples_per_category=args.m,
@@ -450,7 +436,6 @@ def _cmd_categorize(args) -> int:
     if args.explain and tree.decision_trace is not None:
         print()
         print(tree.decision_trace.render())
-    table.close()
     return 0
 
 
@@ -461,10 +446,7 @@ def _cmd_perf_report(args) -> int:
     try:
         if args.sample_rate is not None or args.sample_every is not None:
             perf.set_sampling(rate=args.sample_rate, every=args.sample_every)
-        table = read_csv(
-            schema, args.data, backend=args.backend,
-            backend_options=_backend_options(args),
-        )
+        table = read_csv(schema, args.data, backend=args.backend)
         workload = Workload.load(args.workload)
         statistics = preprocess_workload(workload, schema, config.separation_intervals)
         query = parse_query(args.query)
@@ -485,7 +467,6 @@ def _cmd_perf_report(args) -> int:
         perf.clear_sampling()
         perf.reset()
         perf.disable()
-    table.close()
     return 0
 
 
@@ -522,7 +503,6 @@ def _serve_descriptors(args):
                 workload=args.workload,
                 schema=args.schema,
                 backend=args.backend,
-                workers=args.workers,
                 technique=args.technique,
                 lenient_csv=args.lenient_csv,
             )
@@ -949,18 +929,7 @@ def load_schema(path: Path | None, table: str | None = None) -> TableSchema:
                 )
             return BUILTIN_SCHEMAS[table]()
         return list_property_schema()
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    attributes = []
-    for spec in payload["attributes"]:
-        kind = spec.get("kind")
-        attributes.append(
-            Attribute(
-                spec["name"],
-                DataType(spec["type"]),
-                AttributeKind(kind) if kind else None,
-            )
-        )
-    schema = TableSchema(payload["name"], tuple(attributes))
+    schema = read_schema_json(path)
     if table is not None and schema.name != table:
         raise ValueError(
             f"--table {table!r} does not match the schema's table "

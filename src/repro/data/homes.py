@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.data.distributions import (
     sample_bathrooms,
@@ -28,6 +28,7 @@ from repro.data.distributions import (
     weighted_choice,
 )
 from repro.data.geography import ALL_REGIONS, Neighborhood, Region
+from repro.relational.backends import DEFAULT_BACKEND
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeKind, DataType
@@ -78,8 +79,7 @@ class ListPropertyGenerator:
     seed: int = 7
     regions: tuple[Region, ...] = ALL_REGIONS
     null_rates: Mapping[str, float] = field(default_factory=dict)
-    backend: str = "rows"
-    backend_options: Mapping[str, Any] | None = None
+    backend: str = DEFAULT_BACKEND
 
     def generate(self) -> Table:
         """Build and return the table.
@@ -113,10 +113,7 @@ class ListPropertyGenerator:
                 yield listing
 
         return Table.from_rows(
-            list_property_schema(),
-            listings(),
-            backend=self.backend,
-            backend_options=self.backend_options,
+            list_property_schema(), listings(), backend=self.backend
         )
 
     def _generate_listing(
@@ -167,10 +164,7 @@ class _ZipcodeAssigner:
 def generate_homes(
     rows: int = 50_000,
     seed: int = 7,
-    backend: str = "rows",
-    backend_options: Mapping[str, Any] | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> Table:
     """Convenience wrapper: generate the default synthetic ListProperty table."""
-    return ListPropertyGenerator(
-        rows=rows, seed=seed, backend=backend, backend_options=backend_options
-    ).generate()
+    return ListPropertyGenerator(rows=rows, seed=seed, backend=backend).generate()

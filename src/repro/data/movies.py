@@ -16,9 +16,9 @@ Used by ``examples/movies.py`` and the cross-domain benchmark
 from __future__ import annotations
 
 import random
-from typing import Any, Mapping
 
 from repro.data.distributions import weighted_choice
+from repro.relational.backends import DEFAULT_BACKEND
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeKind, DataType
@@ -84,8 +84,7 @@ MOVIE_SEPARATION_INTERVALS = {
 def generate_movies(
     rows: int = 20_000,
     seed: int = 3,
-    backend: str = "rows",
-    backend_options: Mapping[str, Any] | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> Table:
     """Generate the synthetic movie catalog, deterministic under ``seed``."""
     if rows <= 0:
@@ -115,9 +114,7 @@ def generate_movies(
                 "votes": max(50, votes),
             }
 
-    return Table.from_rows(
-        movie_schema(), movies(), backend=backend, backend_options=backend_options
-    )
+    return Table.from_rows(movie_schema(), movies(), backend=backend)
 
 
 def generate_movie_workload(queries: int = 8_000, seed: int = 5) -> Workload:

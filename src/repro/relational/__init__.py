@@ -7,6 +7,7 @@ statistics, and CSV round-trip.
 
 from repro.relational.backends import (
     BACKEND_NAMES,
+    DEFAULT_BACKEND,
     ColumnStore,
     DictColumn,
     FloatColumn,
@@ -16,7 +17,6 @@ from repro.relational.backends import (
     make_backend,
 )
 from repro.relational.csvio import read_csv, write_csv
-from repro.relational.sharded import AscendingIndices, ShardedBackend
 from repro.relational.expressions import (
     ComparisonPredicate,
     Conjunction,
@@ -30,7 +30,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.join import DimensionJoin, join_star
 from repro.relational.query import SelectQuery
-from repro.relational.schema import Attribute, TableSchema
+from repro.relational.schema import Attribute, TableSchema, read_schema_json
 from repro.relational.statistics import (
     CategoricalStats,
     NumericStats,
@@ -42,7 +42,6 @@ from repro.relational.table import Row, RowSet, Table
 from repro.relational.types import AttributeKind, DataType
 
 __all__ = [
-    "AscendingIndices",
     "Attribute",
     "AttributeKind",
     "BACKEND_NAMES",
@@ -50,6 +49,7 @@ __all__ = [
     "ColumnStore",
     "ComparisonPredicate",
     "Conjunction",
+    "DEFAULT_BACKEND",
     "DataType",
     "DictColumn",
     "DimensionJoin",
@@ -64,7 +64,6 @@ __all__ = [
     "RowSet",
     "RowStore",
     "SelectQuery",
-    "ShardedBackend",
     "StorageBackend",
     "Table",
     "TableSchema",
@@ -76,6 +75,7 @@ __all__ = [
     "normalize",
     "numeric_stats",
     "read_csv",
+    "read_schema_json",
     "value_counts",
     "write_csv",
 ]

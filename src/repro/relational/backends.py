@@ -2,24 +2,19 @@
 
 A backend owns the physical column representation; the ``Table`` keeps the
 schema, coercion, and the ``RowSet`` algebra, and delegates storage through
-the :class:`StorageBackend` protocol.  Three implementations ship (the
-third lives in :mod:`repro.relational.sharded`):
+the :class:`StorageBackend` protocol.  Two implementations ship:
 
+* :class:`ColumnStore` (``backend="columnar"``, the default) — packed
+  typed columns: ``array('q')`` / ``array('d')`` for INT / FLOAT
+  attributes (8 bytes per value instead of a ~28+-byte boxed object) and
+  dictionary-encoded TEXT / BOOL columns (an ``array('i')`` of integer
+  codes plus one shared decode list).  NULLs are a side structure: a
+  small set of null positions for numeric columns, the reserved code
+  ``-1`` for dictionary columns.
 * :class:`RowStore` (``backend="rows"``) — one plain Python list per
-  attribute.  Values are stored as the objects coercion produced, which is
-  the fastest layout for small tables and the most forgiving one (any
-  coercible value fits, including arbitrary-precision ints).
-* :class:`ColumnStore` (``backend="columnar"``) — packed typed columns:
-  ``array('q')`` / ``array('d')`` for INT / FLOAT attributes (8 bytes per
-  value instead of a ~28+-byte boxed object) and dictionary-encoded
-  TEXT / BOOL columns (an ``array('i')`` of integer codes plus one shared
-  decode list).  NULLs are a side structure: a small set of null positions
-  for numeric columns, the reserved code ``-1`` for dictionary columns.
-* :class:`~repro.relational.sharded.ShardedBackend` (``backend="sharded"``)
-  — the ``ColumnStore`` layout partitioned into per-shard shared-memory
-  segments, with ``select_indices`` / ``bucket_numeric`` /
-  ``build_groupby`` parallelized across a persistent worker pool.  Same
-  semantics, more cores; see that module and ``docs/storage.md``.
+  attribute, holding the objects coercion produced.  It is the reference
+  the equivalence suite checks the columnar backend against, and the
+  only layout that stores INT values outside int64.
 
 The columnar payoff is **column-at-a-time selection**: instead of asking
 ``predicate.matches(row)`` once per row (a Python call plus a dict-protocol
@@ -37,13 +32,13 @@ speed.
 
 Dictionary encoding assumes moderate-cardinality columns (the paper's
 categorical attributes: city, neighborhood, property type).  A TEXT column
-with millions of distinct values still works but degrades to one dict
-entry per value; the row backend is the better choice there — see
-``docs/storage.md`` for the decision table.
+with millions of distinct values still works, at one dictionary entry per
+value on top of its codes.
 
 Limits: ``ColumnStore`` packs INT values into 64-bit storage, so ints
-outside ``[-2**63, 2**63)`` raise ``OverflowError`` on insert; the row
-backend accepts them.
+outside ``[-2**63, 2**63)`` raise ``OverflowError``; both ``append_row``
+and ``load_columns`` then leave the store as it was.  The row backend
+accepts them.
 """
 
 from __future__ import annotations
@@ -72,8 +67,12 @@ from repro.relational.snapio import (
 )
 from repro.relational.types import DataType
 
-#: Backend registry: name -> constructor taking the schema.
-BACKEND_NAMES = ("rows", "columnar", "sharded")
+#: The ``backend=`` names :func:`make_backend` accepts.
+BACKEND_NAMES = ("rows", "columnar")
+
+#: The backend every table, loader, generator, descriptor and CLI flag
+#: uses unless told otherwise.
+DEFAULT_BACKEND = "columnar"
 
 
 class StorageBackend(Protocol):
@@ -100,7 +99,11 @@ class StorageBackend(Protocol):
         ...
 
     def load_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
-        """Bulk-append one coerced sequence per attribute (equal lengths)."""
+        """Bulk-append one coerced sequence per attribute (equal lengths).
+
+        All or nothing, like :meth:`append_row`: a failure leaves every
+        column as it was.
+        """
         ...
 
     def gather(self, name: str, indices: Sequence[int]) -> list[Any]:
@@ -141,26 +144,12 @@ class StorageBackend(Protocol):
         ...
 
 
-def make_backend(name: str, schema: TableSchema, **options: Any) -> Any:
-    """Instantiate the backend called ``name`` for ``schema``.
-
-    ``options`` are backend-specific constructor keywords — the sharded
-    backend takes ``workers`` / ``min_parallel_rows`` / ``executor``; the
-    in-process backends take none (passing any is a ``TypeError``, not a
-    silent ignore, so a typo'd option cannot change which pool you get).
-    """
-    if name == "sharded":
-        # Imported lazily: the sharded module depends on this one, and the
-        # two in-process backends must not pay its multiprocessing imports.
-        from repro.relational.sharded import ShardedBackend
-
-        return ShardedBackend(schema, **options)
-    if name in ("rows", "columnar"):
-        if options:
-            raise TypeError(
-                f"backend {name!r} takes no options, got {sorted(options)}"
-            )
-        return RowStore(schema) if name == "rows" else ColumnStore(schema)
+def make_backend(name: str, schema: TableSchema) -> RowStore | ColumnStore:
+    """Instantiate the backend called ``name`` for ``schema``."""
+    if name == "columnar":
+        return ColumnStore(schema)
+    if name == "rows":
+        return RowStore(schema)
     raise ValueError(
         f"unknown storage backend {name!r}; choose from {BACKEND_NAMES}"
     )
@@ -255,10 +244,10 @@ class NumericColumn:
             for value in values:
                 self.append(value)
 
-    def pop(self) -> None:
-        """Remove the last value (append_row atomicity rollback)."""
-        self._data.pop()
-        self._nulls.discard(len(self._data))
+    def truncate(self, length: int) -> None:
+        """Drop every value from position ``length`` on (write rollback)."""
+        self._nulls.difference_update(range(length, len(self._data)))
+        del self._data[length:]
 
     # -- reads -------------------------------------------------------------
 
@@ -338,9 +327,10 @@ class DictColumn:
         for value in values:
             self.append(value)
 
-    def pop(self) -> None:
-        """Remove the last value (the dictionary entry, if new, is kept)."""
-        self._codes.pop()
+    def truncate(self, length: int) -> None:
+        """Drop every value from position ``length`` on (write rollback);
+        dictionary entries stay."""
+        del self._codes[length:]
 
     # -- reads -------------------------------------------------------------
 
@@ -408,26 +398,42 @@ class ColumnStore:
         }
         self._ordered = [self._columns[n] for n in schema.names()]
 
+    def __len__(self) -> int:
+        return len(self._ordered[0]) if self._ordered else 0
+
     def column(self, name: str) -> NumericColumn | DictColumn:
         return self._columns[name]
 
+    # int64 overflow is the one write failure coercion does not catch
+    # first.  Both writes roll back to the previous length before
+    # re-raising, so a refused row or batch never tears the columns.
+
     def append_row(self, values: Sequence[Any]) -> None:
-        appended = 0
+        rows = len(self)
         try:
-            for column, value in zip(self._ordered, values):
+            for (name, column), value in zip(self._columns.items(), values):
                 column.append(value)
-                appended += 1
-        except Exception:
-            # Keep the torn-row guarantee Table.insert promises: undo the
-            # columns already written before re-raising (int64 overflow is
-            # the one failure coercion does not catch first).
-            for column in self._ordered[:appended]:
-                column.pop()
+        except BaseException as exc:
+            self._truncate(rows)
+            if isinstance(exc, OverflowError):
+                raise OverflowError(
+                    f"attribute {name!r}: {value!r} is outside the int64 "
+                    "range of a columnar INT column"
+                ) from exc
             raise
 
     def load_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
-        for name, column in self._columns.items():
-            column.extend(columns[name])
+        rows = len(self)
+        try:
+            for name, column in self._columns.items():
+                column.extend(columns[name])
+        except BaseException:
+            self._truncate(rows)
+            raise
+
+    def _truncate(self, length: int) -> None:
+        for column in self._ordered:
+            column.truncate(length)
 
     def gather(self, name: str, indices: Sequence[int]) -> list[Any]:
         return self._columns[name].gather(indices)
@@ -479,7 +485,7 @@ class ColumnStore:
         Loading is therefore a handful of ``frombytes`` memcpys — the
         whole point of warm start is to skip per-value coercion.
         """
-        rows = len(self._ordered[0]) if self._ordered else 0
+        rows = len(self)
         manifest = base_manifest("columnstore", self.FORMAT_VERSION)
         manifest["table"] = schema.name
         manifest["schema"] = schema_fingerprint(schema)
@@ -633,43 +639,6 @@ class ColumnStore:
                 return current, leftover
             current = filtered
         return current, None
-
-    def can_vectorize(self, predicate: Predicate) -> bool:
-        """True iff :meth:`_filter_one` would fully evaluate ``predicate``.
-
-        A decision procedure for the filter kernels, used by the sharded
-        backend to *plan* the dispatchable conjunct prefix in the parent
-        process — dictionaries are table-global, so the plan made here
-        holds on every shard.  Must mirror ``_filter_one``'s ``None``
-        conditions exactly; ``tests/relational/test_sharded.py`` checks
-        the two against each other.
-        """
-        if isinstance(predicate, TruePredicate):
-            return True
-        if isinstance(predicate, (InPredicate, IsNullPredicate)):
-            return predicate.attribute in self._columns
-        if isinstance(predicate, RangePredicate):
-            return isinstance(
-                self._columns.get(predicate.attribute), NumericColumn
-            )
-        if isinstance(predicate, ComparisonPredicate):
-            column = self._columns.get(predicate.attribute)
-            if column is None:
-                return False
-            if isinstance(column, DictColumn):
-                # Same probe _filter_comparison runs: the comparison must
-                # order against every dictionary entry without TypeError.
-                op = comparison_operator(predicate.op)
-                try:
-                    for stored in column._decode:
-                        op(stored, predicate.value)
-                except TypeError:
-                    return False
-                return True
-            return predicate.op in ("=", "!=") or isinstance(
-                predicate.value, (int, float)
-            )
-        return False
 
     def _filter_one(
         self, predicate: Predicate, indices: Sequence[int]

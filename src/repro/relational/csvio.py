@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 from itertools import islice
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro import perf
+from repro.relational.backends import DEFAULT_BACKEND
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import DataType
@@ -58,8 +59,7 @@ def read_csv(
     schema: TableSchema,
     path: str | Path,
     strict: bool = True,
-    backend: str = "rows",
-    backend_options: Mapping[str, Any] | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> Table:
     """Load a CSV written by :func:`write_csv` (or compatible) into a Table.
 
@@ -70,9 +70,10 @@ def read_csv(
     columns converted in one pass (``int``, ``float``, or kept as text),
     and the converted columns appended to the table's backend through
     :meth:`Table.load_columns`.  A chunk that does not convert cleanly — a
-    ragged row, an unparseable value, a NULL in a non-nullable column — is
-    coerced again row by row through :meth:`Attribute.coerce`, so errors
-    and skips name the exact record either way.
+    ragged row, an unparseable value, a NULL in a non-nullable column — or
+    that the backend refuses (an INT outside int64 on the columnar
+    backend) is inserted again row by row through :meth:`Table.insert`,
+    so errors and skips name the exact record either way.
 
     Args:
         schema: the relation the file must conform to.
@@ -84,11 +85,9 @@ def read_csv(
             False, malformed rows are skipped and counted per failure mode
             in the ``csv.bad_rows{reason=...}`` perf counter: ``arity`` for
             rows whose field count does not match the header, ``type`` for
-            rows a schema coercion rejects.
-        backend: storage backend of the resulting table (``"rows"``,
-            ``"columnar"`` or ``"sharded"``; see ``docs/storage.md``).
-        backend_options: backend-specific constructor keywords (the
-            sharded backend's ``workers`` etc.).
+            rows a schema coercion or the backend rejects.
+        backend: storage backend of the resulting table (``"columnar"``
+            or ``"rows"``; see ``docs/storage.md``).
 
     Raises:
         ValueError: if the header is missing schema attributes, or (in
@@ -109,15 +108,14 @@ def read_csv(
                 f"required by schema {schema.name!r}"
             )
         positions = [header.index(a.name) for a in attributes]
-        table = Table(schema, backend=backend, backend_options=backend_options)
+        table = Table(schema, backend=backend)
         line_number = 2
         while rows := list(islice(reader, CHUNK_ROWS)):
             columns = _convert_chunk(attributes, positions, len(header), rows)
-            if columns is None:
-                columns = _coerce_rows(
-                    attributes, positions, len(header), rows, path, line_number, strict
+            if columns is None or not _load_chunk(table, columns):
+                _insert_rows(
+                    table, positions, len(header), rows, path, line_number, strict
                 )
-            table.load_columns(columns)
             line_number += len(rows)
     perf.count("csv.rows_loaded", len(table))
     return table
@@ -153,39 +151,42 @@ def _convert_chunk(
     return columns
 
 
-def _coerce_rows(
-    attributes: Sequence[Attribute],
+def _load_chunk(table: Table, columns: dict[str, Sequence[Any]]) -> bool:
+    """Append a converted chunk; False, with the table unchanged, when the
+    backend refuses a value (an INT outside int64 on the columnar backend)."""
+    try:
+        table.load_columns(columns)
+    except OverflowError:
+        return False
+    return True
+
+
+def _insert_rows(
+    table: Table,
     positions: Sequence[int],
     width: int,
     rows: list[list[str]],
     path: Path,
     first_line: int,
     strict: bool,
-) -> dict[str, list[Any]]:
-    """The chunk coerced one row at a time, keeping or skipping each row
+) -> None:
+    """Insert the chunk one row at a time, keeping or skipping each row
     whole and naming (strict) or counting (lenient) the malformed ones."""
-    columns: dict[str, list[Any]] = {a.name: [] for a in attributes}
-    plan = [(a, columns[a.name].append, p) for a, p in zip(attributes, positions)]
+    plan = list(zip(table.schema.names(), positions))
     for line_number, fields in enumerate(rows, start=first_line):
         if not strict and len(fields) != width:
             perf.count("csv.bad_rows", reason="arity")
             continue
         try:
-            # Coerce the whole row before appending anything, keeping
-            # the columns untorn when a later field fails.
-            coerced = [
-                attribute.coerce(
-                    None
+            table.insert(
+                {
+                    name: None
                     if position >= len(fields) or fields[position] == ""
                     else fields[position]
-                )
-                for attribute, _, position in plan
-            ]
-        except (TypeError, ValueError) as exc:
+                    for name, position in plan
+                }
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
             if strict:
                 raise ValueError(f"{path}:{line_number}: {exc}") from exc
             perf.count("csv.bad_rows", reason="type")
-            continue
-        for (_, append, _), value in zip(plan, coerced):
-            append(value)
-    return columns

@@ -9,7 +9,9 @@ to learn each attribute's :class:`~repro.relational.types.AttributeKind`
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from repro.relational.types import AttributeKind, DataType
@@ -133,3 +135,29 @@ class TableSchema:
     def numeric_attributes(self) -> tuple[Attribute, ...]:
         """All attributes partitioned as range buckets."""
         return tuple(a for a in self.attributes if a.is_numeric)
+
+
+def read_schema_json(path: str | Path) -> TableSchema:
+    """Read a schema file: ``{"name", "attributes": [{name, type, kind}]}``.
+
+    ``type`` is a :class:`DataType` value (``"int"``, ``"text"``, ...);
+    ``kind`` (``"categorical"`` / ``"numeric"``) may be omitted to take
+    the data type's default::
+
+        {"name": "Laptops",
+         "attributes": [
+            {"name": "brand", "type": "text", "kind": "categorical"},
+            {"name": "price", "type": "int", "kind": "numeric"}]}
+    """
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return TableSchema(
+        payload["name"],
+        tuple(
+            Attribute(
+                spec["name"],
+                DataType(spec["type"]),
+                AttributeKind(spec["kind"]) if spec.get("kind") else None,
+            )
+            for spec in payload["attributes"]
+        ),
+    )

@@ -3,16 +3,12 @@
 The engine stores each attribute as a column behind a pluggable
 :class:`~repro.relational.backends.StorageBackend`:
 
-* ``backend="rows"`` (default) — one plain Python list per attribute, the
-  most forgiving layout and the fastest one for small tables;
-* ``backend="columnar"`` — packed ``array.array`` numeric columns and
-  dictionary-encoded TEXT/BOOL columns with column-at-a-time selection,
-  built for paper-scale data (see ``docs/storage.md``);
-* ``backend="sharded"`` — the columnar layout partitioned into
-  shared-memory shards with selection/bucketing/grouping parallelized
-  across a worker pool, for beyond-paper-scale tables.  Tune it with
-  ``backend_options={"workers": N, ...}``; call :meth:`Table.close` (or
-  drop the table) to release its shared memory.
+* ``backend="columnar"`` (the default,
+  :data:`~repro.relational.backends.DEFAULT_BACKEND`) — packed
+  ``array.array`` numeric columns and dictionary-encoded TEXT/BOOL columns
+  with column-at-a-time selection (see ``docs/storage.md``);
+* ``backend="rows"`` — one plain Python list per attribute: the reference
+  layout, and the only one that stores INT values outside int64.
 
 Rows are materialized lazily as dicts or :class:`Row` views.  A
 :class:`Table` owns its backend; selections return lightweight
@@ -34,7 +30,7 @@ from array import array
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro import perf
-from repro.relational.backends import make_backend
+from repro.relational.backends import DEFAULT_BACKEND, make_backend
 from repro.relational.expressions import Predicate, TruePredicate
 from repro.relational.schema import Attribute, TableSchema
 
@@ -83,46 +79,35 @@ class Table:
 
     Construction::
 
-        table = Table(schema)                      # row backend
-        table = Table(schema, backend="columnar")  # packed typed columns
+        table = Table(schema)                  # packed typed columns
+        table = Table(schema, backend="rows")  # one list per attribute
         table.insert({"price": 250_000, "city": "Seattle"})
         table.extend(rows)
 
         # Bulk loads (preferred for anything larger than a handful of rows):
         table = Table.from_columns(schema, {"price": [...], "city": [...]})
-        table = Table.from_rows(schema, dict_iterable, backend="columnar")
+        table = Table.from_rows(schema, dict_iterable, backend="rows")
 
     Values are validated against the schema on insertion, so downstream code
     (partitioning, statistics) can assume type-clean columns.
     """
 
-    def __init__(
-        self,
-        schema: TableSchema,
-        backend: str = "rows",
-        backend_options: Mapping[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, schema: TableSchema, backend: str = DEFAULT_BACKEND) -> None:
         self.schema = schema
-        self._backend = make_backend(backend, schema, **(backend_options or {}))
+        self._backend = make_backend(backend, schema)
         self._size = 0
         self._groupby_indexes: dict[str, dict[Any, tuple[int, ...]]] = {}
 
     @property
     def backend_name(self) -> str:
-        """The storage backend's registry name (``"rows"``/``"columnar"``/
-        ``"sharded"``)."""
+        """The storage backend's name (``"columnar"`` or ``"rows"``)."""
         return self._backend.name
 
     def close(self) -> None:
-        """Release backend resources (sharded shm segments, worker pool).
+        """Does nothing: both backends hold only in-process memory.
 
-        A no-op for the in-process backends; safe to call more than once.
-        The table stays readable afterwards — the sharded backend falls
-        back to its in-process base store.
+        Kept because ``perfbench/`` still calls it.
         """
-        close = getattr(self._backend, "close", None)
-        if close is not None:
-            close()
 
     # -- construction ------------------------------------------------------
 
@@ -131,9 +116,8 @@ class Table:
         cls,
         schema: TableSchema,
         columns: Mapping[str, Sequence[Any]],
-        backend: str = "rows",
+        backend: str = DEFAULT_BACKEND,
         coerce: bool = True,
-        backend_options: Mapping[str, Any] | None = None,
     ) -> "Table":
         """Build a table from whole columns — the bulk loading path.
 
@@ -149,7 +133,7 @@ class Table:
                 the first uncoercible value, named as ``column 'a'[i]``.
         """
         _column_length(schema, columns)
-        table = cls(schema, backend=backend, backend_options=backend_options)
+        table = cls(schema, backend=backend)
         if coerce:
             columns = {
                 attribute.name: _coerce_column(attribute, columns[attribute.name])
@@ -163,8 +147,7 @@ class Table:
         cls,
         schema: TableSchema,
         rows: Iterable[Mapping[str, Any]],
-        backend: str = "rows",
-        backend_options: Mapping[str, Any] | None = None,
+        backend: str = DEFAULT_BACKEND,
     ) -> "Table":
         """Build a table from row mappings by transposing to columns.
 
@@ -180,9 +163,7 @@ class Table:
             get = row.get
             for name, append in appends:
                 append(get(name))
-        return cls.from_columns(
-            schema, columns, backend=backend, backend_options=backend_options
-        )
+        return cls.from_columns(schema, columns, backend=backend)
 
     @classmethod
     def from_backend(
@@ -239,11 +220,13 @@ class Table:
         The bulk append behind :meth:`from_columns` and ``read_csv``'s
         chunks: values go straight to the backend unvalidated, so the
         producer must have coerced them.  Invalidates every cached groupby
-        index.
+        index.  All or nothing: on any error the table is unchanged.
 
         Raises:
             KeyError: on missing or unknown column names.
             ValueError: on ragged column lengths.
+            OverflowError: when the columnar backend refuses an INT value
+                outside int64.
         """
         length = _column_length(self.schema, columns)
         self._backend.load_columns(columns)

@@ -502,10 +502,9 @@ class CategorizationService:
         """Serve one already-parsed request against a pinned epoch.
 
         The telemetry shell around :meth:`_compute_pinned`: when a
-        pipeline is installed and this trace samples in, the computation
-        runs inside a :func:`telemetry.scope` (so the storage backend can
-        attribute shard timings to the request) and ships a ``service``
-        event — plus a ``decision`` digest for freshly computed trees.
+        pipeline is installed and this trace samples in, it ships a
+        ``service`` event — plus a ``decision`` digest for freshly
+        computed trees.
         With nothing installed this adds one global load and a branch.
         """
         if trace_id is None:
@@ -520,10 +519,9 @@ class CategorizationService:
         # tree's reasoning, not just its shape.  Cache hits skip the
         # build entirely, so the forced collection only costs on misses.
         collect = collect_trace or pipeline.collect_decisions
-        with telemetry.scope(trace_id):
-            result = self._compute_pinned(
-                query, normalized_sql, epoch, deadline, budget, collect, trace_id
-            )
+        result = self._compute_pinned(
+            query, normalized_sql, epoch, deadline, budget, collect, trace_id
+        )
         tree = result.tree
         pipeline.emit(
             telemetry.SERVICE,

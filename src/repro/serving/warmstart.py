@@ -37,7 +37,11 @@ from pathlib import Path
 from typing import Any
 
 from repro import perf
-from repro.relational.backends import ColumnStore, schema_fingerprint
+from repro.relational.backends import (
+    DEFAULT_BACKEND,
+    ColumnStore,
+    schema_fingerprint,
+)
 from repro.relational.schema import TableSchema
 from repro.relational.snapio import (
     Container,
@@ -86,16 +90,13 @@ class WarmState:
 def _columnar_store(table: Table) -> ColumnStore:
     """The table's data as a ColumnStore (converting if need be).
 
-    The columnar and sharded backends already hold one; the row backend
-    pays a one-time conversion at snapshot time (coercion already
-    happened on load, so this is a straight columnar re-pack).
+    The columnar backend already is one; the row backend pays a one-time
+    conversion at snapshot time (coercion already happened on load, so
+    this is a straight columnar re-pack).
     """
     backend = table._backend
     if isinstance(backend, ColumnStore):
         return backend
-    base = getattr(backend, "_store", None)  # sharded keeps a base store
-    if isinstance(base, ColumnStore):
-        return base
     store = ColumnStore(table.schema)
     store.load_columns(
         {name: table.column(name) for name in table.schema.names()}
@@ -285,14 +286,13 @@ def _occ_key(value: Any) -> Any:
 def load_warm(
     schema: TableSchema,
     directory: str | Path,
-    backend: str = "columnar",
-    backend_options: dict[str, Any] | None = None,
+    backend: str = DEFAULT_BACKEND,
 ) -> WarmState:
     """Load a full warm state from a snapshot directory, or fail stop.
 
     The columnar backend adopts the deserialized store zero-copy; the
-    row and sharded backends rebuild from the loaded columns (still far
-    cheaper than re-parsing a CSV — coercion is skipped entirely).
+    row backend rebuilds from the loaded columns (still far cheaper than
+    re-parsing a CSV — coercion is skipped entirely).
 
     Raises:
         SnapshotMismatch: missing files, CRC/version/schema mismatch —
@@ -312,6 +312,5 @@ def load_warm(
                 {name: store.column(name) for name in schema.names()},
                 backend=backend,
                 coerce=False,
-                backend_options=backend_options,
             )
     return WarmState(table, statistics, epoch, journal_seq)

@@ -8,7 +8,6 @@ across every layer it touched:
 * the front end's admission story and latency waterfall (``frontend``),
 * the service's cache/epoch/rung outcome (``service``),
 * the engine's decision trace digest (``decision``),
-* the sharded backend's per-shard kernel timings (``shards``),
 
 all joined by the existing per-request trace id, shipped through a
 bounded non-blocking writer (:class:`TelemetryPipeline`) to a rotating
@@ -36,7 +35,6 @@ from repro.telemetry.events import (
     FRONTEND,
     META,
     SERVICE,
-    SHARDS,
     decision_digest,
 )
 from repro.telemetry.pipeline import (
@@ -48,8 +46,6 @@ from repro.telemetry.pipeline import (
     emit,
     install,
     installed,
-    scope,
-    scoped_trace_id,
     trace_root,
     uninstall,
 )
@@ -62,15 +58,12 @@ __all__ = [
     "RotatingJsonlSink",
     "SCHEMA",
     "SERVICE",
-    "SHARDS",
     "TelemetryPipeline",
     "active",
     "decision_digest",
     "emit",
     "install",
     "installed",
-    "scope",
-    "scoped_trace_id",
     "trace_root",
     "uninstall",
 ]

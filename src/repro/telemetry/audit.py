@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.telemetry.events import DECISION, FRONTEND, META, SERVICE, SHARDS
+from repro.telemetry.events import DECISION, FRONTEND, META, SERVICE
 from repro.telemetry.pipeline import trace_root
 
 #: Trace ids listed verbatim in reports before truncating to a count.
@@ -80,13 +80,17 @@ def load_events(paths: Iterable[Path | str]) -> tuple[list[dict], int]:
 
 @dataclass
 class TraceGroup:
-    """Every event of one request, joined on the trace root."""
+    """Every event of one request, joined on the trace root.
+
+    Events of any other type — older sinks hold types this version no
+    longer writes — land in ``other``: counted, kept by ``--table``,
+    never making a trace partial.
+    """
 
     root: str
     frontend: list[dict] = field(default_factory=list)
     service: list[dict] = field(default_factory=list)
     decisions: list[dict] = field(default_factory=list)
-    shards: list[dict] = field(default_factory=list)
     other: list[dict] = field(default_factory=list)
 
     def add(self, event: dict) -> None:
@@ -97,15 +101,13 @@ class TraceGroup:
             self.service.append(event)
         elif kind == DECISION:
             self.decisions.append(event)
-        elif kind == SHARDS:
-            self.shards.append(event)
         else:
             self.other.append(event)
 
     @property
     def table(self) -> str | None:
         """The relation this request resolved to, when any event names it."""
-        for event in (*self.frontend, *self.service, *self.shards):
+        for event in (*self.frontend, *self.service):
             table = event.get("table")
             if isinstance(table, str) and table:
                 return table
@@ -122,10 +124,10 @@ class TraceGroup:
         )
 
     def orphaned_events(self) -> int:
-        """Decision/shards events with no service event to hang off."""
+        """Decision events with no service event to hang off."""
         if self.service:
             return 0
-        return len(self.decisions) + len(self.shards)
+        return len(self.decisions)
 
     @property
     def partial(self) -> bool:
@@ -198,7 +200,6 @@ def build_report(
                 group.frontend,
                 group.service,
                 group.decisions,
-                group.shards,
                 group.other,
             )
             for event in bucket
@@ -209,7 +210,6 @@ def build_report(
     frontends = [e for g in groups.values() for e in g.frontend]
     services = [e for g in groups.values() for e in g.service]
     decisions = [e for g in groups.values() for e in g.decisions]
-    shard_events = [e for g in groups.values() for e in g.shards]
 
     waterfall = {
         stage: _quantiles(
@@ -234,18 +234,6 @@ def build_report(
     for slot in cache.values():
         total = slot["hits"] + slot["misses"]
         slot["ratio"] = round(slot["hits"] / total, 4) if total else 0.0
-
-    shard_ops: dict[str, dict[str, Any]] = {}
-    for event in shard_events:
-        op = str(event.get("op"))
-        slot = shard_ops.setdefault(op, {"calls": 0, "ms": []})
-        slot["calls"] += 1
-        if isinstance(event.get("elapsed_ms"), (int, float)):
-            slot["ms"].append(float(event["elapsed_ms"]))
-    shards_summary = {
-        op: {"calls": slot["calls"], **_quantiles(slot["ms"])}
-        for op, slot in sorted(shard_ops.items())
-    }
 
     chosen: Counter[str] = Counter()
     for event in services:
@@ -322,7 +310,6 @@ def build_report(
         "coalesced": sum(1 for e in frontends if e.get("coalesced")),
         "tightened": sum(1 for e in frontends if e.get("tightened")),
         "cache": {key: cache[key] for key in sorted(cache)},
-        "shards": shards_summary,
         "quality": {
             "service_events": len(services),
             "decision_events": len(decisions),
@@ -497,24 +484,6 @@ def format_report(report: dict[str, Any]) -> str:
                     for key, slot in report["cache"].items()
                 ],
                 title="Cache hit ratio",
-            )
-        )
-
-    if report["shards"]:
-        sections.append(
-            format_table(
-                ["op", "calls", "mean ms", "p95 ms", "max ms"],
-                [
-                    [
-                        op,
-                        stats["calls"],
-                        f"{stats['mean']:.2f}",
-                        f"{stats['p95']:.2f}",
-                        f"{stats['max']:.2f}",
-                    ]
-                    for op, stats in report["shards"].items()
-                ],
-                title="Sharded kernels",
             )
         )
 

@@ -1,6 +1,6 @@
 """Event schema (``repro.telemetry.v1``) and digest builders.
 
-One request that samples in produces up to four event types, all joined
+One request that samples in produces up to three event types, all joined
 by ``trace_id`` (batch statements carry ``<root>#<position>`` ids and
 join on the root):
 
@@ -32,11 +32,6 @@ join on the root):
     evaluations) stays available via the ``trace: true`` request flag;
     shipping all of it per sampled request would swamp the sink.
 
-``shards``
-    One per parallelized kernel call on the sharded backend: ``table``,
-    ``op`` (``select`` | ``bucket`` | ``groupby``), ``shards``, per-shard
-    ``shard_ms``, and the parent-side ``elapsed_ms``.
-
 Every event also carries ``ts`` (wall-clock seconds).  Segments start
 with a ``{"type": "meta", "schema": "repro.telemetry.v1", ...}`` line.
 """
@@ -50,7 +45,6 @@ from repro.core.trace import DecisionTrace
 FRONTEND = "frontend"
 SERVICE = "service"
 DECISION = "decision"
-SHARDS = "shards"
 META = "meta"
 
 

@@ -11,11 +11,11 @@ Design constraints, in priority order:
    single global load and ``None`` check — the same discipline as
    :mod:`repro.perf.instrument`.
 3. **Whole traces or nothing.**  Sampling is a *deterministic* function
-   of the trace id (:meth:`TelemetryPipeline.sampled`), so the front end,
-   the service, and the sharded backend independently agree on whether a
-   request is in the sample — a trace never comes out half-shipped
-   because two layers flipped different coins.  Batch statements share
-   their root id's fate (``req-000042#3`` samples as ``req-000042``).
+   of the trace id (:meth:`TelemetryPipeline.sampled`), so the front end
+   and the service independently agree on whether a request is in the
+   sample — a trace never comes out half-shipped because two layers
+   flipped different coins.  Batch statements share their root id's
+   fate (``req-000042#3`` samples as ``req-000042``).
 
 The sink is a :class:`RotatingJsonlSink`: one JSON object per line,
 rotated by size (``events.jsonl`` -> ``events.jsonl.1`` ascending, newest
@@ -38,7 +38,6 @@ import queue
 import threading
 import time
 import zlib
-from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -147,7 +146,7 @@ class TelemetryPipeline:
         collect_decisions: when True, the service forces decision-trace
             collection on sampled cache misses so every sampled request
             ships its tree's reasoning; False ships only the cheap
-            events (frontend/service/shards).
+            events (frontend/service).
         clock: wall-clock source stamped on events (injectable in tests).
     """
 
@@ -269,12 +268,6 @@ class TelemetryPipeline:
 
 _ACTIVE: TelemetryPipeline | None = None
 
-#: Trace id of the sampled request being served on this thread/context.
-#: Set only inside the service while a *sampled* request computes, so
-#: deep layers (the sharded backend) can emit without plumbing ids
-#: through every signature.
-_SCOPE: ContextVar[str | None] = ContextVar("repro_telemetry_scope", default=None)
-
 
 def install(pipeline: TelemetryPipeline) -> TelemetryPipeline:
     """Make ``pipeline`` the process-wide event destination."""
@@ -311,20 +304,3 @@ def emit(type_: str, trace_id: str | None, **fields: Any) -> bool:
     if pipeline is None or not pipeline.sampled(trace_id):
         return False
     return pipeline.emit(type_, trace_id, **fields)
-
-
-@contextlib.contextmanager
-def scope(trace_id: str) -> Iterator[None]:
-    """Mark this context as serving a sampled request (see ``_SCOPE``)."""
-    token = _SCOPE.set(trace_id)
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-
-
-def scoped_trace_id() -> str | None:
-    """The sampled request this context serves, or None (one-check fast)."""
-    if _ACTIVE is None:
-        return None
-    return _SCOPE.get()

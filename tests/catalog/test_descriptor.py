@@ -35,10 +35,6 @@ class TestDescriptorValidation:
         with pytest.raises(ValueError, match="workload="):
             DatasetDescriptor(name="ListProperty", source=Path("x.csv"))
 
-    def test_workers_only_for_sharded(self):
-        with pytest.raises(ValueError, match="sharded"):
-            DatasetDescriptor(name="Movies", generator="movies", workers=4)
-
     def test_namespace_defaults_to_name(self):
         descriptor = DatasetDescriptor(name="Movies", generator="movies")
         assert descriptor.namespace == "Movies"

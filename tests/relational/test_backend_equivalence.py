@@ -1,15 +1,11 @@
-"""Property-based equivalence: columnar and sharded backends vs the row backend.
+"""Property-based equivalence: the columnar backend vs the row backend.
 
-The ISSUE's acceptance bar for the storage redesign: for randomized tables
-and predicates, all backends must be *observationally identical* — same
-rows selected (same indices, same order), same statistics, and the same
-category tree out of the full categorizer.  Any divergence here means a
-fast path changed semantics, not just speed.
-
-The sharded backend runs with ``min_parallel_rows=0`` so even these tiny
-tables go through the shared-memory shards and the worker pool — the
-whole split/dispatch/merge machinery is exercised on every example, with
-one module-shared fork pool so examples don't pay pool startup.
+The acceptance bar for the storage layer: for randomized tables and
+predicates, the columnar backend must be *observationally identical* to
+the row backend, which serves as the reference — same rows selected (same
+indices, same order), same statistics, and the same category tree out of
+the full categorizer.  Any divergence here means a fast path changed
+semantics, not just speed.
 
 Non-finite floats (NaN / ±inf) are included in the strategies for the
 selection and bucketing tests — the NaN-divergence bugfix's regression
@@ -38,20 +34,6 @@ from repro.relational.statistics import (
 )
 from repro.relational.table import Table
 from repro.relational.types import AttributeKind, DataType
-
-from tests.relational.pool import shared_executor
-
-#: Backends under test; "rows" is the semantics oracle.
-ALL_BACKENDS = ("rows", "columnar", "sharded")
-
-
-def sharded_options() -> dict:
-    """Sharded-backend options forcing the parallel path on tiny tables."""
-    return {
-        "workers": 2,
-        "min_parallel_rows": 0,
-        "executor": shared_executor(),
-    }
 
 
 def schema() -> TableSchema:
@@ -164,19 +146,12 @@ def predicates(draw):
     return Conjunction(built)
 
 
-def make_table(rows, backend):
-    options = sharded_options() if backend == "sharded" else None
-    return Table.from_rows(
-        schema(), rows, backend=backend, backend_options=options
-    )
-
-
-def all_backends(rows):
-    return tuple(make_table(rows, backend) for backend in ALL_BACKENDS)
-
-
 def both_backends(rows):
-    return (make_table(rows, "rows"), make_table(rows, "columnar"))
+    """(reference rows table, columnar table) over the same rows."""
+    return tuple(
+        Table.from_rows(schema(), rows, backend=backend)
+        for backend in ("rows", "columnar")
+    )
 
 
 class TestStorageEquivalence:
@@ -190,29 +165,23 @@ class TestStorageEquivalence:
     @settings(deadline=None)
     @given(rows_with_nonfinite, predicates())
     def test_selection_identical(self, rows, predicate):
-        row_table, *others = all_backends(rows)
-        expected = _selection(row_table, predicate)
-        for table in others:
-            assert _selection(table, predicate) == expected, table.backend_name
+        row_table, col_table = both_backends(rows)
+        assert _selection(col_table, predicate) == _selection(row_table, predicate)
 
     @settings(deadline=None)
     @given(rows_with_nonfinite, predicates(), predicates())
     def test_chained_selection_identical(self, rows, first, second):
-        row_table, *others = all_backends(rows)
-        expected = _selection(row_table, first, second)
-        for table in others:
-            assert _selection(table, first, second) == expected, (
-                table.backend_name
-            )
+        row_table, col_table = both_backends(rows)
+        assert _selection(col_table, first, second) == _selection(
+            row_table, first, second
+        )
 
     @settings(deadline=None)
     @given(rows_with_nonfinite)
     def test_groupby_identical(self, rows):
-        row_table, *others = all_backends(rows)
+        row_table, col_table = both_backends(rows)
         for name in ("kind", "flag", "count"):
-            expected = row_table.groupby_index(name)
-            for table in others:
-                assert table.groupby_index(name) == expected, table.backend_name
+            assert col_table.groupby_index(name) == row_table.groupby_index(name)
 
     @settings(deadline=None)
     @given(
@@ -225,13 +194,11 @@ class TestStorageEquivalence:
         ).map(sorted),
     )
     def test_partition_by_buckets_identical(self, rows, boundaries):
-        row_table, *others = all_backends(rows)
+        row_table, col_table = both_backends(rows)
         for attribute in ("count", "score"):
-            expected = _buckets(row_table, attribute, boundaries)
-            for table in others:
-                assert _buckets(table, attribute, boundaries) == expected, (
-                    table.backend_name
-                )
+            assert _buckets(col_table, attribute, boundaries) == _buckets(
+                row_table, attribute, boundaries
+            )
 
     @settings(deadline=None)
     @given(rows_with_nonfinite)
@@ -239,16 +206,10 @@ class TestStorageEquivalence:
         # Non-finite boundaries take the guarded slow path in every
         # backend; the drop-and-count contract must not change.
         boundaries = (-math.inf, -10.0, 0.0, 10.0, math.inf)
-        row_table, *others = all_backends(rows)
-        expected = _buckets(row_table, "score", boundaries)
-        expected_dropped = len(rows) - sum(
-            len(ids) for ids in expected.values()
+        row_table, col_table = both_backends(rows)
+        assert _buckets(col_table, "score", boundaries) == _buckets(
+            row_table, "score", boundaries
         )
-        for table in others:
-            buckets = _buckets(table, "score", boundaries)
-            assert buckets == expected, table.backend_name
-            dropped = len(rows) - sum(len(ids) for ids in buckets.values())
-            assert dropped == expected_dropped, table.backend_name
 
     @given(rows_strategy)
     def test_statistics_identical(self, rows):
@@ -285,24 +246,13 @@ class TestCategorizerEquivalence:
     def test_category_trees_identical(self, statistics, seattle_query, seed):
         # Random-but-deterministic tables via the real generator; the
         # workload statistics are backend-independent by construction, so
-        # the tree compare isolates the storage layer.  The sharded table
-        # parallelizes the big root-level selections (min_parallel_rows
-        # below the table size) while node-level work stays in-process.
+        # the tree compare isolates the storage layer.
         from repro.core.algorithm import CostBasedCategorizer
         from repro.data.homes import generate_homes
 
         trees = []
-        for backend in ALL_BACKENDS:
-            options = None
-            if backend == "sharded":
-                options = {
-                    "workers": 2,
-                    "min_parallel_rows": 64,
-                    "executor": shared_executor(),
-                }
-            table = generate_homes(
-                rows=600, seed=seed, backend=backend, backend_options=options
-            )
+        for backend in ("rows", "columnar"):
+            table = generate_homes(rows=600, seed=seed, backend=backend)
             rows = seattle_query.execute(table)
             tree = CostBasedCategorizer(statistics).categorize(rows, seattle_query)
             trees.append(
@@ -311,4 +261,4 @@ class TestCategorizerEquivalence:
                     for node in tree.nodes()
                 ]
             )
-        assert trees[0] == trees[1] == trees[2]
+        assert trees[0] == trees[1]

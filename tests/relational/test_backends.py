@@ -79,8 +79,8 @@ class TestBackendRegistry:
             Table(homes_schema(), backend="parquet")
 
     def test_backend_name_property(self):
-        assert Table(homes_schema()).backend_name == "rows"
-        assert Table(homes_schema(), backend="columnar").backend_name == "columnar"
+        assert Table(homes_schema()).backend_name == "columnar"
+        assert Table(homes_schema(), backend="rows").backend_name == "rows"
 
 
 class TestBasicsOnBothBackends:
@@ -288,10 +288,42 @@ class TestColumnarSpecifics:
         columnar.insert({"city": "Y", "price": 42, "bath": 3.0})
         assert dict(columnar.row(5)) == {"city": "Y", "price": 42, "bath": 3.0}
 
+    def test_overflow_error_names_attribute_and_value(self, columnar):
+        with pytest.raises(OverflowError, match=r"'price': 18446744073709551616"):
+            columnar.insert({"city": "X", "price": 2**64, "bath": 1.0})
+
+    @pytest.mark.parametrize(
+        "big", [2**63, 2**64, -(2**63) - 1], ids=["2**63", "2**64", "-2**63-1"]
+    )
+    def test_overflow_load_columns_is_all_or_nothing(self, big):
+        schema = TableSchema(
+            "T", (Attribute("b", DataType.TEXT), Attribute("a", DataType.INT))
+        )
+        table = Table(schema, backend="columnar")
+        with pytest.raises(OverflowError):
+            table.load_columns({"b": ["x", "y", "z"], "a": [1, big, 3]})
+        assert len(table) == 0
+        assert [len(table.column(name)) for name in ("b", "a")] == [0, 0]
+        # The next write lands aligned across all columns.
+        table.insert({"b": "w", "a": 4})
+        assert table.to_dicts() == [{"b": "w", "a": 4}]
+
+    def test_overflow_load_keeps_earlier_rows_and_nulls(self, columnar):
+        before = columnar.to_dicts()
+        with pytest.raises(OverflowError):
+            columnar.load_columns(
+                {"city": ["Q", None], "price": [None, 2**64], "bath": [1.0, None]}
+            )
+        assert len(columnar) == 5
+        assert columnar.to_dicts() == before
+        assert columnar.select(IsNullPredicate("price")).indices == (3,)
+
     def test_row_backend_accepts_big_ints(self):
         t = Table(homes_schema(), backend="rows")
         t.insert({"city": "X", "price": 2**100, "bath": 1.0})
         assert t.row(0)["price"] == 2**100
+        t.load_columns({"city": ["Y"], "price": [2**64], "bath": [None]})
+        assert t.all_rows().values("price") == [2**100, 2**64]
 
     def test_bulk_extend_with_nulls_rolls_back_cleanly(self):
         # load_columns hits array.extend's fast path, which trips on None

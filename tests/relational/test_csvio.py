@@ -127,3 +127,44 @@ class TestLenientMode:
         path.write_text("city\nSeattle\n")
         with pytest.raises(ValueError, match="missing attributes"):
             read_csv(schema, path, strict=False)
+
+
+class TestIntOutsideInt64:
+    """The columnar backend refuses such INTs; the rows backend stores them."""
+
+    BIG = "18446744073709551616"  # 2**64
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"city,price\nSeattle,100\nRedmond,{self.BIG}\nBellevue,200\n")
+        return path
+
+    @pytest.fixture
+    def perf_on(self):
+        from repro import perf
+
+        perf.reset()
+        perf.enable()
+        yield perf.ACTIVE
+        perf.reset()
+        perf.disable()
+
+    def test_strict_names_path_and_line(self, schema, path):
+        with pytest.raises(ValueError, match=r"big\.csv:3: attribute 'price'"):
+            read_csv(schema, path, backend="columnar")
+
+    def test_lenient_skips_and_counts_the_row(self, schema, path, perf_on):
+        loaded = read_csv(schema, path, strict=False, backend="columnar")
+        assert loaded.to_dicts() == [
+            {"city": "Seattle", "price": 100},
+            {"city": "Bellevue", "price": 200},
+        ]
+        assert perf_on.counters["csv.bad_rows{reason=type}"] == 1
+        assert perf_on.counters["csv.rows_loaded"] == 2
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_rows_backend_stores_it(self, schema, path, strict):
+        loaded = read_csv(schema, path, strict=strict, backend="rows")
+        assert loaded.all_rows().values("price") == [100, 2**64, 200]
+

@@ -112,20 +112,25 @@ class TestCacheKeyBackendTag:
         (key,) = service.cache._entries.keys()
         namespace, epoch, technique, backend, sql = key.split(":", 4)
         assert namespace == service.namespace
-        assert backend == service.table.backend_name == "rows"
+        assert backend == service.table.backend_name == "columnar"
         assert technique == service.technique
         assert epoch == "0"
 
-    def test_columnar_service_keys_differ(self, statistics):
+    def test_columnar_service_keys_differ(self, make_service, statistics):
         from repro.data.homes import generate_homes
         from repro.serving.relation import Relation
         from repro.serving.service import CategorizationService
 
-        table = generate_homes(rows=500, seed=7, backend="columnar")
-        service = CategorizationService(Relation(table, statistics.copy()))
-        service.categorize(SERVE_SQL)
-        (key,) = service.cache._entries.keys()
-        assert ":columnar:" in key
+        table = generate_homes(rows=500, seed=7, backend="rows")
+        keys = []
+        for service in (
+            make_service(),
+            CategorizationService(Relation(table, statistics.copy())),
+        ):
+            service.categorize(SERVE_SQL)
+            keys.extend(service.cache._entries.keys())
+        assert ":columnar:" in keys[0]
+        assert ":rows:" in keys[1]
 
 
 @pytest.fixture

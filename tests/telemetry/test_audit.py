@@ -81,13 +81,13 @@ def dec(trace_id, **overrides):
     return event
 
 
-def shards(trace_id, **overrides):
+def retired(trace_id, **overrides):
+    """An event of a type this version no longer writes (older sinks)."""
     event = {
-        "type": "shards",
+        "type": "retired",
         "trace_id": trace_id,
+        "table": "ListProperty",
         "op": "select",
-        "shards": 4,
-        "shard_ms": [1.0, 1.1, 0.9, 1.2],
         "elapsed_ms": 1.5,
     }
     event.update(overrides)
@@ -147,10 +147,19 @@ class TestJoins:
         assert not groups["req-000002"].partial
 
     def test_decisions_without_service_event_are_orphaned(self):
-        groups = group_traces([dec("req-000001"), shards("req-000001")])
+        groups = group_traces([dec("req-000001"), retired("req-000001")])
         group = groups["req-000001"]
-        assert group.orphaned_events() == 2
+        assert group.orphaned_events() == 1
         assert group.partial
+
+    def test_unknown_event_types_land_in_other(self):
+        groups = group_traces(
+            [fe("req-000001"), svc("req-000001"), retired("req-000001")]
+        )
+        group = groups["req-000001"]
+        assert group.other == [retired("req-000001")]
+        assert group.orphaned_events() == 0
+        assert not group.partial
 
     def test_events_without_trace_id_are_ignored(self):
         assert group_traces([{"type": "frontend"}, {"type": "service", "trace_id": ""}]) == {}
@@ -162,7 +171,7 @@ class TestBuildReport:
             fe("req-000001", queue_ms=1.0, compute_ms=10.0),
             svc("req-000001"),
             dec("req-000001"),
-            shards("req-000001"),
+            retired("req-000001"),
             fe("req-000002", queue_ms=3.0, compute_ms=20.0),
             svc("req-000002", cached=True, rung="single_level"),
             fe("req-000003", status=503, outcome="shed"),
@@ -208,7 +217,19 @@ class TestBuildReport:
         assert quality["chosen_attributes"]["price"] == 2
         assert quality["eliminations"] == {"schooldistrict": 1}
         assert quality["delta_cost_all"]["mean"] == 2.0
-        assert report["shards"]["select"]["calls"] == 1
+
+    def test_sink_with_retired_event_types_still_audits(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = [fe("req-000001"), svc("req-000001"), retired("req-000001")]
+        path.write_text(
+            "\n".join(json.dumps(event) for event in events), encoding="utf-8"
+        )
+        for table in (None, "ListProperty"):
+            report = audit_files([path], table=table)
+            assert report["events"] == 3
+            assert (report["requests"], report["partial"]) == (1, 0)
+            assert report["orphaned_events"] == 0
+        assert "Reconstruction" in format_report(report)
 
     def test_percentile_is_nearest_rank(self):
         assert percentile([], 0.5) == 0.0
@@ -238,7 +259,6 @@ class TestDiffAndRendering:
             "Latency waterfall",
             "Distributions",
             "Cache hit ratio",
-            "Sharded kernels",
             "Tree quality digest",
             "Chosen attributes",
             "Eliminations",

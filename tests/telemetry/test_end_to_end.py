@@ -8,15 +8,7 @@ the server's own ``/metrics`` counters.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
-import pytest
-
 from repro import telemetry
-from repro.relational.expressions import Conjunction, InPredicate, RangePredicate
-from repro.relational.schema import Attribute, TableSchema
-from repro.relational.table import Table
-from repro.relational.types import AttributeKind, DataType
 from repro.serving.aserve import start_in_thread
 from repro.serving.loadgen import run_loadgen
 from repro.telemetry import RotatingJsonlSink, TelemetryPipeline
@@ -95,65 +87,3 @@ class TestAsyncFrontEndRoundTrip:
         assert pipeline.emitted == 0
         report = audit_files(sink.segments())
         assert report["requests"] == 0
-
-
-class TestShardedBackendEvents:
-    @pytest.fixture
-    def sharded_table(self):
-        schema = TableSchema(
-            "Props",
-            (
-                Attribute("kind", DataType.TEXT, AttributeKind.CATEGORICAL),
-                Attribute("count", DataType.INT, AttributeKind.NUMERIC),
-            ),
-        )
-        rows = [
-            {"kind": ("alpha", "beta", "gamma")[i % 3], "count": i % 50}
-            for i in range(600)
-        ]
-        executor = ProcessPoolExecutor(max_workers=2)
-        table = Table.from_rows(
-            schema,
-            rows,
-            backend="sharded",
-            backend_options={
-                "workers": 2,
-                "min_parallel_rows": 0,
-                "executor": executor,
-            },
-        )
-        try:
-            yield table
-        finally:
-            table.close()
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def test_scoped_requests_emit_per_shard_timings(self, sharded_table):
-        predicate = Conjunction(
-            [InPredicate("kind", ["alpha", "beta"]), RangePredicate("count", 5, 40)]
-        )
-        sink_events = []
-
-        class Sink:
-            def write(self, events):
-                sink_events.extend(events)
-
-            def close(self):
-                pass
-
-        pipeline = TelemetryPipeline(Sink())
-        with telemetry.installed(pipeline):
-            baseline = sharded_table.select(predicate).indices  # unscoped
-            with telemetry.scope("req-000042"):
-                scoped = sharded_table.select(predicate).indices
-        assert pipeline.close()
-
-        assert scoped == baseline
-        shard_events = [e for e in sink_events if e["type"] == "shards"]
-        # Only the scoped (sampled) request times its shards.
-        assert shard_events
-        for event in shard_events:
-            assert event["trace_id"] == "req-000042"
-            assert event["op"] in ("select", "bucket", "groupby")
-            assert event["shards"] == len(event["shard_ms"])
-            assert event["elapsed_ms"] >= 0.0

@@ -255,10 +255,6 @@ class TestModuleRuntime:
     def test_emit_without_installed_pipeline_is_a_cheap_no_op(self):
         assert telemetry.active() is None
         assert not telemetry.emit("frontend", "req-000001", status=200)
-        assert telemetry.scoped_trace_id() is None
-        with telemetry.scope("req-000001"):
-            # Scope alone is inert: no pipeline, no sampled request.
-            assert telemetry.scoped_trace_id() is None
 
     def test_installed_scopes_install_and_always_uninstall(self):
         pipeline = TelemetryPipeline(ListSink())
@@ -267,9 +263,6 @@ class TestModuleRuntime:
                 assert active is pipeline
                 assert telemetry.active() is pipeline
                 assert telemetry.emit("frontend", "req-000001", status=200)
-                with telemetry.scope("req-000001"):
-                    assert telemetry.scoped_trace_id() == "req-000001"
-                assert telemetry.scoped_trace_id() is None
             assert telemetry.active() is None
             assert pipeline.flush()
             assert pipeline.sink.events[0]["status"] == 200

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import csv
 import json
 
 import pytest
@@ -121,6 +122,29 @@ class TestCategorize:
             ]
         )
         assert code == 2
+
+    def test_int_outside_int64_is_an_error_line(
+        self, data_and_workload, tmp_path, capsys
+    ):
+        # The default columnar backend refuses it; main() must turn that
+        # into an error line, not an uncaught OverflowError.
+        data, workload = data_and_workload
+        with data.open(newline="") as handle:
+            records = list(csv.reader(handle))
+        records[2][records[0].index("price")] = str(2**64)
+        big = tmp_path / "big.csv"
+        with big.open("w", newline="") as handle:
+            csv.writer(handle).writerows(records)
+        code = main(
+            [
+                "categorize",
+                "--data", str(big),
+                "--workload", str(workload),
+                "--query", self.QUERY,
+            ]
+        )
+        assert code == 2
+        assert f"error: {big}:3: attribute 'price'" in capsys.readouterr().err
 
 
 class TestExplain:
