@@ -4,8 +4,8 @@ A :class:`Catalog` maps relation names to
 :class:`~repro.serving.service.CategorizationService` instances — each
 with its own :class:`~repro.serving.snapshot.SnapshotStore` epochs,
 workload statistics, result-cache namespace, spill journal, and
-warm-start snapshot directory.  The HTTP front ends hold a catalog
-(wrapping a lone service in one when needed) and resolve every request's
+warm-start snapshot directory.  The HTTP front end holds a catalog
+(wrapping a lone service in one when needed) and resolves every request's
 ``table=`` through it; a request that names no table falls back to the
 catalog's **default relation** and is answered with a ``Deprecation``
 response header (docs/catalog.md).
@@ -130,7 +130,7 @@ class Catalog:
 
         Returns ``(service, defaulted)`` — ``defaulted`` is True when the
         request named no table and fell back to the default relation, the
-        condition the front ends answer with a ``Deprecation`` header.
+        condition the front end answers with a ``Deprecation`` header.
 
         Raises:
             UnknownTable: a table was named but is not in the catalog.

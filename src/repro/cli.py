@@ -15,7 +15,7 @@ Subcommands::
                           [--sample-rate 0.5 | --sample-every 10]
     repro serve           --data homes.csv --workload workload.sql \
                           [--host 127.0.0.1 --port 8765] [--lenient-csv] \
-                          [--async --max-inflight 8 --max-queue 32] \
+                          [--max-inflight 8 --max-queue 32] \
                           [--warm-start state/ --journal-fsync always \
                            --grace 5] \
                           [--telemetry-sink events.jsonl \
@@ -46,6 +46,12 @@ default relation and are answered with a ``Deprecation`` header.
 columnar store; ``--backend rows`` picks the one-list-per-attribute store
 instead, the only one that holds INT values outside int64
 (docs/storage.md).
+
+``serve`` runs the asyncio front end (docs/serving.md): keep-alive
+connections, coalescing of identical in-flight requests, and admission
+control — ``--max-inflight`` requests compute while ``--max-queue`` wait,
+queued work gets tighter deadlines as the queue fills, and arrivals past
+it are shed with 503 + ``Retry-After``.
 
 ``generate-data``/``generate-workload`` emit the synthetic MSN stand-ins;
 ``categorize`` works on any CSV whose schema is the built-in ListProperty
@@ -232,16 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip malformed CSV rows instead of failing")
     serve.add_argument("--backend", choices=BACKEND_NAMES,
                        default=DEFAULT_BACKEND, help=BACKEND_HELP)
-    serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve on the asyncio front end: keep-alive event "
-                            "loop, request coalescing, load shedding "
-                            "(docs/serving.md)")
+    # Accepted for old scripts (perfbench passes it); asyncio is the only
+    # front end, so the flag changes nothing.
+    serve.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument("--max-inflight", type=int, default=8,
-                       help="concurrent compute requests on the async front "
-                            "end (executor slots)")
+                       help="compute requests (categorize, batch, record) "
+                            "executing at once; also the worker-thread count "
+                            "(default 8)")
     serve.add_argument("--max-queue", type=int, default=32,
-                       help="bounded admission queue; arrivals beyond it are "
-                            "shed with 503 + Retry-After")
+                       help="compute requests waiting for a slot (default "
+                            "32); deadlines tighten as it fills, and "
+                            "arrivals beyond it are shed with 503 + "
+                            "Retry-After")
     serve.add_argument("--telemetry-sink", type=Path, default=None,
                        help="ship sampled request/decision events to this "
                             "rotating JSONL file (analyze with `repro audit`)")
@@ -586,10 +594,7 @@ def _cmd_serve(args) -> int:
         "POST /categorize /categorize_batch /record (table=...)"
     )
     try:
-        if args.use_async:
-            _serve_async(catalog, args, banner, endpoints)
-        else:
-            _serve_threading(catalog, args, banner, endpoints)
+        _serve(catalog, args, banner, endpoints)
     finally:
         try:
             catalog.flush()
@@ -608,46 +613,7 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_threading(catalog, args, banner: str, endpoints: str) -> None:
-    import signal
-    import threading
-
-    from repro.serving.http import drain, make_server
-
-    server = make_server(catalog, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    print(f"{banner} on http://{host}:{port} [threading]")
-    print(endpoints)
-    terminated = threading.Event()
-
-    def _on_sigterm(signum, frame):  # pragma: no cover - signal delivery
-        if terminated.is_set():
-            return
-        terminated.set()
-        # shutdown() blocks until the serve_forever loop exits; calling
-        # it from the signal handler (which interrupts that very loop on
-        # the main thread) would deadlock, so a helper thread does it.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    try:
-        server.serve_forever()
-        if terminated.is_set():
-            print(f"draining (SIGTERM, grace {args.grace:g}s)")
-            if not drain(server, grace_s=args.grace):
-                print(
-                    f"grace period expired with {server.inflight} "
-                    "request(s) still in flight",
-                    file=sys.stderr,
-                )
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        server.server_close()
-
-
-def _serve_async(catalog, args, banner: str, endpoints: str) -> None:
+def _serve(catalog, args, banner: str, endpoints: str) -> None:
     import asyncio
     import contextlib
     import signal
@@ -662,7 +628,7 @@ def _serve_async(catalog, args, banner: str, endpoints: str) -> None:
         host, port = frontend.address
         print(
             f"{banner} on http://{host}:{port} "
-            f"[async, max-inflight {args.max_inflight}, "
+            f"[max-inflight {args.max_inflight}, "
             f"max-queue {args.max_queue}]"
         )
         print(endpoints)

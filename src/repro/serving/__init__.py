@@ -14,11 +14,9 @@ under concurrent ingestion, deadlines, and injected faults:
 * :mod:`~repro.serving.retry` — backoff, circuit breaker, lossless spill.
 * :mod:`~repro.serving.errors` — the typed exception taxonomy.
 * :mod:`~repro.serving.faults` — deterministic fault injection.
-* :mod:`~repro.serving.http` — the stdlib threading HTTP front end
-  (`repro serve`).
-* :mod:`~repro.serving.aserve` — the asyncio front end: keep-alive event
-  loop, in-flight request coalescing, admission control / load shedding
-  (`repro serve --async`).
+* :mod:`~repro.serving.aserve` — the HTTP front end behind `repro serve`:
+  an asyncio keep-alive event loop with in-flight request coalescing and
+  admission control / load shedding.
 * :mod:`~repro.serving.loadgen` — the closed-loop load generator
   (`repro loadgen`).
 * :mod:`~repro.serving.journal` — the write-ahead spill journal that

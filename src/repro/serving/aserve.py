@@ -1,13 +1,37 @@
 """Asyncio HTTP front end: keep-alive event loop, coalescing, load shedding.
 
-The thread-per-connection front end in :mod:`repro.serving.http` is fine
-for a handful of clients; "millions of users" (ROADMAP) means thousands
-of mostly-idle keep-alive connections and bursts of duplicate work, which
-is exactly what an event loop plus a bounded worker pool handles well.
-``AsyncFrontEnd`` speaks HTTP/1.1 over ``asyncio.start_server`` (stdlib
-only) and serves the same routes as the threading server — ``/healthz``,
-``/metrics``, ``/categorize``, ``/categorize_batch``, ``/record`` — with
-three additions the threading server cannot offer:
+The interactive search setting the paper assumes (§1, §7) means
+thousands of mostly-idle keep-alive connections and bursts of duplicate
+work, which is exactly what an event loop plus a bounded worker pool
+handles well.  ``AsyncFrontEnd`` speaks HTTP/1.1 over
+``asyncio.start_server`` (stdlib only) and serves five routes:
+
+=========================  ==================================================
+``GET  /healthz``          service liveness: epoch, breaker state, spill
+                           depth, cache size, plus a ``tables`` map
+``GET  /metrics``          the perf registry in Prometheus text format
+``POST /categorize``       body ``{"sql": ..., "deadline_ms": ...,
+                           "budget": ..., "render": bool}`` → the
+                           :meth:`ServeResult.as_dict
+                           <repro.serving.service.ServeResult.as_dict>`
+                           summary, plus a rendered tree when asked
+``POST /categorize_batch``  body ``{"sqls": [...], ...}`` → ``{"epoch":
+                           ..., "results": [...]}``; the whole batch is
+                           served against one pinned statistics epoch and
+                           shares one deadline
+``POST /record``           body ``{"sql": ...}`` → ingestion ack with the
+                           current epoch/pending counts
+=========================  ==================================================
+
+Every route takes a **table dimension** (a ``"table"`` body field or a
+``?table=`` query parameter); a request that names neither resolves to
+the catalog's default relation and carries ``Deprecation: true``
+(docs/catalog.md).  Errors share one envelope,
+``{"error": {"code", "message", "detail"}}``
+(:func:`~repro.serving.errors.error_response`); degradation is *not* an
+error — a SHOWTUPLES response is a 200 with ``"rung": "showtuples"``.
+A client that hangs up mid-reply gets nothing and is counted on
+``http.client_disconnects``.
 
 **Keep-alive and pipelining.**  Connections persist across requests
 (HTTP/1.1 default; ``Connection: close`` honored), and pipelined requests
@@ -41,7 +65,7 @@ dropped on the floor.
 ``/healthz`` and ``/metrics`` are served inline on the event loop, never
 gated: an overloaded server must still answer its operators.
 
-Run it with ``repro serve --async [--max-inflight N]``, or embed::
+Run it with ``repro serve [--max-inflight N --max-queue N]``, or embed::
 
     handle = start_in_thread(service, max_inflight=8)
     ... requests against http://%s:%d % handle.address ...
@@ -73,8 +97,34 @@ from repro.serving.errors import (
     error_payload,
     error_response,
 )
-from repro.serving.http import MAX_BODY_BYTES, _as_catalog, route_label
 from repro.serving.service import CategorizationService, ServeResult
+
+MAX_BODY_BYTES = 1 << 20
+
+#: The service's route set; anything else is labeled ``other`` so the
+#: per-route counter cardinality stays bounded no matter what clients probe.
+ROUTES = ("/healthz", "/metrics", "/categorize", "/categorize_batch", "/record")
+
+
+def route_label(path: str) -> str:
+    """Collapse a request target to a bounded route label."""
+    route = path.split("?", 1)[0]
+    return route if route in ROUTES else "other"
+
+
+def _as_catalog(service_or_catalog: Any):
+    """Accept a lone service (wrapped in a one-entry catalog) or a catalog.
+
+    Anything that is not already a :class:`~repro.catalog.catalog.Catalog`
+    is treated as a single service — including delegating proxies the
+    tests use — so duck-typed service wrappers keep working.
+    """
+    from repro.catalog.catalog import Catalog
+
+    if isinstance(service_or_catalog, Catalog):
+        return service_or_catalog
+    return Catalog.of(service_or_catalog)
+
 
 #: Response reason phrases for the statuses this front end emits.
 _REASONS = {
@@ -262,14 +312,14 @@ class AsyncFrontEnd:
             body field or ``?table=`` parameter; table-less requests
             resolve to the catalog's default relation and carry a
             ``Deprecation: true`` response header (docs/catalog.md).
-        max_inflight: executor slots for compute routes.
+        max_inflight: executor slots for compute routes (also the
+            thread-pool size).
         max_queue: waiting-room bound; arrivals beyond it are shed.
-        executor_workers: thread-pool size (default ``max_inflight``).
         pressure_deadline_ms / min_deadline_ms: the deadline-tightening
             ramp (see :class:`AdmissionGate`).
         retry_after_s: ``Retry-After`` hint on shed responses.
         keep_alive_timeout_s: idle-connection reaping.
-        max_body_bytes: request-body cap, as in the threading server.
+        max_body_bytes: request-body cap.
     """
 
     def __init__(
@@ -277,7 +327,6 @@ class AsyncFrontEnd:
         service: Any,
         max_inflight: int = 8,
         max_queue: int = 32,
-        executor_workers: int | None = None,
         pressure_deadline_ms: float = 1000.0,
         min_deadline_ms: float = 5.0,
         retry_after_s: float = 1.0,
@@ -296,16 +345,11 @@ class AsyncFrontEnd:
         self.keep_alive_timeout_s = keep_alive_timeout_s
         self.max_body_bytes = max_body_bytes
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers or max_inflight,
+            max_workers=max_inflight,
             thread_name_prefix="aserve",
         )
         self._server: asyncio.AbstractServer | None = None
         self.address: tuple[str, int] | None = None
-
-    @property
-    def service(self) -> CategorizationService:
-        """The catalog's default service (single-table compatibility)."""
-        return self.catalog.default
 
     def _resolve(
         self,
@@ -410,7 +454,6 @@ class AsyncFrontEnd:
                     status, body, content_type, extra = await self._dispatch(
                         request, telem
                     )
-                perf.count("http.requests")
                 perf.count(
                     "http.requests_by_route",
                     route=route_label(request.path),
@@ -485,8 +528,8 @@ class AsyncFrontEnd:
         try:
             length = int(raw_length)
         except ValueError:
-            # Mirror the threading server: a header the client mangled is
-            # the client's bug — 400, not an escaping ValueError.
+            # A header the client mangled is the client's bug — 400,
+            # not an escaping ValueError.
             raise _BadRequest(
                 f"bad Content-Length header {raw_length.strip()!r}"
             ) from None
@@ -814,7 +857,7 @@ def _json_bytes(payload: dict[str, Any]) -> bytes:
 
 
 def _json_body(request: HttpRequest) -> dict[str, Any]:
-    """Decode a JSON object body, mirroring the threading server's rules."""
+    """Decode a JSON object body (an empty or non-object body is a 400)."""
     if not request.body:
         raise InvalidRequest("empty request body", reason="request")
     try:

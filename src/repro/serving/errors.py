@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-#: Stable machine-readable error codes shared by both HTTP front ends.
+#: Stable machine-readable error codes of the HTTP front end.
 #: Every error body on the wire is ``{"error": {"code", "message",
 #: "detail"}}`` with ``code`` drawn from this closed set — clients switch
 #: on the code, never on message text.
@@ -56,7 +56,7 @@ ERROR_CODES = frozenset(
 def error_payload(
     code: str, message: str, detail: Mapping[str, Any] | None = None
 ) -> dict[str, Any]:
-    """The one error-body serializer both front ends share.
+    """The one error-body serializer.
 
     ``detail`` carries structured context (reason slug, spill depth,
     available tables); it is always present, possibly empty, so clients
@@ -71,11 +71,10 @@ def error_payload(
 def error_response(exc: Exception) -> tuple[int, dict[str, Any]]:
     """Map a serving exception to ``(http_status, body)``.
 
-    The one place both front ends turn exceptions into wire errors, so
-    status codes and body shapes cannot drift apart.  Overload shedding
-    is front-end-specific (the threading server has no admission queue)
-    and handled where it is raised, with :func:`error_payload` and
-    :data:`CODE_SHED`.
+    The one place exceptions become wire errors, so status codes and
+    body shapes cannot drift apart.  Overload shedding belongs to the
+    front end's admission gate and is handled where it is raised, with
+    :func:`error_payload` and :data:`CODE_SHED`.
     """
     if isinstance(exc, UnknownTable):
         return 404, error_payload(exc.code, str(exc), exc.detail())

@@ -1,4 +1,4 @@
-"""Closed-loop load generator for the serving front ends.
+"""Closed-loop load generator for the HTTP front end.
 
 N client threads each hold ONE keep-alive connection and issue requests
 back to back — a new request only after the previous response (a *closed
@@ -16,7 +16,7 @@ shape an interactive search front end actually sees: many users, few
 distinct queries).
 
 Used by ``repro loadgen`` (CLI) and ``benchmarks/test_serving_load.py``
-(the p50/p99 SLO gate in CI).
+(the p99 and work-count gates in CI).
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def run_loadgen(
     """Drive ``clients`` closed-loop clients against a running server.
 
     Args:
-        url: base URL of a ``repro serve`` (threading or async) instance.
+        url: base URL of a ``repro serve`` instance.
         sqls: query mix, cycled per client with a per-client offset.
         clients: concurrent connections (each is one OS thread here; the
             *server* under test is what must scale).

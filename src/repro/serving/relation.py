@@ -6,10 +6,8 @@ table: the table itself, its seed workload statistics, the cache /
 telemetry namespace, and — when durability is armed — the per-relation
 spill journal, the epoch the warm snapshot resumed at, and the directory
 the snapshots live in.  The catalog (``repro.catalog``) builds one of
-these per dataset descriptor; the old two-argument
-``CategorizationService(table, statistics)`` constructor survives as a
-deprecation shim that wraps its arguments into an ad-hoc Relation
-(docs/catalog.md, "Deprecation path").
+these per dataset descriptor, and it is the only thing a service is
+constructed from.
 
 The bundle is deliberately passive: it holds no locks and runs no logic
 beyond defaulting, so it can be constructed anywhere (tests, the CLI,

@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -44,7 +43,7 @@ from repro.core.algorithm import CostBasedCategorizer, LevelByLevelCategorizer
 from repro.core.baselines import AttrCostCategorizer, NoCostCategorizer
 from repro.core.config import CategorizerConfig, PAPER_CONFIG
 from repro.core.tree import CategoryTree
-from repro.relational.table import RowSet, Table
+from repro.relational.table import RowSet
 from repro.serving.degrade import (
     RUNG_FULL,
     RUNG_SHOWTUPLES,
@@ -62,7 +61,6 @@ from repro.sql.compiler import parse_query
 from repro.sql.errors import SqlError
 from repro.sql.formatter import format_query
 from repro.workload.model import WorkloadQuery
-from repro.workload.preprocess import WorkloadStatistics
 
 TECHNIQUES: dict[str, type[LevelByLevelCategorizer]] = {
     "cost-based": CostBasedCategorizer,
@@ -211,21 +209,11 @@ class ResultCache:
 class CategorizationService:
     """Request/response categorization over one relation.
 
-    The canonical constructor takes a
-    :class:`~repro.serving.relation.Relation` — the bundle of table, seed
-    statistics, namespace, and durability state the catalog builds per
-    dataset.  The original two-argument form
-    ``CategorizationService(table, statistics)`` still works as a
-    **deprecation shim**: it wraps its arguments into an ad-hoc Relation
-    and emits a :class:`DeprecationWarning` (see docs/catalog.md; the
-    guard in ``tests/test_deprecation_lint.py`` keeps new code off it).
-
     Args:
-        relation: the :class:`~repro.serving.relation.Relation` to serve
-            (or, deprecated, a bare :class:`~repro.relational.table.Table`
-            combined with ``statistics``).
-        statistics: deprecated — seed workload statistics when ``relation``
-            is a bare table.  Must be None when a Relation is passed.
+        relation: the :class:`~repro.serving.relation.Relation` to serve —
+            the bundle of table, seed statistics, namespace, and
+            durability state the catalog builds per dataset.  Every
+            other argument is keyword-only.
         config: categorizer tunables, fixed for the service's lifetime.
         technique: key into :data:`TECHNIQUES`.
         batch_size: ingestion batch per epoch publish.
@@ -245,8 +233,8 @@ class CategorizationService:
 
     def __init__(
         self,
-        relation: Relation | Table,
-        statistics: WorkloadStatistics | None = None,
+        relation: Relation,
+        *,
         config: CategorizerConfig = PAPER_CONFIG,
         technique: str = "cost-based",
         batch_size: int = 64,
@@ -265,36 +253,10 @@ class CategorizationService:
             raise ValueError(
                 f"unknown technique {technique!r}; choose from {sorted(TECHNIQUES)}"
             )
-        if isinstance(relation, Relation):
-            if statistics is not None:
-                raise TypeError(
-                    "statistics travels inside the Relation; "
-                    "do not pass it separately"
-                )
-            if journal is None:
-                journal = relation.journal
-            if initial_epoch == 0:
-                initial_epoch = relation.initial_epoch
-        else:
-            # Deprecation shim: the pre-catalog single-table constructor.
-            if statistics is None:
-                raise TypeError(
-                    "CategorizationService(table, ...) needs statistics"
-                )
-            warnings.warn(
-                "CategorizationService(table, statistics) is deprecated; "
-                "pass a repro.serving.relation.Relation instead "
-                "(docs/catalog.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            relation = Relation(
-                table=relation,
-                statistics=statistics,
-                journal=journal,
-                initial_epoch=initial_epoch,
-            )
-        statistics = relation.statistics
+        if journal is None:
+            journal = relation.journal
+        if initial_epoch == 0:
+            initial_epoch = relation.initial_epoch
         self.relation = relation
         self.table = relation.table
         self.namespace = relation.namespace
@@ -303,7 +265,7 @@ class CategorizationService:
         self._faults = faults or NULL_INJECTOR
         self._clock = clock
         self.store = SnapshotStore(
-            statistics,
+            relation.statistics,
             batch_size=batch_size,
             clock=clock,
             faults=self._faults,

@@ -6,7 +6,8 @@ join on the root):
 
 ``frontend``
     Emitted by the HTTP front end after the response bytes are written.
-    Fields: ``frontend`` (``async`` | ``threading``), ``route``,
+    Fields: ``frontend`` (always ``async`` since the threading front
+    end was removed; kept so older sinks audit the same), ``route``,
     ``table`` (the resolved relation, None when resolution failed),
     ``status``, ``outcome`` (``ok`` | ``shed`` | ``invalid`` | ``stalled``
     | ``error``), the latency waterfall ``queue_ms`` (arrival ->

@@ -1,6 +1,6 @@
 """SIGKILL-under-load crash recovery: the durability tentpole, end to end.
 
-A real `repro serve --async --warm-start` subprocess takes categorize
+A real `repro serve --warm-start` subprocess takes categorize
 traffic from the load generator while the test records queries through
 the public /record route — then dies by SIGKILL, the one signal no
 handler can soften.  The contract under test (ISSUE: crash-safe
@@ -71,7 +71,6 @@ def _spawn_server(data: Path, workload: Path, state: Path, cwd: Path):
             "--data", str(data),
             "--workload", str(workload),
             "--port", "0",
-            "--async",
             "--warm-start", str(state),
             "--batch-size", "8",
         ],
@@ -248,7 +247,6 @@ def _spawn_catalog_server(state: Path, cwd: Path):
             "--dataset", "ListProperty=@homes,rows=1000,workload_queries=400",
             "--dataset", "Movies=@movies,rows=1000,workload_queries=400",
             "--port", "0",
-            "--async",
             "--warm-start", str(state),
             "--batch-size", "8",
         ],

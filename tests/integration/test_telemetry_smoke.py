@@ -1,6 +1,6 @@
 """CI telemetry smoke: a real `repro serve` process, loadgen, audit.
 
-The full production path, no shortcuts: the CLI boots an async server
+The full production path, no shortcuts: the CLI boots the server
 with a telemetry sink in a subprocess, a load generator drives it over
 TCP, SIGINT triggers the clean-flush shutdown, and `repro audit
 --strict` must reconstruct every sampled request from the sink with
@@ -57,7 +57,6 @@ def test_serve_loadgen_sigint_audit_round_trip(data_files, tmp_path, capsys):
             "--data", str(data),
             "--workload", str(workload),
             "--port", "0",
-            "--async",
             "--telemetry-sink", str(sink),
             "--telemetry-sample", "1.0",
         ],

@@ -25,7 +25,6 @@ from repro.serving.aserve import (
     Singleflight,
     start_in_thread,
 )
-from repro.serving.http import MAX_BODY_BYTES
 
 from tests.serving.conftest import SERVE_SQL
 
@@ -106,7 +105,7 @@ class _BlockingService:
 
 
 class TestEndpoints:
-    """The async server speaks the same routes as the threading one."""
+    """The five routes, one request per connection."""
 
     def test_healthz_and_metrics(self, make_service, perf_on):
         with running(make_service()) as handle:
@@ -570,7 +569,3 @@ class TestHttpRequestUnit:
         assert req("HTTP/1.1", "Keep-Alive").keep_alive is True
         assert req("HTTP/1.0").keep_alive is False
         assert req("HTTP/1.0", "keep-alive").keep_alive is True
-
-    def test_max_body_constant_matches_threading_server(self, make_service):
-        with running(make_service()) as handle:
-            assert handle.frontend.max_body_bytes == MAX_BODY_BYTES

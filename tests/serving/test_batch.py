@@ -6,13 +6,13 @@ import urllib.request
 
 import pytest
 
+from repro.serving.aserve import start_in_thread
 from repro.serving.degrade import (
     RUNG_FULL,
     RUNG_SHOWTUPLES,
     RUNGS,
 )
 from repro.serving.errors import InvalidRequest
-from repro.serving.http import make_server, serve_in_thread
 
 from tests.serving.conftest import LOG_SQL, SERVE_SQL
 
@@ -135,18 +135,14 @@ class TestCacheKeyBackendTag:
 
 @pytest.fixture
 def server(make_service):
-    service = make_service(batch_size=2)
-    server = make_server(service, port=0)
-    serve_in_thread(server)
-    yield server
-    server.shutdown()
-    server.server_close()
+    handle = start_in_thread(make_service(batch_size=2))
+    yield handle
+    handle.stop()
 
 
 def _post(server, path, payload):
-    host, port = server.server_address[:2]
     request = urllib.request.Request(
-        f"http://{host}:{port}{path}",
+        server.url + path,
         data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"},
         method="POST",

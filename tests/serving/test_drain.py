@@ -1,4 +1,4 @@
-"""Graceful drain for both front ends: finish in-flight work, then stop.
+"""Graceful drain of the front end: finish in-flight work, then stop.
 
 The SIGTERM contract (docs/serving.md): on drain the server stops
 accepting new work, every request already inside a route body runs to
@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
-
-import http.client
 
 import pytest
 
 from repro.serving.aserve import AsyncFrontEnd
-from repro.serving.http import drain, make_server, serve_in_thread
 
 from .conftest import LOG_SQL
 
@@ -29,7 +25,7 @@ class _SlowService:
     """Delegating proxy whose ``record_query`` dawdles before ingesting.
 
     Everything else passes straight through to the real service, so the
-    front ends see their normal API — only the route under test is slow.
+    front end sees its normal API — only the route under test is slow.
     """
 
     def __init__(self, service, delay_s: float) -> None:
@@ -42,84 +38,6 @@ class _SlowService:
     def record_query(self, sql: str) -> None:
         time.sleep(self._delay_s)
         self._service.record_query(sql)
-
-
-def _wait_until(predicate, timeout_s: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never became true"
-        time.sleep(0.005)
-
-
-# -- threading front end -----------------------------------------------------
-
-
-def _post_record(port: int, results: list) -> None:
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    try:
-        connection.request(
-            "POST",
-            "/record",
-            json.dumps({"sql": LOG_SQL}),
-            {"Content-Type": "application/json"},
-        )
-        results.append(connection.getresponse().status)
-    finally:
-        connection.close()
-
-
-def test_threading_drain_waits_for_inflight_request(make_service):
-    server = make_server(_SlowService(make_service(), delay_s=0.25))
-    serve_in_thread(server)
-    port = server.server_address[1]
-    try:
-        results: list[int] = []
-        poster = threading.Thread(target=_post_record, args=(port, results))
-        poster.start()
-        _wait_until(lambda: server.inflight == 1)
-
-        # Drain from the main thread (serve_forever runs on its own):
-        # must block until the slow handler leaves its route body.
-        assert drain(server, grace_s=5.0) is True
-        assert server.inflight == 0
-        poster.join(timeout=5)
-        # The in-flight request was finished, not killed.
-        assert results == [200]
-    finally:
-        server.server_close()
-
-
-def test_threading_drain_times_out_on_a_stuck_handler(make_service, perf_on):
-    server = make_server(_SlowService(make_service(), delay_s=1.0))
-    serve_in_thread(server)
-    port = server.server_address[1]
-    try:
-        results: list[int] = []
-        poster = threading.Thread(target=_post_record, args=(port, results))
-        poster.start()
-        _wait_until(lambda: server.inflight == 1)
-
-        assert drain(server, grace_s=0.05) is False
-        assert perf_on.counters["http.drain_timeouts"] == 1
-        # The handler is still running — drain reports, it never kills.
-        poster.join(timeout=5)
-        assert results == [200]
-    finally:
-        server.server_close()
-
-
-def test_threading_drain_of_an_idle_server_is_immediate(make_service):
-    server = make_server(make_service())
-    serve_in_thread(server)
-    try:
-        started = time.monotonic()
-        assert drain(server, grace_s=5.0) is True
-        assert time.monotonic() - started < 1.0
-    finally:
-        server.server_close()
-
-
-# -- asyncio front end -------------------------------------------------------
 
 
 def _raw_record_request() -> bytes:

@@ -1,4 +1,5 @@
-"""Tests for the stdlib HTTP front end."""
+"""The HTTP contract of the front end: routes, error mapping, route
+labels, and clients that hang up mid-reply."""
 
 import json
 import socket
@@ -8,29 +9,20 @@ import urllib.request
 
 import pytest
 
-from repro.serving.http import (
-    ServiceHandler,
-    make_server,
-    route_label,
-    serve_in_thread,
-)
+from repro.serving.aserve import AsyncFrontEnd, route_label, start_in_thread
 
 from tests.serving.conftest import LOG_SQL, SERVE_SQL
 
 
 @pytest.fixture
 def server(make_service):
-    service = make_service(batch_size=2)
-    server = make_server(service, port=0)  # free port
-    serve_in_thread(server)
-    yield server
-    server.shutdown()
-    server.server_close()
+    handle = start_in_thread(make_service(batch_size=2))  # free port
+    yield handle
+    handle.stop()
 
 
 def _url(server, path):
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}{path}"
+    return server.url + path
 
 
 def _get(server, path):
@@ -164,9 +156,8 @@ class TestErrorMapping:
     def test_malformed_content_length_is_400(self, server):
         # urllib always computes Content-Length itself, so speak raw HTTP:
         # a header the client mangled must map to 400 InvalidRequest, not
-        # escape _read_json as a ValueError and surface as a 500.
-        host, port = server.server_address[:2]
-        with socket.create_connection((host, port), timeout=10) as sock:
+        # escape the request parser as a ValueError and surface as a 500.
+        with socket.create_connection(server.address, timeout=10) as sock:
             sock.sendall(
                 b"POST /categorize HTTP/1.1\r\n"
                 b"Host: test\r\n"
@@ -203,7 +194,7 @@ class TestRouteLabels:
         with pytest.raises(urllib.error.HTTPError):
             _get(server, "/nope")
         counters = perf_on.counters
-        assert counters["http.requests"] == 3  # legacy unlabeled series kept
+        assert "http.requests" not in counters  # only the labeled series
         assert counters[
             "http.requests_by_route{method=GET,route=/healthz,status=200}"
         ] == 1
@@ -225,12 +216,12 @@ class TestClientDisconnects:
     def test_get_disconnect_is_swallowed_and_counted(
         self, server, perf_on, monkeypatch
     ):
-        # GET routes through _reply_or_disconnect too: a scraper that hangs
-        # up mid-/healthz must be counted, not raise out of the handler.
-        def broken_reply(self, status, payload, extra=None):
+        # A scraper that hangs up mid-/healthz must be counted, not raise
+        # out of the connection task.
+        async def broken_write(self, writer, *args, **kwargs):
             raise BrokenPipeError("scraper went away")
 
-        monkeypatch.setattr(ServiceHandler, "_reply", broken_reply)
+        monkeypatch.setattr(AsyncFrontEnd, "_write_response", broken_write)
         with pytest.raises((urllib.error.URLError, ConnectionResetError)):
             _get(server, "/healthz")
         deadline = time.monotonic() + 5.0
@@ -244,18 +235,18 @@ class TestClientDisconnects:
     def test_disconnect_during_reply_is_counted_not_raised(
         self, server, perf_on, monkeypatch
     ):
-        # Simulate the client vanishing exactly when the handler writes:
-        # the handler thread must swallow the broken pipe and count it
+        # Simulate the client vanishing exactly when the reply is written:
+        # the connection task must swallow the broken pipe and count it
         # instead of attempting a 500 on the same dead socket.
-        def broken_reply(self, status, payload, extra=None):
+        async def broken_write(self, writer, *args, **kwargs):
             raise BrokenPipeError("client went away")
 
-        monkeypatch.setattr(ServiceHandler, "_reply", broken_reply)
+        monkeypatch.setattr(AsyncFrontEnd, "_write_response", broken_write)
         # The client sees the dropped connection (RemoteDisconnected is a
         # ConnectionResetError subclass; urllib sometimes wraps it).
         with pytest.raises((urllib.error.URLError, ConnectionResetError)):
             _post(server, "/categorize", {"sql": SERVE_SQL})
-        # The handler runs on its own thread; poll briefly for the count.
+        # The connection task runs on the loop thread; poll for the count.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
             if perf_on.counters.get("http.client_disconnects", 0) >= 1:
@@ -267,12 +258,12 @@ class TestClientDisconnects:
     def test_disconnect_on_error_path_is_swallowed(
         self, server, perf_on, monkeypatch
     ):
-        # Error replies (400/503/500) go through _reply_or_disconnect: a
-        # write failure there must not raise out of the handler thread.
-        def broken_reply(self, status, payload, extra=None):
+        # Error replies (400/503/500) are written the same way: a write
+        # failure there must not raise out of the connection task.
+        async def broken_write(self, writer, *args, **kwargs):
             raise ConnectionResetError("client went away")
 
-        monkeypatch.setattr(ServiceHandler, "_reply", broken_reply)
+        monkeypatch.setattr(AsyncFrontEnd, "_write_response", broken_write)
         with pytest.raises((urllib.error.URLError, ConnectionResetError)):
             _post(server, "/categorize", {"sql": "SELECT FROM WHERE"})
         deadline = time.monotonic() + 5.0

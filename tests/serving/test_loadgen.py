@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.serving.aserve import start_in_thread
-from repro.serving.http import make_server, serve_in_thread
-from repro.serving.loadgen import DEFAULT_MIX, LoadReport, percentile, run_loadgen
+from repro.serving.loadgen import LoadReport, percentile, run_loadgen
 
 from tests.serving.conftest import SERVE_SQL
 
@@ -85,27 +84,6 @@ class TestAgainstAsyncServer:
         assert payload["requests"] == 4
         assert payload["shed"] == report.shed == 0
         assert set(payload["status_counts"]) == {"200"}
-
-
-class TestAgainstThreadingServer:
-    def test_same_generator_drives_the_threading_server(self, make_service):
-        server = make_server(make_service(), port=0)
-        serve_in_thread(server)
-        try:
-            host, port = server.server_address[:2]
-            report = run_loadgen(
-                f"http://{host}:{port}",
-                sqls=DEFAULT_MIX,
-                clients=4,
-                requests_per_client=2,
-                timeout_s=60.0,
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
-        assert report.responses == 8
-        assert report.errors == 0
-        assert report.coalesced == 0  # no singleflight in the threading path
 
 
 class TestLoadReportShape:

@@ -1,4 +1,4 @@
-"""Table-scoped routing on both HTTP front ends.
+"""Table-scoped routing on the HTTP front end.
 
 One server, two relations: every route must honor the ``table`` body
 field / ``?table=`` query parameter, answer unknown tables with the 404
@@ -16,7 +16,7 @@ import pytest
 
 from repro import perf
 from repro.catalog import Catalog, DatasetDescriptor
-from repro.serving.http import make_server, serve_in_thread
+from repro.serving.aserve import start_in_thread
 from repro.serving.relation import Relation
 from repro.serving.service import CategorizationService
 
@@ -40,16 +40,13 @@ def two_table_catalog(homes_table, statistics) -> Catalog:
 
 @pytest.fixture
 def server(homes_table, statistics):
-    server = make_server(two_table_catalog(homes_table, statistics), port=0)
-    serve_in_thread(server)
-    yield server
-    server.shutdown()
-    server.server_close()
+    handle = start_in_thread(two_table_catalog(homes_table, statistics))
+    yield handle
+    handle.stop()
 
 
 def _url(server, path: str) -> str:
-    host, port = server.server_address[:2]
-    return f"http://{host}:{port}{path}"
+    return server.url + path
 
 
 def _post(server, path, payload):
@@ -158,51 +155,27 @@ class TestObservability:
 
 
 class TestAsyncFrontEnd:
-    @pytest.fixture
-    def async_server(self, homes_table, statistics):
-        from repro.serving.aserve import start_in_thread
+    """The table dimension end to end through one body-field request, one
+    defaulted request, and the catalog-wide health map."""
 
-        handle = start_in_thread(two_table_catalog(homes_table, statistics))
-        yield handle
-        handle.stop()
-
-    def _post(self, handle, path, payload):
-        host, port = handle.address
-        request = urllib.request.Request(
-            f"http://{host}:{port}{path}",
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with urllib.request.urlopen(request, timeout=10) as response:
-            return dict(response.headers), json.loads(response.read())
-
-    def test_routes_and_deprecation_header(self, async_server):
-        headers, body = self._post(
-            async_server, "/categorize", {"sql": MOVIES_SQL, "table": "Movies"}
+    def test_routes_and_deprecation_header(self, server):
+        _, headers, body = _post(
+            server, "/categorize", {"sql": MOVIES_SQL, "table": "Movies"}
         )
         assert body["table"] == "Movies"
         assert "Deprecation" not in headers
-        headers, body = self._post(
-            async_server, "/categorize", {"sql": HOMES_SQL}
-        )
+        _, headers, body = _post(server, "/categorize", {"sql": HOMES_SQL})
         assert body["table"] == "ListProperty"
         assert headers.get("Deprecation") == "true"
 
-    def test_unknown_table_is_404_envelope(self, async_server):
+    def test_unknown_table_is_404_envelope(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._post(
-                async_server, "/categorize", {"sql": HOMES_SQL, "table": "Nope"}
-            )
+            _post(server, "/categorize", {"sql": HOMES_SQL, "table": "Nope"})
         assert excinfo.value.code == 404
         body = json.loads(excinfo.value.read())
         assert body["error"]["code"] == "UnknownTable"
         assert body["error"]["detail"]["table"] == "Nope"
 
-    def test_healthz_enumerates_tables(self, async_server):
-        host, port = async_server.address
-        with urllib.request.urlopen(
-            f"http://{host}:{port}/healthz", timeout=10
-        ) as response:
-            health = json.loads(response.read())
+    def test_healthz_enumerates_tables(self, server):
+        health = json.loads(_get(server, "/healthz"))
         assert set(health["tables"]) == {"ListProperty", "Movies"}

@@ -5,6 +5,7 @@ import pytest
 from repro.serving.degrade import RUNG_FULL, RUNG_SHOWTUPLES, RUNGS
 from repro.serving.errors import InvalidRequest
 from repro.serving.faults import FaultInjector
+from repro.serving.service import CategorizationService
 
 from tests.serving.conftest import LOG_SQL, SERVE_SQL
 
@@ -44,6 +45,17 @@ class TestRequestValidation:
         service = make_service()
         with pytest.raises(InvalidRequest):
             service.record_query("INSERT INTO nope")
+
+    def test_legacy_table_statistics_call_is_a_type_error(
+        self, homes_table, statistics
+    ):
+        # Everything after the relation is keyword-only, so the old
+        # (table, statistics) form fails at the call instead of binding
+        # the statistics to ``config``.
+        with pytest.raises(TypeError):
+            CategorizationService(homes_table, statistics)
+        with pytest.raises(TypeError):
+            CategorizationService(homes_table, statistics=statistics)
 
 
 class TestServing:

@@ -299,7 +299,7 @@ class TestServeAndRequest:
         """A live service over the CLI-generated files (free port)."""
         from repro.core.config import PAPER_CONFIG
         from repro.relational.csvio import read_csv
-        from repro.serving.http import make_server, serve_in_thread
+        from repro.serving.aserve import start_in_thread
         from repro.serving.relation import Relation
         from repro.serving.service import CategorizationService
         from repro.workload.log import Workload
@@ -313,19 +313,12 @@ class TestServeAndRequest:
             workload, schema, PAPER_CONFIG.separation_intervals
         )
         service = CategorizationService(Relation(table, statistics), batch_size=4)
-        server = make_server(service, port=0)
-        serve_in_thread(server)
-        yield server
-        server.shutdown()
-        server.server_close()
-
-    @staticmethod
-    def _base_url(server):
-        host, port = server.server_address[:2]
-        return f"http://{host}:{port}"
+        handle = start_in_thread(service)
+        yield handle
+        handle.stop()
 
     def test_request_health(self, server, capsys):
-        code = main(["request", "--url", self._base_url(server), "--health"])
+        code = main(["request", "--url", server.url, "--health"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "ok"
@@ -334,7 +327,7 @@ class TestServeAndRequest:
         code = main(
             [
                 "request",
-                "--url", self._base_url(server),
+                "--url", server.url,
                 "--sql", "SELECT * FROM ListProperty WHERE price <= 300000",
                 "--deadline-ms", "5000",
             ]
@@ -348,7 +341,7 @@ class TestServeAndRequest:
         code = main(
             [
                 "request",
-                "--url", self._base_url(server),
+                "--url", server.url,
                 "--batch",
                 "SELECT * FROM ListProperty WHERE price <= 300000",
                 "SELECT * FROM ListProperty WHERE bedroomcount = 3",
@@ -364,7 +357,7 @@ class TestServeAndRequest:
         code = main(
             [
                 "request",
-                "--url", self._base_url(server),
+                "--url", server.url,
                 "--batch",
                 "SELECT * FROM ListProperty WHERE price <= 300000",
                 "SELECT FROM WHERE",
@@ -377,7 +370,7 @@ class TestServeAndRequest:
         code = main(
             [
                 "request",
-                "--url", self._base_url(server),
+                "--url", server.url,
                 "--sql", "SELECT * FROM ListProperty WHERE bedroomcount = 3",
                 "--record",
             ]
@@ -389,7 +382,7 @@ class TestServeAndRequest:
         code = main(
             [
                 "request",
-                "--url", self._base_url(server),
+                "--url", server.url,
                 "--sql", "SELECT FROM WHERE",
             ]
         )
@@ -523,8 +516,9 @@ class TestRequestRepeatAndLoadgen:
         assert code == 1
 
     def test_serve_async_flags_parse(self, data_and_workload, capsys):
-        # The async flags must survive argument parsing; the bad data path
-        # keeps the command from actually binding a port here.
+        # `--async` is a hidden no-op now that asyncio is the only front
+        # end, but perfbench/run.py still passes it, so it must keep
+        # parsing.  The bad data path keeps the command from binding a port.
         _, workload = data_and_workload
         code = main(
             [
