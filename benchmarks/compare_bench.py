@@ -31,11 +31,14 @@ DEFAULT_TRAJECTORY = Path(__file__).resolve().parents[1] / "BENCH_partition.json
 DEFAULT_THRESHOLD = 0.20
 
 #: (bench name, lower-is-better metric) pairs gated by default.  Only
-#: hot-path latency metrics belong here: ratios like ``speedup`` compare
-#: two same-machine timings and are gated by the bench's own assertion.
+#: hot-path latency and memory metrics belong here: ratios like
+#: ``speedup`` compare two same-machine timings and are gated by the
+#: bench's own assertion.
 GATED_METRICS: tuple[tuple[str, str], ...] = (
     ("categorize_hot_path", "warm_ms"),
     ("partition_fast_path", "fast_ms"),
+    # A byte count: steady across runs, so its 20 % budget is not noise.
+    ("categorize_memory", "retained_kb"),
     ("serving_hot_path", "warm_ms"),
     ("columnar_scale", "columnar_ms"),
     ("serving_load", "async_req_ms"),

@@ -6,6 +6,8 @@ Level construction is the categorizer's inner loop.  This module times
   vs column-direct),
 * the categorize hot path with the caching layer on vs off (groupby
   index, RowSet-derived partitionings, memoized workload statistics),
+* the memory one categorized tree keeps alive (a byte count, not a
+  timing, so its gate does not depend on host speed),
 * the cost of the always-on instrumentation hooks when disabled.
 
 Each bench appends its measurements to ``BENCH_partition.json`` at the
@@ -14,8 +16,10 @@ machine-local and git-ignored; see docs/performance.md).
 """
 
 import contextlib
+import gc
 import json
 import time
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -219,6 +223,65 @@ def test_perf_categorize_hot_path_caching(
         },
     )
     assert speedup >= REQUIRED_SPEEDUP
+
+
+def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
+    """Bytes the returned tree keeps alive, as a result cache would hold it.
+
+    The tree owns its nodes' row sets and whatever the categorizer
+    memoized on them.  Table- and statistics-level caches are warmed on a
+    first result so that only the tree's own memory is traced on a second,
+    fresh result of the same query.  ``tracemalloc`` counts allocations,
+    not pages, so the figure repeats across runs and hosts.
+    """
+    query, rows = bench_seattle_query
+    categorizer = CostBasedCategorizer(bench_statistics, PAPER_CONFIG)
+    perf.reset()
+    perf.enable()
+    try:
+        tree = categorizer.categorize(query.execute(rows.table), query)
+    finally:
+        perf.disable()
+    counters = dict(perf.get().counters)
+    perf.reset()
+    partition_calls = counters.get("partition.categorical.calls", 0) + counters.get(
+        "partition.numeric.calls", 0
+    )
+    levels = tree.depth()
+    del tree
+
+    fresh = query.execute(rows.table)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = categorizer.categorize(fresh, query)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fresh) == len(rows) and tree.depth() == levels
+
+    print()
+    print(
+        format_table(
+            ["result rows", "retained KiB", "partition calls", "levels"],
+            [[len(rows), f"{retained / 1024:.1f}", partition_calls, levels]],
+            title="Categorize retained memory",
+        )
+    )
+    _append_bench_record(
+        "categorize_memory",
+        {
+            "result_rows": len(rows),
+            "retained_kb": round(retained / 1024, 1),
+            "partition_calls": partition_calls,
+            "levels": levels,
+        },
+    )
+    # Only the chosen attribute is partitioned, and only on the nodes it
+    # refines: one partition() call per internal node.
+    assert partition_calls == sum(1 for node in tree.nodes() if not node.is_leaf)
 
 
 def test_perf_instrumentation_disabled_overhead(

@@ -11,6 +11,7 @@ from repro.core.algorithm import (
     LevelByLevelCategorizer,
     Partitioner,
     Partitioning,
+    Sizes,
 )
 from repro.core.baselines import (
     ArbitraryOrderCategoricalPartitioner,
@@ -92,6 +93,7 @@ __all__ = [
     "Partitioner",
     "Partitioning",
     "ProbabilityEstimator",
+    "Sizes",
     "bucketize",
     "enumerate_optimal_tree",
     "explain_categorization",

@@ -7,6 +7,11 @@ scoring ``COST_A = Σ_{C∈S} P(C) · CostAll(Tree(C, A))``, attaches the
 partitions of the argmin attribute, and recurses — one attribute per
 level, never repeating an attribute (Section 3.1's validity constraints).
 
+Scoring a candidate reads only each child category's label (for P(Ci))
+and size (|tset(Ci)|), so candidates are scored from their partitioners'
+``sizes``, which count instead of building row sets; ``partition`` runs
+only for the attribute a level chose, on the nodes it refines.
+
 The module provides the shared level-by-level engine
 (:class:`LevelByLevelCategorizer`) parameterized over two policies —
 *how to partition* on an attribute and *how to choose* the level's
@@ -20,7 +25,7 @@ cost' technique uses the same level-by-level categorization algorithm").
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro import perf
 from repro.core.config import CategorizerConfig, PAPER_CONFIG
@@ -45,65 +50,63 @@ from repro.workload.preprocess import WorkloadStatistics
 
 Partitioning = list[tuple[CategoryLabel, RowSet]]
 
+#: A partitioning as counts: each category's label and ``|tset|``.
+Sizes = list[tuple[CategoryLabel, int]]
+
 
 class Partitioner(Protocol):
-    """A per-(level, attribute) partitioning policy."""
+    """A per-(level, attribute) partitioning policy.
+
+    ``sizes(rows)`` must equal ``[(label, len(child)) for label, child in
+    partition(rows)]``: candidates are scored from sizes alone.
+    """
 
     def partition(self, rows: RowSet) -> Partitioning: ...
 
+    def sizes(self, rows: RowSet) -> Sizes: ...
 
-class LevelPartitionings(Mapping[str, list[Partitioning]]):
-    """Per-attribute candidate partitionings for one level, computed lazily.
 
-    ``partitionings[attribute]`` builds the attribute's partitioner and
-    partitions every oversized node on first access, then serves the cached
-    result.  Choose-policies that inspect every candidate (the cost-based
-    argmin) pay exactly what they paid before; policies that stop early —
-    No-Cost takes the first attribute that refines any node, a fixed order
-    only ever looks at its head — no longer pay for partitionings they
-    never look at.
+class _LevelCandidates:
+    """One level's candidate attributes, sized over its oversized nodes.
+
+    Calling it with an attribute builds the attribute's partitioner and
+    sizes every oversized node on first use, then serves the result, so a
+    choose-policy that stops early (No-Cost, a fixed order) sizes only the
+    attributes it looks at.
     """
 
     def __init__(
         self,
         categorizer: "LevelByLevelCategorizer",
-        available: Sequence[str],
         oversized: list[CategoryNode],
         query: SelectQuery | None,
         root_rows: RowSet,
     ) -> None:
         self._categorizer = categorizer
-        self._available = tuple(available)
-        self._available_set = frozenset(available)
         self._oversized = oversized
         self._query = query
         self._root_rows = root_rows
-        self._computed: dict[str, list[Partitioning]] = {}
+        self._partitioners: dict[str, Partitioner] = {}
+        self._sizes: dict[str, list[Sizes]] = {}
 
-    def __getitem__(self, attribute: str) -> list[Partitioning]:
-        if attribute not in self._available_set:
-            raise KeyError(attribute)
-        cached = self._computed.get(attribute)
-        if cached is None:
-            perf.count("categorize.partitionings_computed")
-            partitioner = self._categorizer._make_partitioner(
-                attribute, self._query, self._root_rows
+    def partitioner(self, attribute: str) -> Partitioner:
+        partitioner = self._partitioners.get(attribute)
+        if partitioner is None:
+            partitioner = self._partitioners[attribute] = (
+                self._categorizer._make_partitioner(
+                    attribute, self._query, self._root_rows
+                )
             )
-            cached = self._computed[attribute] = [
-                partitioner.partition(node.rows) for node in self._oversized
+        return partitioner
+
+    def __call__(self, attribute: str) -> list[Sizes]:
+        sizes = self._sizes.get(attribute)
+        if sizes is None:
+            partitioner = self.partitioner(attribute)
+            sizes = self._sizes[attribute] = [
+                partitioner.sizes(node.rows) for node in self._oversized
             ]
-        return cached
-
-    def __iter__(self):
-        return iter(self._available)
-
-    def __len__(self) -> int:
-        return len(self._available)
-
-    @property
-    def computed_attributes(self) -> frozenset[str]:
-        """The attributes whose partitionings were actually materialized."""
-        return frozenset(self._computed)
+        return sizes
 
 
 class LevelByLevelCategorizer:
@@ -155,8 +158,8 @@ class LevelByLevelCategorizer:
         ``tree.decision_trace``: per level, every candidate attribute with
         its estimated CostAll/CostOne, the Pw/P probabilities behind them,
         the threshold-``x`` eliminated set, and the chosen attribute.
-        Tracing scores every candidate under both cost scenarios, so it
-        forfeits the lazy partitioning skip — keep it off on hot paths.
+        Tracing sizes and scores every candidate under both cost scenarios,
+        even where the choose-policy stopped early.
 
         ``checkpoint``, when given, is consulted before each level is
         built; returning False stops the tree from growing further and the
@@ -192,35 +195,24 @@ class LevelByLevelCategorizer:
                     perf.count("categorize.checkpoint_stops")
                     break
                 with perf.span("categorize.level"):
-                    # Candidate partitionings are materialized on demand:
-                    # the choose-policy decides which attributes ever get
-                    # partitioned (see LevelPartitionings).
-                    partitionings = LevelPartitionings(
-                        self, available, oversized, query, rows
-                    )
-                    chosen = self._choose_attribute(
-                        oversized, available, partitionings
-                    )
+                    sizes = _LevelCandidates(self, oversized, query, rows)
+                    chosen = self._choose_attribute(oversized, available, sizes)
                     if trace is not None:
                         trace.levels.append(
                             self._trace_level(
                                 len(trace.levels) + 1,
                                 oversized,
                                 available,
-                                partitionings,
+                                sizes,
                                 chosen,
                             )
                         )
                     if chosen is None:
                         break
                     frontier = self._attach_level(
-                        oversized, chosen, partitionings[chosen]
+                        oversized, chosen, sizes.partitioner(chosen), sizes(chosen)
                     )
                     perf.count("categorize.levels")
-                    perf.count(
-                        "categorize.partitionings_avoided",
-                        len(available) - len(partitionings.computed_attributes),
-                    )
                 available.remove(chosen)
                 if not frontier:
                     break
@@ -232,38 +224,42 @@ class LevelByLevelCategorizer:
     def _attach_level(
         oversized: list[CategoryNode],
         attribute: str,
-        partitionings: list[Partitioning],
+        partitioner: Partitioner,
+        sizes: list[Sizes],
     ) -> list[CategoryNode]:
-        """Attach the chosen attribute's partitions; return the new frontier.
+        """Partition the nodes the chosen attribute refines and attach the
+        partitions; return the new frontier.
 
-        A node whose partitioning has fewer than two categories is left a
-        leaf: a single pass-through category would add a label with no
-        discriminating power.
+        A node whose sizes name fewer than two categories is left a leaf,
+        unpartitioned: a single pass-through category would add a label
+        with no discriminating power.
         """
         new_frontier: list[CategoryNode] = []
-        for node, partitioning in zip(oversized, partitionings):
-            if len(partitioning) < 2:
+        for node, node_sizes in zip(oversized, sizes):
+            if len(node_sizes) < 2:
                 continue
-            new_frontier.extend(node.add_children(attribute, partitioning))
+            new_frontier.extend(
+                node.add_children(attribute, partitioner.partition(node.rows))
+            )
         return new_frontier
 
     def _level_cost(
         self,
         oversized: list[CategoryNode],
         attribute: str,
-        partitionings: list[Partitioning],
+        sizes: list[Sizes],
     ) -> float:
         """``COST_A = Σ_{C∈S} P(C) · CostAll(Tree(C, A))`` (Figure 6).
 
         Children are scored as leaves (their own subdivision is decided at
         later levels).  An attribute that refines no node scores infinity.
         """
-        if not any(len(partitioning) >= 2 for partitioning in partitionings):
+        if not any(len(node_sizes) >= 2 for node_sizes in sizes):
             return math.inf
         total = 0.0
-        for node, partitioning in zip(oversized, partitionings):
+        for node, node_sizes in zip(oversized, sizes):
             p_node = self.estimator.exploration_probability(node)
-            if len(partitioning) < 2:
+            if len(node_sizes) < 2:
                 # The node stays a leaf under this attribute.
                 total += p_node * node.tuple_count
                 continue
@@ -272,14 +268,29 @@ class LevelByLevelCategorizer:
                     self.estimator.exploration_probability_of_label(
                         label, context=node
                     ),
-                    len(child_rows),
+                    size,
                 )
-                for label, child_rows in partitioning
+                for label, size in node_sizes
             ]
             total += p_node * self.cost_model.one_level_cost_all(
                 node.tuple_count, attribute, children, context=node
             )
         return total
+
+    def _cheapest_attribute(
+        self,
+        oversized: list[CategoryNode],
+        available: list[str],
+        sizes: Callable[[str], list[Sizes]],
+    ) -> str | None:
+        """The argmin of :meth:`_level_cost`; ties go to the earlier one."""
+        best_attribute: str | None = None
+        best_cost = math.inf
+        for attribute in available:
+            cost = self._level_cost(oversized, attribute, sizes(attribute))
+            if cost < best_cost:
+                best_attribute, best_cost = attribute, cost
+        return best_attribute
 
     # -- decision tracing -----------------------------------------------------------
 
@@ -288,7 +299,7 @@ class LevelByLevelCategorizer:
         level: int,
         oversized: list[CategoryNode],
         available: list[str],
-        partitionings: Mapping[str, list[Partitioning]],
+        sizes: Callable[[str], list[Sizes]],
         chosen: str | None,
     ) -> LevelTrace:
         """Score every candidate under both scenarios for the decision trace.
@@ -300,7 +311,7 @@ class LevelByLevelCategorizer:
         """
         with perf.span("categorize.trace"):
             candidates = tuple(
-                self._trace_candidate(attribute, oversized, partitionings[attribute])
+                self._trace_candidate(attribute, oversized, sizes(attribute))
                 for attribute in available
             )
             return LevelTrace(
@@ -315,17 +326,17 @@ class LevelByLevelCategorizer:
         self,
         attribute: str,
         oversized: list[CategoryNode],
-        partitionings: list[Partitioning],
+        sizes: list[Sizes],
     ) -> CandidateDecision:
         """One candidate's CostAll/CostOne aggregation with its Pw/P inputs."""
-        refines = any(len(partitioning) >= 2 for partitioning in partitionings)
+        refines = any(len(node_sizes) >= 2 for node_sizes in sizes)
         evaluations: list[NodeEvaluation] = []
         total_all = 0.0
         total_one = 0.0
         frac = self.config.frac
-        for node, partitioning in zip(oversized, partitionings):
+        for node, node_sizes in zip(oversized, sizes):
             p_node = self.estimator.exploration_probability(node)
-            if len(partitioning) < 2:
+            if len(node_sizes) < 2:
                 # The node stays a leaf under this attribute (cf. _level_cost).
                 pw = 1.0
                 node_all = float(node.tuple_count)
@@ -339,11 +350,10 @@ class LevelByLevelCategorizer:
                     self.estimator.exploration_probability_of_label(
                         label, context=node
                     )
-                    for label, _ in partitioning
+                    for label, _ in node_sizes
                 ]
                 labels_and_sizes = [
-                    (p, len(child_rows))
-                    for p, (_, child_rows) in zip(children, partitioning)
+                    (p, size) for p, (_, size) in zip(children, node_sizes)
                 ]
                 node_all = self.cost_model.one_level_cost_all(
                     node.tuple_count, attribute, labels_and_sizes, context=node
@@ -360,7 +370,7 @@ class LevelByLevelCategorizer:
                         tuples=node.tuple_count,
                         p_node=p_node,
                         pw=pw,
-                        categories=len(partitioning),
+                        categories=len(node_sizes),
                         child_probabilities=tuple(
                             children[:MAX_CHILD_PROBABILITIES]
                         ),
@@ -374,8 +384,8 @@ class LevelByLevelCategorizer:
             cost_all=total_all if refines else math.inf,
             cost_one=total_one if refines else math.inf,
             usage_fraction=self.statistics.usage_fraction(attribute),
-            category_count=sum(len(p) for p in partitionings),
-            refined_nodes=sum(1 for p in partitionings if len(p) >= 2),
+            category_count=sum(len(node_sizes) for node_sizes in sizes),
+            refined_nodes=sum(1 for node_sizes in sizes if len(node_sizes) >= 2),
             nodes=tuple(evaluations),
             nodes_truncated=len(oversized) > MAX_NODE_DETAILS,
         )
@@ -406,10 +416,11 @@ class LevelByLevelCategorizer:
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        partitionings: Mapping[str, list[Partitioning]],
+        sizes: Callable[[str], list[Sizes]],
     ) -> str | None:
-        """Pick the level's attribute; ``partitionings`` is lazy — only the
-        entries actually subscripted are ever computed."""
+        """Pick the level's attribute; ``sizes(attribute)`` gives each
+        oversized node's candidate categories as (label, size), computed
+        only for the attributes asked about."""
         raise NotImplementedError
 
 
@@ -482,12 +493,6 @@ class CostBasedCategorizer(LevelByLevelCategorizer):
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        partitionings: Mapping[str, list[Partitioning]],
+        sizes: Callable[[str], list[Sizes]],
     ) -> str | None:
-        best_attribute: str | None = None
-        best_cost = math.inf
-        for attribute in available:
-            cost = self._level_cost(oversized, attribute, partitionings[attribute])
-            if cost < best_cost:
-                best_attribute, best_cost = attribute, cost
-        return best_attribute
+        return self._cheapest_attribute(oversized, available, sizes)

@@ -22,18 +22,33 @@ shapes the benchmark suite checks.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.core.algorithm import LevelByLevelCategorizer, Partitioner, Partitioning
+from repro.core.algorithm import (
+    LevelByLevelCategorizer,
+    Partitioner,
+    Partitioning,
+    Sizes,
+)
 from repro.core.config import (
     CategorizerConfig,
     PAPER_CONFIG,
     PAPER_RETAINED_ATTRIBUTES,
 )
-from repro.core.labels import CategoricalLabel
-from repro.core.partition.numeric import NumericPartitioner, equi_width_partition
+from repro.core.partition.categorical import (
+    node_value_counts,
+    query_universe,
+    single_value_categories,
+    universe_of,
+)
+from repro.core.partition.numeric import (
+    NumericPartitioner,
+    bucket_sizes,
+    bucketize,
+    equi_width_splitpoints,
+    node_histogram,
+)
 from repro.core.tree import CategoryNode
 from repro.relational.query import SelectQuery
 from repro.relational.table import RowSet
@@ -54,27 +69,27 @@ class ArbitraryOrderCategoricalPartitioner:
         query: SelectQuery | None = None,
     ) -> None:
         self.attribute = attribute
-        self._universe: list[Any] | None = None
-        if query is not None:
-            values = query.values_on(attribute)
-            if values is not None:
-                self._universe = sorted(values, key=repr)
+        self._universe = query_universe(query, attribute)
+
+    def _ordered(self, rows: RowSet) -> list[Any]:
+        if self._universe is not None:
+            return self._universe
+        return universe_of(node_value_counts(rows, self.attribute))
 
     def partition(self, rows: RowSet) -> Partitioning:
-        universe = (
-            self._universe
-            if self._universe is not None
-            else sorted(rows.distinct_values(self.attribute), key=repr)
-        )
+        universe = self._ordered(rows)
         allowed = set(universe)
         buckets = rows.partition_by_attribute(
             self.attribute, lambda value: value if value in allowed else None
         )
-        return [
-            (CategoricalLabel(self.attribute, (value,)), buckets[value])
-            for value in universe
-            if value in buckets and len(buckets[value]) > 0
-        ]
+        return single_value_categories(self.attribute, universe, buckets)
+
+    def sizes(self, rows: RowSet) -> Sizes:
+        return single_value_categories(
+            self.attribute,
+            self._ordered(rows),
+            node_value_counts(rows, self.attribute),
+        )
 
 
 class EquiWidthNumericPartitioner:
@@ -95,12 +110,28 @@ class EquiWidthNumericPartitioner:
             attribute, statistics, config, query=query, root_rows=root_rows
         )
         self.vmin, self.vmax = resolver.vmin, resolver.vmax
+        self.splitpoints = (
+            equi_width_splitpoints(self.vmin, self.vmax, self.width)
+            if self.vmin < self.vmax
+            else []
+        )
 
     def partition(self, rows: RowSet) -> Partitioning:
         if self.vmin >= self.vmax:
             return []
-        return equi_width_partition(
-            self.attribute, rows, self.vmin, self.vmax, self.width
+        return bucketize(
+            self.attribute, rows, self.vmin, self.vmax, self.splitpoints
+        )
+
+    def sizes(self, rows: RowSet) -> Sizes:
+        if self.vmin >= self.vmax:
+            return []
+        return bucket_sizes(
+            self.attribute,
+            node_histogram(rows, self.attribute),
+            self.vmin,
+            self.vmax,
+            self.splitpoints,
         )
 
 
@@ -162,12 +193,12 @@ class NoCostCategorizer(_NoCostPartitioningMixin):
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        partitionings: Mapping[str, list[Partitioning]],
+        sizes: Callable[[str], list[Sizes]],
     ) -> str | None:
         # "Arbitrarily (without replacement)": take the next attribute in
         # the (possibly shuffled) predefined order that refines any node.
         for attribute in available:
-            if any(len(p) >= 2 for p in partitionings[attribute]):
+            if any(len(node_sizes) >= 2 for node_sizes in sizes(attribute)):
                 return attribute
         return None
 
@@ -181,12 +212,6 @@ class AttrCostCategorizer(_NoCostPartitioningMixin):
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        partitionings: Mapping[str, list[Partitioning]],
+        sizes: Callable[[str], list[Sizes]],
     ) -> str | None:
-        best_attribute: str | None = None
-        best_cost = math.inf
-        for attribute in available:
-            cost = self._level_cost(oversized, attribute, partitionings[attribute])
-            if cost < best_cost:
-                best_attribute, best_cost = attribute, cost
-        return best_attribute
+        return self._cheapest_attribute(oversized, available, sizes)

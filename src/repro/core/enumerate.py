@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
-from repro.core.algorithm import CostBasedCategorizer, Partitioning
+from repro.core.algorithm import CostBasedCategorizer, Sizes
 from repro.core.config import CategorizerConfig, PAPER_CONFIG
 from repro.core.cost import CostModel
 from repro.core.probability import ProbabilityEstimator
@@ -61,14 +61,14 @@ class FixedOrderCategorizer(CostBasedCategorizer):
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        partitionings: Mapping[str, list[Partitioning]],
+        sizes: Callable[[str], list[Sizes]],
     ) -> str | None:
         # ``available`` preserves the prescribed order; take its head if it
         # can refine anything, else stop (a fixed order has no fallback).
         if not available:
             return None
         head = available[0]
-        if any(len(p) >= 2 for p in partitionings[head]):
+        if any(len(node_sizes) >= 2 for node_sizes in sizes(head)):
             return head
         return None
 

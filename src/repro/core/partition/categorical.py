@@ -12,7 +12,15 @@ the decreasing order of occ(vi)".
 The value inventory comes from the user query's IN clause when present
 (those are the values R can contain), otherwise from the data itself.
 
-Two bucketing strategies produce identical partitionings:
+Figure 6 chooses a level's attribute from each candidate category's label
+and size alone, so :meth:`CategoricalPartitioner.sizes` answers from one
+count per value: :meth:`~repro.relational.table.RowSet.count_values` over
+the node (integer codes on the columnar backend), memoized on the node.
+The same count is the value inventory when the query fixes none.
+
+:meth:`CategoricalPartitioner.partition` builds the categories' row sets,
+for the attribute a level chose.  Two bucketing strategies produce
+identical partitionings:
 
 * the **scan path** walks the node's column values once (O(|node|) calls
   into a per-row classifier), and
@@ -26,11 +34,14 @@ The index path wins when the node covers a sizable share of the rows whose
 values it partitions on (always true at the root level); for small deep
 nodes the posting lists dwarf the node and the scan path is chosen
 instead.  :meth:`CategoricalPartitioner.partition` picks per node.
+
+Both ``sizes`` and ``partition`` label their categories through
+:func:`single_value_categories`, so they differ only in how they count.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from repro import perf
 from repro.core.labels import CategoricalLabel, CategoryLabel, MissingLabel
@@ -42,6 +53,48 @@ from repro.workload.preprocess import WorkloadStatistics
 #: per element it is several times cheaper than the scan path's classifier
 #: call, so it is chosen while posting-list volume <= this factor × |node|.
 INDEX_PATH_ADVANTAGE = 4
+
+_Group = TypeVar("_Group")
+
+
+def universe_of(values: Iterable[Any]) -> list[Any]:
+    """The values that name a single-value category, sorted by repr.
+
+    NULL and NaN equal no value, so neither names a category.
+    """
+    return sorted(
+        (value for value in values if value is not None and value == value),
+        key=repr,
+    )
+
+
+def query_universe(query: SelectQuery | None, attribute: str) -> list[Any] | None:
+    """The universe the query's IN clause on ``attribute`` fixes, if any."""
+    values = None if query is None else query.values_on(attribute)
+    return None if values is None else universe_of(values)
+
+
+def node_value_counts(
+    rows: RowSet, attribute: str, use_cache: bool = True
+) -> Mapping[Any, int]:
+    """``rows.count_values(attribute)``, memoized on the view."""
+    if not use_cache:
+        return rows.count_values(attribute)
+    return rows.derive(
+        ("value_counts", attribute), lambda: rows.count_values(attribute)
+    )
+
+
+def single_value_categories(
+    attribute: str, ordered: Sequence[Any], groups: Mapping[Any, _Group]
+) -> list[tuple[CategoryLabel, _Group]]:
+    """One ``A ∈ {v}`` category per value of ``ordered`` with a non-empty
+    group, in that order; a group is a row set or a count."""
+    return [
+        (CategoricalLabel(attribute, (value,)), groups[value])
+        for value in ordered
+        if groups.get(value)
+    ]
 
 
 class CategoricalPartitioner:
@@ -77,13 +130,11 @@ class CategoricalPartitioner:
         self.statistics = statistics
         self.include_missing = include_missing
         self.use_index = use_index
-        self._universe: list[Any] | None = None
-        if universe is not None:
-            self._universe = list(universe)
-        elif query is not None:
-            values = query.values_on(attribute)
-            if values is not None:
-                self._universe = sorted(values, key=repr)
+        self._universe = (
+            universe_of(universe)
+            if universe is not None
+            else query_universe(query, attribute)
+        )
 
     def ordered_values(self, rows: RowSet) -> list[Any]:
         """The SCL value order: the universe sorted by decreasing occ(v).
@@ -94,12 +145,12 @@ class CategoricalPartitioner:
         universe = (
             self._universe
             if self._universe is not None
-            else sorted(rows.distinct_values(self.attribute), key=repr)
+            else universe_of(self._value_counts(rows))
         )
         occurrence = self.statistics.occurrence_counts(self.attribute)
         return occurrence.order_by_occurrence(universe)
 
-    def partition(self, rows: RowSet) -> list[tuple[CategoricalLabel, RowSet]]:
+    def partition(self, rows: RowSet) -> list[tuple[CategoryLabel, RowSet]]:
         """Partition ``rows`` into ordered non-empty single-value categories.
 
         Tuples whose value is NULL or outside the universe fall under no
@@ -115,7 +166,7 @@ class CategoricalPartitioner:
                 return self._partition_via_scan(rows, ordered)
             # The partitioning is a pure function of (view, universe order,
             # missing policy); cache it on the view so repeated categorize
-            # calls — and repeated cost evaluations — reuse it wholesale.
+            # calls reuse it wholesale.
             key = (
                 "partition.categorical",
                 self.attribute,
@@ -125,6 +176,40 @@ class CategoricalPartitioner:
             return list(
                 rows.derive(key, lambda: self._build_partitioning(rows, ordered))
             )
+
+    def sizes(self, rows: RowSet) -> list[tuple[CategoryLabel, int]]:
+        """``[(label, len(rows)) for label, rows in partition(rows)]``,
+        from the node's value counts instead of its row sets."""
+        ordered = self.ordered_values(rows)
+        if not self.use_index:
+            return self._categories(ordered, rows.count_values(self.attribute))
+        key = (
+            "sizes.categorical",
+            self.attribute,
+            tuple(ordered),
+            self.include_missing,
+        )
+        return list(
+            rows.derive(
+                key, lambda: self._categories(ordered, self._value_counts(rows))
+            )
+        )
+
+    def _value_counts(self, rows: RowSet) -> Mapping[Any, int]:
+        return node_value_counts(rows, self.attribute, self.use_index)
+
+    def _categories(
+        self,
+        ordered: Sequence[Any],
+        groups: Mapping[Any, _Group],
+        missing_key: Any = None,
+    ) -> list[tuple[CategoryLabel, _Group]]:
+        """Label the non-empty groups in SCL order, "unknown" (the NULLs,
+        grouped under ``missing_key``) last."""
+        categories = single_value_categories(self.attribute, ordered, groups)
+        if self.include_missing and groups.get(missing_key):
+            categories.append((MissingLabel(self.attribute), groups[missing_key]))
+        return categories
 
     # -- execution paths ------------------------------------------------------
 
@@ -154,35 +239,16 @@ class CategoricalPartitioner:
     ) -> list[tuple[CategoryLabel, RowSet]]:
         index = rows.table.groupby_index(self.attribute)
         table = rows.table
-        whole_table = len(rows) == len(table)
-        members = None if whole_table else set(rows.indices)
-        partitioning: list[tuple[CategoryLabel, RowSet]] = []
-        for value in ordered:
-            posting = index.get(value)
-            if not posting:
-                continue
-            ids: Sequence[int] = (
-                posting
-                if members is None
-                else [i for i in posting if i in members]
-            )
-            if ids:
-                partitioning.append(
-                    (CategoricalLabel(self.attribute, (value,)), RowSet(table, ids))
-                )
-        if self.include_missing:
-            posting = index.get(None)
-            if posting:
-                ids = (
-                    posting
-                    if members is None
-                    else [i for i in posting if i in members]
-                )
-                if ids:
-                    partitioning.append(
-                        (MissingLabel(self.attribute), RowSet(table, ids))
-                    )
-        return partitioning
+        members = None if len(rows) == len(table) else set(rows.indices)
+
+        def restrict(posting: Sequence[int]) -> RowSet:
+            if members is None:
+                return RowSet(table, posting)
+            return RowSet(table, [i for i in posting if i in members])
+
+        wanted = [*ordered, None] if self.include_missing else ordered
+        groups = {value: restrict(index[value]) for value in wanted if value in index}
+        return self._categories(ordered, groups)
 
     def _partition_via_scan(
         self, rows: RowSet, ordered: list[Any]
@@ -196,16 +262,7 @@ class CategoricalPartitioner:
             return value if value in allowed else None
 
         buckets = rows.partition_by_attribute(self.attribute, classify)
-        partitioning: list[tuple[CategoryLabel, RowSet]] = [
-            (CategoricalLabel(self.attribute, (value,)), buckets[value])
-            for value in ordered
-            if value in buckets and len(buckets[value]) > 0
-        ]
-        if self.include_missing and missing_key in buckets:
-            partitioning.append(
-                (MissingLabel(self.attribute), buckets[missing_key])
-            )
-        return partitioning
+        return self._categories(ordered, buckets, missing_key)
 
     def exploration_probability(self, value: Any) -> float:
         """``P(Ci) = occ(vi) / NAttr(A)`` for the single-value category of vi."""

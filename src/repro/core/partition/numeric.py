@@ -9,6 +9,16 @@ unnecessary for a node when a bucket it creates "contains too few tuples".
 Categories are always presented "in ascending order of the values of the
 split points" (Example 5.1).
 
+Every count the section needs comes from one :class:`Histogram` per
+(node, attribute): the node's distinct finite values, ascending, with
+cumulative counts.  A ``bisect`` on it answers both the necessity check
+of :meth:`NumericPartitioner.select_splitpoints` and the bucket sizes of
+:meth:`NumericPartitioner.sizes`, which is all the attribute choice of
+Figure 6 reads.  Only :meth:`NumericPartitioner.partition`, called for
+the attribute a level chose, builds the buckets' row sets.  The root's
+histogram also supplies (vmin, vmax) when the query leaves a bound open.
+NaN and ±inf fall in no bucket, so they neither count nor bound.
+
 The module also provides the equi-width partitioning used by the No-Cost
 baseline (Section 6.1: buckets "of width 5 times the width of the
 separation interval").
@@ -17,16 +27,78 @@ separation interval").
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from array import array
-from typing import Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 from repro import perf
 from repro.core.config import CategorizerConfig
-from repro.core.labels import MissingLabel, NumericLabel
+from repro.core.labels import CategoryLabel, MissingLabel, NumericLabel
 from repro.relational.query import SelectQuery
 from repro.relational.table import RowSet
 from repro.workload.preprocess import WorkloadStatistics
+
+_Group = TypeVar("_Group")
+
+
+class Histogram(NamedTuple):
+    """One node's finite values of a numeric attribute, counted.
+
+    ``values`` holds the distinct finite values, ascending;
+    ``cumulative[i]`` is how many of the node's values lie below
+    ``values[i]``, and ``cumulative[-1]`` is the node's finite total.
+    ``nulls`` counts the node's NULLs (for the missing-value category).
+    """
+
+    values: Sequence[float]
+    cumulative: array
+    nulls: int
+
+    @classmethod
+    def of(cls, rows: RowSet, attribute: str) -> "Histogram":
+        """Count ``rows`` on ``attribute``; NaN and ±inf are left out."""
+        counts = rows.count_values(attribute)
+        finite = sorted(
+            value
+            for value in counts
+            if value is not None and -math.inf < value < math.inf
+        )
+        cumulative = array("q", [0])
+        cumulative.extend(itertools.accumulate(counts[value] for value in finite))
+        try:
+            packed: Sequence[float] = array(
+                "q" if finite and type(finite[0]) is int else "d", finite
+            )
+        except OverflowError:  # INT values beyond int64 (rows backend only)
+            packed = finite
+        return cls(packed, cumulative, counts.get(None, 0))
+
+    def bucket_counts(self, boundaries: Sequence[float]) -> dict[int, int]:
+        """Non-empty bucket position → size, as
+        :meth:`~repro.relational.table.RowSet.partition_by_buckets` would
+        bucket the node: ``[b_k, b_k+1)``, the last bucket closed."""
+        values, below = self.values, self.cumulative
+        edges = [below[bisect.bisect_left(values, point)] for point in boundaries[:-1]]
+        edges.append(below[bisect.bisect_right(values, boundaries[-1])])
+        return {
+            position: edges[position + 1] - edges[position]
+            for position in range(len(edges) - 1)
+            if edges[position + 1] > edges[position]
+        }
+
+
+def node_histogram(rows: RowSet, attribute: str, use_cache: bool = True) -> Histogram:
+    """``rows``' :class:`Histogram` on ``attribute``, memoized on the view.
+
+    The memo lives as long as the node's RowSet; it holds two packed
+    arrays over the node's *distinct* values, not one entry per row.
+    """
+    if not use_cache:
+        return Histogram.of(rows, attribute)
+    return rows.derive(
+        ("histogram", attribute), lambda: Histogram.of(rows, attribute)
+    )
 
 
 class NumericPartitioner:
@@ -55,8 +127,8 @@ class NumericPartitioner:
                 directly ("vmin and vmax can be obtained directly from Q").
             root_rows: the result set R, used to derive data bounds when
                 the query leaves either end open.
-            use_cache: memoize bounds, sorted values and partitionings on
-                the RowSets they derive from (disable only for measurement
+            use_cache: memoize histograms, sizes and partitionings on the
+                RowSets they derive from (disable only for measurement
                 baselines).
         """
         self.attribute = attribute
@@ -69,6 +141,21 @@ class NumericPartitioner:
             table.best_splitpoints(self.vmin, self.vmax)
             if self.vmin < self.vmax
             else []
+        )
+        self._target = self._target_splitpoint_count()
+        # Everything a node's splitpoints and buckets depend on besides the
+        # node itself: the memo key of sizes and partitions, so a memo hit
+        # skips the splitpoint selection too.  The table's version changes
+        # with every workload update, so an update misses the memo rather
+        # than staling it.
+        self._memo_key = (
+            attribute,
+            self.vmin,
+            self.vmax,
+            table.version,
+            self._target,
+            config.min_bucket_tuples,
+            config.include_missing_category,
         )
 
     def _resolve_range(
@@ -83,20 +170,12 @@ class NumericPartitioner:
                 low = None if math.isinf(query_low) else float(query_low)
                 high = None if math.isinf(query_high) else float(query_high)
         if (low is None or high is None) and root_rows is not None:
-            # (vmin, vmax) is re-resolved from the same root rows at every
-            # level; cache the column scan on the view.
-            observed = (
-                root_rows.derive(
-                    ("min_max", self.attribute),
-                    lambda: root_rows.min_max(self.attribute),
-                )
-                if self.use_cache
-                else root_rows.min_max(self.attribute)
-            )
-            if observed is not None:
-                data_low, data_high = float(observed[0]), float(observed[1])
-                low = data_low if low is None else low
-                high = data_high if high is None else high
+            # The root's histogram is the one the first level's splitpoint
+            # selection reads, so later levels find it memoized.
+            values = node_histogram(root_rows, self.attribute, self.use_cache).values
+            if len(values):
+                low = float(values[0]) if low is None else low
+                high = float(values[-1]) if high is None else high
         if low is None or high is None:
             # No information at all: an empty range yields no splitpoints
             # and partition() degenerates to a single bucket.
@@ -111,33 +190,16 @@ class NumericPartitioner:
         Walks the SPL in decreasing goodness, skipping any point that would
         create a bucket with fewer than ``config.min_bucket_tuples`` of the
         node's tuples, until m−1 points are selected or the SPL runs out.
+        Only finite values count: NaN and ±inf fall in no bucket.
         """
-        # The sorted scan is memoized as a packed array('d'): the memo
-        # lives as long as the node's RowSet (one per tree node per
-        # attribute), and at paper scale the packed form keeps hundreds of
-        # thousands of boxed floats off the heap; bisect works on it
-        # unchanged.
-        values = (
-            rows.derive(
-                ("sorted_values", self.attribute),
-                lambda: array(
-                    "d",
-                    sorted(
-                        v for v in rows.values(self.attribute) if v is not None
-                    ),
-                ),
-            )
-            if self.use_cache
-            else sorted(v for v in rows.values(self.attribute) if v is not None)
-        )
-        if not values:
+        histogram = node_histogram(rows, self.attribute, self.use_cache)
+        if not histogram.cumulative[-1]:
             return []
-        target = self._target_splitpoint_count()
         selected: list[float] = []
         for candidate in self._splitpoints_by_goodness:
-            if len(selected) >= target:
+            if len(selected) >= self._target:
                 break
-            if self._is_necessary(candidate, selected, values):
+            if self._is_necessary(candidate, selected, histogram):
                 bisect.insort(selected, candidate)
         return selected
 
@@ -155,7 +217,7 @@ class NumericPartitioner:
         return max(1, min(strong, self.config.max_auto_buckets - 1))
 
     def _is_necessary(
-        self, candidate: float, selected: list[float], sorted_values: "Sequence[float]"
+        self, candidate: float, selected: list[float], histogram: Histogram
     ) -> bool:
         """True unless the candidate creates a too-small bucket.
 
@@ -166,24 +228,23 @@ class NumericPartitioner:
         position = bisect.bisect_left(selected, candidate)
         left_edge = selected[position - 1] if position > 0 else self.vmin
         right_edge = selected[position] if position < len(selected) else self.vmax
-        left_count = bisect.bisect_left(sorted_values, candidate) - bisect.bisect_left(
-            sorted_values, left_edge
-        )
+        # The inner loop of every numeric candidate: bisect the histogram
+        # inline rather than through its methods.
+        values, below = histogram.values, histogram.cumulative
+        below_candidate = below[bisect.bisect_left(values, candidate)]
+        left_count = below_candidate - below[bisect.bisect_left(values, left_edge)]
         if position == len(selected):
             # Rightmost bucket is closed at vmax.
-            right_count = bisect.bisect_right(
-                sorted_values, right_edge
-            ) - bisect.bisect_left(sorted_values, candidate)
+            right_end = below[bisect.bisect_right(values, right_edge)]
         else:
-            right_count = bisect.bisect_left(
-                sorted_values, right_edge
-            ) - bisect.bisect_left(sorted_values, candidate)
+            right_end = below[bisect.bisect_left(values, right_edge)]
+        right_count = right_end - below_candidate
         minimum = self.config.min_bucket_tuples
         return left_count >= minimum and right_count >= minimum
 
     # -- partitioning ------------------------------------------------------------
 
-    def partition(self, rows: RowSet) -> list[tuple[NumericLabel, RowSet]]:
+    def partition(self, rows: RowSet) -> list[tuple[CategoryLabel, RowSet]]:
         """Bucket ``rows`` on the selected splitpoints, ascending, non-empty.
 
         Returns a single-bucket "partitioning" (no refinement) when no
@@ -192,31 +253,34 @@ class NumericPartitioner:
         """
         perf.count("partition.numeric.calls")
         with perf.span("partition.numeric"):
-            splitpoints = self.select_splitpoints(rows)
-            if not self.use_cache:
-                return self._build_partitioning(rows, splitpoints)
-            # The bucketing is a pure function of (view, boundaries,
-            # missing policy); boundaries capture every way the workload
-            # statistics influence the outcome, so a stats update changes
-            # the key rather than staling the entry.
-            key = (
-                "partition.numeric",
-                self.attribute,
-                self.vmin,
-                self.vmax,
-                tuple(splitpoints),
-                self.config.include_missing_category,
+            return self._memoized(
+                "partition.numeric", rows, self._build_partitioning
             )
-            return list(
-                rows.derive(
-                    key, lambda: self._build_partitioning(rows, splitpoints)
-                )
+
+    def sizes(self, rows: RowSet) -> list[tuple[CategoryLabel, int]]:
+        """``[(label, len(bucket)) for label, bucket in partition(rows)]``,
+        counted on the node's histogram instead of bucketing its rows."""
+        return self._memoized("sizes.numeric", rows, self._count_sizes)
+
+    def _memoized(
+        self,
+        kind: str,
+        rows: RowSet,
+        build: Callable[[RowSet, list[float]], list[tuple[CategoryLabel, _Group]]],
+    ) -> list[tuple[CategoryLabel, _Group]]:
+        if not self.use_cache:
+            return build(rows, self.select_splitpoints(rows))
+        return list(
+            rows.derive(
+                (kind, *self._memo_key),
+                lambda: build(rows, self.select_splitpoints(rows)),
             )
+        )
 
     def _build_partitioning(
         self, rows: RowSet, splitpoints: list[float]
-    ) -> list[tuple[NumericLabel, RowSet]]:
-        partitioning = bucketize(
+    ) -> list[tuple[CategoryLabel, RowSet]]:
+        partitioning: list[tuple[CategoryLabel, RowSet]] = bucketize(
             self.attribute, rows, self.vmin, self.vmax, splitpoints
         )
         if self.config.include_missing_category:
@@ -225,6 +289,17 @@ class NumericPartitioner:
             if len(missing) > 0:
                 partitioning.append((label, missing))
         return partitioning
+
+    def _count_sizes(
+        self, rows: RowSet, splitpoints: list[float]
+    ) -> list[tuple[CategoryLabel, int]]:
+        histogram = node_histogram(rows, self.attribute, self.use_cache)
+        sizes: list[tuple[CategoryLabel, int]] = bucket_sizes(
+            self.attribute, histogram, self.vmin, self.vmax, splitpoints
+        )
+        if self.config.include_missing_category and histogram.nulls:
+            sizes.append((MissingLabel(self.attribute), histogram.nulls))
+        return sizes
 
     def exploration_probability(self, label: NumericLabel) -> float:
         """``P(Ci) = NOverlap(Ci) / NAttr(A)`` for a bucket label."""
@@ -248,25 +323,57 @@ def bucketize(
 
     Buckets are half-open ``[a, b)`` except the last, which closes at vmax
     so the maximum value is included.  Tuples outside ``[vmin, vmax]`` (or
-    NULL) belong to no bucket.
+    NULL, NaN, ±inf) belong to no bucket.
     """
     boundaries = [vmin, *sorted(splitpoints), vmax]
-    labels = []
-    for i in range(len(boundaries) - 1):
-        is_last = i == len(boundaries) - 2
-        labels.append(
+    return _label_buckets(
+        attribute, boundaries, rows.partition_by_buckets(attribute, boundaries)
+    )
+
+
+def bucket_sizes(
+    attribute: str,
+    histogram: Histogram,
+    vmin: float,
+    vmax: float,
+    splitpoints: list[float],
+) -> list[tuple[NumericLabel, int]]:
+    """:func:`bucketize`'s labels with each bucket's size, from a histogram."""
+    boundaries = [vmin, *sorted(splitpoints), vmax]
+    return _label_buckets(attribute, boundaries, histogram.bucket_counts(boundaries))
+
+
+def _label_buckets(
+    attribute: str, boundaries: Sequence[float], buckets: Mapping[int, _Group]
+) -> list[tuple[NumericLabel, _Group]]:
+    """Label each non-empty bucket position, ascending; the last closes."""
+    last = len(boundaries) - 2
+    return [
+        (
             NumericLabel(
                 attribute,
-                boundaries[i],
-                boundaries[i + 1],
-                high_inclusive=is_last,
-            )
+                boundaries[position],
+                boundaries[position + 1],
+                high_inclusive=position == last,
+            ),
+            buckets[position],
         )
-
-    buckets = rows.partition_by_buckets(attribute, boundaries)
-    return [
-        (labels[i], buckets[i]) for i in range(len(labels)) if i in buckets
+        for position in range(last + 1)
+        if position in buckets
     ]
+
+
+def equi_width_splitpoints(vmin: float, vmax: float, width: float) -> list[float]:
+    """Every multiple of ``width`` strictly inside ``(vmin, vmax)``."""
+    if width <= 0:
+        raise ValueError(f"bucket width must be positive, got {width}")
+    splitpoints: list[float] = []
+    point = math.floor(vmin / width) * width + width
+    while point < vmax:
+        if point > vmin:
+            splitpoints.append(point)
+        point += width
+    return splitpoints
 
 
 def equi_width_partition(
@@ -282,12 +389,6 @@ def equi_width_partition(
     range is split at every multiple of 25000"), then removes empty
     buckets.
     """
-    if width <= 0:
-        raise ValueError(f"bucket width must be positive, got {width}")
-    splitpoints: list[float] = []
-    point = math.floor(vmin / width) * width + width
-    while point < vmax:
-        if point > vmin:
-            splitpoints.append(point)
-        point += width
-    return bucketize(attribute, rows, vmin, vmax, splitpoints)
+    return bucketize(
+        attribute, rows, vmin, vmax, equi_width_splitpoints(vmin, vmax, width)
+    )

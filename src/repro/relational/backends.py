@@ -46,6 +46,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
+from collections import Counter
 from typing import Any, Iterator, Mapping, Protocol, Sequence
 
 from repro.relational.expressions import (
@@ -73,6 +74,15 @@ BACKEND_NAMES = ("rows", "columnar")
 #: The backend every table, loader, generator, descriptor and CLI flag
 #: uses unless told otherwise.
 DEFAULT_BACKEND = "columnar"
+
+
+def index_typecode(rows: int) -> str:
+    """The ``array`` typecode for row positions of a ``rows``-row table.
+
+    ``'i'`` packs a position in 4 bytes; only a table of 2**31 rows or more
+    needs ``'q'``.
+    """
+    return "i" if rows < 2**31 else "q"
 
 
 class StorageBackend(Protocol):
@@ -110,8 +120,16 @@ class StorageBackend(Protocol):
         """The column's logical values at ``indices``, in that order."""
         ...
 
-    def build_groupby(self, name: str) -> dict[Any, tuple[int, ...]]:
-        """value -> ascending row positions, NULLs under the ``None`` key."""
+    def build_groupby(self, name: str) -> dict[Any, array]:
+        """value -> ascending row positions, NULLs under the ``None`` key.
+
+        Each posting list is packed as an ``array`` of
+        :func:`index_typecode`.
+        """
+        ...
+
+    def count_values(self, name: str, indices: Sequence[int]) -> dict[Any, int]:
+        """value -> how many of ``indices`` hold it, NULLs under ``None``."""
         ...
 
     def select_indices(
@@ -184,11 +202,16 @@ class RowStore:
         column = self._columns[name]
         return [column[i] for i in indices]
 
-    def build_groupby(self, name: str) -> dict[Any, tuple[int, ...]]:
+    def build_groupby(self, name: str) -> dict[Any, array]:
+        column = self._columns[name]
+        typecode = index_typecode(len(column))
         buckets: dict[Any, list[int]] = {}
-        for position, value in enumerate(self._columns[name]):
+        for position, value in enumerate(column):
             buckets.setdefault(value, []).append(position)
-        return {value: tuple(ids) for value, ids in buckets.items()}
+        return {value: array(typecode, ids) for value, ids in buckets.items()}
+
+    def count_values(self, name: str, indices: Sequence[int]) -> dict[Any, int]:
+        return Counter(map(self._columns[name].__getitem__, indices))
 
     def select_indices(
         self, predicate: Predicate, indices: Sequence[int]
@@ -438,8 +461,9 @@ class ColumnStore:
     def gather(self, name: str, indices: Sequence[int]) -> list[Any]:
         return self._columns[name].gather(indices)
 
-    def build_groupby(self, name: str) -> dict[Any, tuple[int, ...]]:
+    def build_groupby(self, name: str) -> dict[Any, array]:
         column = self._columns[name]
+        typecode = index_typecode(len(column))
         if isinstance(column, DictColumn):
             # Bucket by integer code (list indexing, no hashing), then
             # decode once per distinct value.
@@ -452,17 +476,32 @@ class ColumnStore:
                     nulls.append(position)
             decode = column._decode
             index = {
-                decode[code]: tuple(ids)
+                decode[code]: array(typecode, ids)
                 for code, ids in enumerate(postings)
                 if ids
             }
             if nulls:
-                index[None] = tuple(nulls)
+                index[None] = array(typecode, nulls)
             return index
         buckets: dict[Any, list[int]] = {}
         for position, value in enumerate(column):
             buckets.setdefault(value, []).append(position)
-        return {value: tuple(ids) for value, ids in buckets.items()}
+        return {value: array(typecode, ids) for value, ids in buckets.items()}
+
+    def count_values(self, name: str, indices: Sequence[int]) -> dict[Any, int]:
+        column = self._columns[name]
+        if isinstance(column, DictColumn):
+            # Count integer codes, then decode once per distinct value.
+            decode = column._decode
+            return {
+                decode[code] if code >= 0 else None: count
+                for code, count in Counter(
+                    map(column._codes.__getitem__, indices)
+                ).items()
+            }
+        if column._nulls:
+            return Counter(column.gather(indices))
+        return Counter(map(column._data.__getitem__, indices))
 
     # -- warm-start persistence --------------------------------------------
 

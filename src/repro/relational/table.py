@@ -96,7 +96,7 @@ class Table:
         self.schema = schema
         self._backend = make_backend(backend, schema)
         self._size = 0
-        self._groupby_indexes: dict[str, dict[Any, tuple[int, ...]]] = {}
+        self._groupby_indexes: dict[str, dict[Any, array]] = {}
 
     @property
     def backend_name(self) -> str:
@@ -262,14 +262,17 @@ class Table:
         """Return the schema attribute called ``name``."""
         return self.schema.attribute(name)
 
-    def groupby_index(self, name: str) -> Mapping[Any, tuple[int, ...]]:
+    def groupby_index(self, name: str) -> Mapping[Any, array]:
         """value → ascending row indices for attribute ``name``, cached.
 
         Built on first use with one column scan and reused by every
         categorical partitioning across levels, nodes and repeated
         ``categorize`` calls; :meth:`insert` invalidates it.  NULLs are
         grouped under the ``None`` key so callers can decide whether a
-        missing-value category exists.  Callers must not mutate the result.
+        missing-value category exists.  Each posting list is a packed
+        ``array('i')`` (4 bytes per row position; ``'q'`` once the table
+        reaches 2**31 rows), which a :class:`RowSet` adopts without
+        copying.  Callers must not mutate the result.
         """
         index = self._groupby_indexes.get(name)
         if index is None:
@@ -412,14 +415,15 @@ class RowSet:
         """Memoize an immutable derivation of this view under ``key``.
 
         The partitioners use this to cache per-(view, attribute) work —
-        sorted value lists, min/max bounds, whole partitionings — directly
-        on the view they derive from.  Because a RowSet is an immutable
-        window over an append-only table (existing rows are never updated
-        or deleted), any pure function of the view's rows stays valid for
-        the view's lifetime, so entries never need invalidation; callers
-        whose derivation also depends on external state (e.g. workload
-        splitpoints) fold that state into ``key``.  Cached values are
-        shared across repeated lookups and must not be mutated.
+        value counts, numeric histograms, candidate sizes, the chosen
+        attribute's partitioning — directly on the view they derive from.
+        Because a RowSet is an immutable window over an append-only table
+        (existing rows are never updated or deleted), any pure function of
+        the view's rows stays valid for the view's lifetime, so entries
+        never need invalidation; callers whose derivation also depends on
+        external state (e.g. workload splitpoints) fold that state into
+        ``key``.  Cached values are shared across repeated lookups and must
+        not be mutated.
         """
         cache = self._derived
         if cache is None:
@@ -598,12 +602,16 @@ class RowSet:
         distinct.discard(None)
         return distinct
 
-    def min_max(self, attribute: str) -> tuple[Any, Any] | None:
-        """Return (min, max) of non-NULL values, or None if all-NULL/empty."""
-        observed = [v for v in self.values(attribute) if v is not None]
-        if not observed:
-            return None
-        return min(observed), max(observed)
+    def count_values(self, attribute: str) -> dict[Any, int]:
+        """Return value → number of rows holding it, NULLs under ``None``.
+
+        Counted by the storage backend in one pass (integer codes on the
+        columnar backend), without building any row-index list: this is
+        what candidate costing reads instead of a partitioning.  A fresh
+        dict per call; callers may mutate it.
+        """
+        self.table.column(attribute)  # helpful KeyError on unknown names
+        return self.table._backend.count_values(attribute, self._indices)
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Materialize this view as a list of dicts."""

@@ -25,6 +25,7 @@ a workload rescan.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from array import array
 from collections import Counter
@@ -131,6 +132,11 @@ class SplitPointRow:
         return self.start_count + self.end_count
 
 
+#: Source of :attr:`SplitPointsTable.version`: one process-wide sequence,
+#: so no two table states ever share a number.
+_VERSIONS = itertools.count()
+
+
 class SplitPointsTable:
     """Per-gridpoint start/end counts for one numeric attribute (Figure 5b).
 
@@ -162,6 +168,9 @@ class SplitPointsTable:
         self._memoize = memoize
         # (vmin, vmax) -> goodness-sorted splitpoints; dropped on record_range.
         self._best_memo: dict[tuple[float, float], list[float]] = {}
+        #: Names the table's counts: new on every change, unique in the
+        #: process, so a memo keyed by it cannot outlive what it derived.
+        self.version = next(_VERSIONS)
 
     def set_memoization(self, enabled: bool) -> None:
         """Enable/disable the goodness-query memo; disabling drops it."""
@@ -200,6 +209,7 @@ class SplitPointsTable:
         if not math.isinf(high):
             self._ends[self.snap(high)] += 1
         self._best_memo.clear()
+        self.version = next(_VERSIONS)
 
     def start_count(self, splitpoint: float) -> int:
         """``start_v``: query ranges starting at this gridpoint."""

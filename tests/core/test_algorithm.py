@@ -112,7 +112,7 @@ class TestCostOptimality:
     def test_chosen_level1_attribute_minimizes_one_level_cost(
         self, tree, statistics_module, homes_table_module, seattle_query_module
     ):
-        """Rebuild every candidate level-1 partitioning and check the
+        """Re-size every candidate level-1 partitioning and check the
         algorithm's choice has minimal COST_A."""
         from repro.core.algorithm import CostBasedCategorizer as CBC
 
@@ -125,9 +125,8 @@ class TestCostOptimality:
             partitioner = categorizer._make_partitioner(
                 attribute, seattle_query_module, rows
             )
-            partitioning = partitioner.partition(rows)
             costs[attribute] = categorizer._level_cost(
-                [root_like], attribute, [partitioning]
+                [root_like], attribute, [partitioner.sizes(rows)]
             )
         chosen = tree.level_attributes()[0]
         assert costs[chosen] == min(costs.values())
@@ -204,44 +203,44 @@ class TestLazyPartitionings:
         ).categorize(rows, seattle_query_module)
         assert _tree_shape(cached) == _tree_shape(uncached)
 
-    def test_no_cost_baseline_skips_unneeded_partitionings(
-        self, homes_table_module, statistics_module, seattle_query_module
+    @pytest.mark.parametrize("technique", ["cost-based", "no-cost", "attr-cost"])
+    def test_partition_runs_once_per_internal_node(
+        self,
+        technique,
+        monkeypatch,
+        homes_table_module,
+        statistics_module,
+        seattle_query_module,
     ):
-        from repro import perf
-        from repro.core.baselines import NoCostCategorizer
+        """Candidates are chosen from sizes: ``partition`` runs only for a
+        level's chosen attribute, on exactly the nodes it refines."""
+        from repro.core.baselines import (
+            ArbitraryOrderCategoricalPartitioner,
+            AttrCostCategorizer,
+            EquiWidthNumericPartitioner,
+            NoCostCategorizer,
+        )
+        from repro.core.partition import CategoricalPartitioner, NumericPartitioner
 
+        calls = []
+        for cls in (
+            CategoricalPartitioner,
+            NumericPartitioner,
+            ArbitraryOrderCategoricalPartitioner,
+            EquiWidthNumericPartitioner,
+        ):
+            def counted(self, rows, _partition=cls.partition):
+                calls.append(len(rows))
+                return _partition(self, rows)
+
+            monkeypatch.setattr(cls, "partition", counted)
+        categorizer = {
+            "cost-based": CostBasedCategorizer,
+            "no-cost": NoCostCategorizer,
+            "attr-cost": AttrCostCategorizer,
+        }[technique](statistics_module, PAPER_CONFIG)
         rows = seattle_query_module.execute(homes_table_module)
-        perf.reset()
-        perf.enable()
-        try:
-            NoCostCategorizer(statistics_module, PAPER_CONFIG).categorize(
-                rows, seattle_query_module
-            )
-        finally:
-            perf.disable()
-        counters = dict(perf.get().counters)
-        perf.reset()
-        # No-Cost takes the first refining attribute per level: at least one
-        # candidate partitioning per level is never materialized.
-        assert counters.get("categorize.partitionings_avoided", 0) > 0
-
-    def test_cost_based_still_examines_every_candidate(
-        self, homes_table_module, statistics_module, seattle_query_module
-    ):
-        from repro import perf
-
-        rows = seattle_query_module.execute(homes_table_module)
-        perf.reset()
-        perf.enable()
-        try:
-            CostBasedCategorizer(statistics_module, PAPER_CONFIG).categorize(
-                rows, seattle_query_module
-            )
-        finally:
-            perf.disable()
-        counters = dict(perf.get().counters)
-        perf.reset()
-        # The argmin inspects every available attribute each level, so
-        # nothing can be skipped — laziness must not change that.
-        assert counters.get("categorize.partitionings_avoided", 1) == 0
-        assert counters.get("categorize.partitionings_computed", 0) > 0
+        tree = categorizer.categorize(rows, seattle_query_module)
+        internal = [node for node in tree.nodes() if not node.is_leaf]
+        assert len(internal) >= 2
+        assert sorted(calls) == sorted(node.tuple_count for node in internal)

@@ -1,7 +1,11 @@
 """Tests for numeric splitpoint partitioning (Section 5.1.3)."""
 
+import math
+import random
+
 import pytest
 
+from repro.core.algorithm import CostBasedCategorizer
 from repro.core.config import CategorizerConfig
 from repro.core.partition.numeric import (
     NumericPartitioner,
@@ -9,9 +13,12 @@ from repro.core.partition.numeric import (
     equi_width_partition,
 )
 from repro.data.homes import list_property_schema
+from repro.relational.backends import BACKEND_NAMES
 from repro.relational.expressions import RangePredicate
 from repro.relational.query import SelectQuery
+from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
+from repro.relational.types import DataType
 from repro.workload.log import Workload
 from repro.workload.preprocess import preprocess_workload
 
@@ -41,6 +48,15 @@ def stats():
 
 
 class TestSplitpointSelection:
+    def test_rightmost_bucket_counts_values_at_vmax(self):
+        # The last bucket is closed at vmax, so the two 10_000s fill it.
+        stats = make_stats([(1_000, 5_000), (5_000, 10_000)])
+        rows = make_rows([1_000, 2_000, 3_000, 10_000, 10_000])
+        query = SelectQuery("ListProperty", RangePredicate("price", 1_000, 10_000))
+        config = CategorizerConfig(bucket_count=2, min_bucket_tuples=2)
+        partitioner = NumericPartitioner("price", stats, config, query=query)
+        assert partitioner.select_splitpoints(rows) == [5_000]
+
     def test_top_goodness_selected(self, stats):
         rows = make_rows([1_500, 3_000, 6_000, 7_000, 9_000, 4_000])
         query = SelectQuery("ListProperty", RangePredicate("price", 1_000, 10_000))
@@ -272,3 +288,50 @@ class TestPartitionCaching:
             rows
         )
         assert [label for label, _ in before] != [label for label, _ in after]
+
+
+class TestNonFiniteValues:
+    """NaN and ±inf fall in no bucket, so they neither count toward a
+    bucket's size nor set (vmin, vmax)."""
+
+    SCHEMA = TableSchema("T", (Attribute("x", DataType.FLOAT),))
+
+    @staticmethod
+    def x_stats(ranges):
+        sql = [f"SELECT * FROM T WHERE x BETWEEN {lo} AND {hi}" for lo, hi in ranges]
+        return preprocess_workload(
+            Workload.from_sql_strings(sql), TestNonFiniteValues.SCHEMA, {"x": 10}
+        )
+
+    def x_rows(self, backend, values):
+        return Table.from_columns(self.SCHEMA, {"x": values}, backend=backend).all_rows()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_nan_first_value_does_not_bound_the_range(self, backend):
+        rows = self.x_rows(
+            backend, [math.nan, 30.0, 10.0, math.inf, 80.0, -math.inf, 50.0] * 4
+        )
+        stats = self.x_stats([(20, 40), (40, 60), (10, 70)])
+        partitioner = NumericPartitioner("x", stats, CategorizerConfig(), root_rows=rows)
+        assert (partitioner.vmin, partitioner.vmax) == (10.0, 80.0)
+        tree = CostBasedCategorizer(
+            stats, CategorizerConfig(max_tuples_per_category=3)
+        ).categorize(rows)
+        tree.validate()
+        assert tree.root.child_attribute == "x"
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_splitpoint_necessity_ignores_nan(self, backend):
+        """Every bucket keeps ``min_bucket_tuples`` of the tuples it holds."""
+        stats = self.x_stats([(low, low + 10) for low in range(0, 100, 10)])
+        config = CategorizerConfig(bucket_count=5, min_bucket_tuples=5)
+        rng = random.Random(17)
+        for _ in range(60):
+            values = [float(rng.randrange(100)) for _ in range(40)]
+            for _ in range(rng.randrange(1, 10)):
+                values.insert(rng.randrange(len(values) + 1), math.nan)
+            rows = self.x_rows(backend, values)
+            partitioner = NumericPartitioner("x", stats, config, root_rows=rows)
+            buckets = partitioner.partition(rows)
+            if len(buckets) > 1:
+                assert min(len(bucket) for _, bucket in buckets) >= 5

@@ -6,6 +6,8 @@ contracts included.  These are targeted unit tests; the randomized
 cross-backend checks live in ``test_backend_equivalence.py``.
 """
 
+from array import array
+
 import pytest
 
 from repro import perf
@@ -15,6 +17,7 @@ from repro.relational.backends import (
     DictColumn,
     IntColumn,
     RowStore,
+    index_typecode,
     make_backend,
 )
 from repro.relational.expressions import (
@@ -26,7 +29,7 @@ from repro.relational.expressions import (
     TruePredicate,
 )
 from repro.relational.schema import Attribute, TableSchema
-from repro.relational.table import Table
+from repro.relational.table import RowSet, Table
 from repro.relational.types import DataType
 
 
@@ -122,8 +125,16 @@ class TestBasicsOnBothBackends:
         assert rows.values("price") == [300, 500, 400, None, 250]
         assert rows.distinct_values("city") == {"Seattle", "Bellevue", "Redmond"}
 
-    def test_min_max(self, table):
-        assert table.all_rows().min_max("price") == (250, 500)
+    def test_count_values(self, table):
+        rows = table.all_rows()
+        assert rows.count_values("city") == {
+            "Seattle": 2, "Bellevue": 1, "Redmond": 1, None: 1
+        }
+        assert rows.count_values("price") == {
+            300: 1, 500: 1, 400: 1, None: 1, 250: 1
+        }
+        assert RowSet(table, (0, 2, 0)).count_values("city") == {"Seattle": 3}
+        assert RowSet(table, ()).count_values("bath") == {}
 
 
 class TestSelectionOnBothBackends:
@@ -237,26 +248,34 @@ class TestSelectionOnBothBackends:
 class TestGroupbyOnBothBackends:
     def test_groupby_text(self, table):
         index = table.groupby_index("city")
-        assert index["Seattle"] == (0, 2)
-        assert index["Bellevue"] == (1,)
-        assert index[None] == (4,)
+        assert list(index["Seattle"]) == [0, 2]
+        assert list(index["Bellevue"]) == [1]
+        assert list(index[None]) == [4]
 
     def test_groupby_numeric_nulls(self, table):
         index = table.groupby_index("price")
-        assert index[None] == (3,)
-        assert index[300] == (0,)
+        assert list(index[None]) == [3]
+        assert list(index[300]) == [0]
 
-    def test_groupby_values_are_tuples(self, table):
-        assert all(
-            isinstance(ids, tuple) for ids in table.groupby_index("city").values()
-        )
+    def test_groupby_values_are_packed(self, table):
+        for name in ("city", "price", "bath"):
+            assert all(
+                type(ids) is array and ids.typecode == "i"
+                for ids in table.groupby_index(name).values()
+            )
 
     def test_insert_invalidates(self, table):
         before = table.groupby_index("city")
         table.insert({"city": "Seattle", "price": 700, "bath": 1.0})
         after = table.groupby_index("city")
         assert after is not before
-        assert after["Seattle"] == (0, 2, 5)
+        assert list(after["Seattle"]) == [0, 2, 5]
+
+
+def test_posting_typecode_widens_only_at_2_31_rows():
+    assert index_typecode(0) == "i"
+    assert index_typecode(2**31 - 1) == "i"
+    assert index_typecode(2**31) == "q"
 
 
 class TestColumnarSpecifics:

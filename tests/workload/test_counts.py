@@ -62,6 +62,16 @@ class TestOccurrenceCounts:
 
 
 class TestSplitPointsTable:
+    def test_version_is_new_after_every_change_and_on_every_copy(self):
+        table = SplitPointsTable("price", 5_000)
+        seen = {table.version}
+        table.record_range(5_000, 10_000)
+        seen.add(table.version)
+        seen.add(table.copy().version)
+        table.best_splitpoints(0, 20_000)  # a read changes nothing
+        seen.add(table.version)
+        assert len(seen) == 3
+
     def test_snapping(self):
         table = SplitPointsTable("price", 5_000)
         assert table.snap(203_100) == 205_000
