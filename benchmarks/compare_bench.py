@@ -37,8 +37,9 @@ DEFAULT_THRESHOLD = 0.20
 GATED_METRICS: tuple[tuple[str, str], ...] = (
     ("categorize_hot_path", "warm_ms"),
     ("partition_fast_path", "fast_ms"),
-    # A byte count: steady across runs, so its 20 % budget is not noise.
+    # Byte counts: steady across runs, so their 20 % budget is not noise.
     ("categorize_memory", "retained_kb"),
+    ("categorize_memory", "cached_kb"),
     ("serving_hot_path", "warm_ms"),
     ("columnar_scale", "columnar_ms"),
     ("serving_load", "async_req_ms"),

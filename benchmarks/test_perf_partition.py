@@ -6,8 +6,9 @@ Level construction is the categorizer's inner loop.  This module times
   vs column-direct),
 * the categorize hot path with the caching layer on vs off (groupby
   index, RowSet-derived partitionings, memoized workload statistics),
-* the memory one categorized tree keeps alive (a byte count, not a
-  timing, so its gate does not depend on host speed),
+* the memory one categorized tree keeps alive, as built and compacted
+  for the result cache (byte counts, not timings, so their gates do not
+  depend on host speed),
 * the cost of the always-on instrumentation hooks when disabled.
 
 Each bench appends its measurements to ``BENCH_partition.json`` at the
@@ -226,13 +227,17 @@ def test_perf_categorize_hot_path_caching(
 
 
 def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
-    """Bytes the returned tree keeps alive, as a result cache would hold it.
+    """Bytes one categorized tree keeps alive, as built and as cached.
 
-    The tree owns its nodes' row sets and whatever the categorizer
-    memoized on them.  Table- and statistics-level caches are warmed on a
-    first result so that only the tree's own memory is traced on a second,
-    fresh result of the same query.  ``tracemalloc`` counts allocations,
-    not pages, so the figure repeats across runs and hosts.
+    As built (``retained_kb``), the tree owns its nodes' row sets and
+    whatever the categorizer memoized on them; that is what a caller who
+    keeps the returned tree holds.  ``cached_kb`` is what is left after
+    ``tree.compact()``, which the serving result cache applies to every
+    tree it stores: packed positions and no memos.  Table- and
+    statistics-level caches are warmed on a first result so that only the
+    tree's own memory is traced on a second, fresh result of the same
+    query.  ``tracemalloc`` counts allocations, not pages, so both figures
+    repeat across runs and hosts.
     """
     query, rows = bench_seattle_query
     categorizer = CostBasedCategorizer(bench_statistics, PAPER_CONFIG)
@@ -258,6 +263,9 @@ def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
         tree = categorizer.categorize(fresh, query)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
+        tree.compact()
+        gc.collect()
+        cached = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(fresh) == len(rows) and tree.depth() == levels
@@ -265,8 +273,22 @@ def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
     print()
     print(
         format_table(
-            ["result rows", "retained KiB", "partition calls", "levels"],
-            [[len(rows), f"{retained / 1024:.1f}", partition_calls, levels]],
+            [
+                "result rows",
+                "retained KiB",
+                "cached KiB",
+                "partition calls",
+                "levels",
+            ],
+            [
+                [
+                    len(rows),
+                    f"{retained / 1024:.1f}",
+                    f"{cached / 1024:.1f}",
+                    partition_calls,
+                    levels,
+                ]
+            ],
             title="Categorize retained memory",
         )
     )
@@ -275,6 +297,7 @@ def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
         {
             "result_rows": len(rows),
             "retained_kb": round(retained / 1024, 1),
+            "cached_kb": round(cached / 1024, 1),
             "partition_calls": partition_calls,
             "levels": levels,
         },

@@ -7,7 +7,11 @@ sibling order is semantically meaningful (the user reads labels top-down).
 
 Nodes reference their tuples as :class:`~repro.relational.table.RowSet`
 views over the shared result table, so the whole tree costs O(|R| · depth)
-integers, never copies of tuple data.
+row positions, never copies of tuple data.  As built, a position costs a
+list slot plus an int object, and each node also holds the categorizer's
+memos; :meth:`CategoryTree.compact` packs the positions into 4-byte
+arrays and drops the memos, for trees that are kept (the serving result
+cache compacts every tree it stores).
 """
 
 from __future__ import annotations
@@ -167,6 +171,17 @@ class CategoryTree:
     def leaves(self) -> Iterator[CategoryNode]:
         """All leaf nodes."""
         return (node for node in self.nodes() if node.is_leaf)
+
+    def compact(self) -> None:
+        """:meth:`RowSet.compact <repro.relational.table.RowSet.compact>`
+        every node's row set.
+
+        The tree keeps its shape, labels, tuple sets and renderings; only
+        the build-time memos go and the positions are packed.  Call it
+        once the tree is built and before it is shared.
+        """
+        for node in self.nodes():
+            node.rows.compact()
 
     @property
     def result_size(self) -> int:

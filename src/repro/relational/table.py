@@ -30,7 +30,7 @@ from array import array
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro import perf
-from repro.relational.backends import DEFAULT_BACKEND, make_backend
+from repro.relational.backends import DEFAULT_BACKEND, index_typecode, make_backend
 from repro.relational.expressions import Predicate, TruePredicate
 from repro.relational.schema import Attribute, TableSchema
 
@@ -355,7 +355,8 @@ class RowSet:
     The index sequence is stored as whatever compact form produced it —
     a ``range`` for whole-table views, the backend's filtered list for
     selections, a tuple for explicit construction — and only materialized
-    as a tuple when :attr:`indices` is read.
+    as a tuple when :attr:`indices` is read.  :meth:`compact` packs it
+    into an ``array`` for views that are kept long after they are built.
     """
 
     __slots__ = ("table", "_indices", "_indices_tuple", "_ascending", "_derived")
@@ -423,7 +424,7 @@ class RowSet:
         never need invalidation; callers whose derivation also depends on
         external state (e.g. workload splitpoints) fold that state into
         ``key``.  Cached values are shared across repeated lookups and must
-        not be mutated.
+        not be mutated; :meth:`compact` drops them all.
         """
         cache = self._derived
         if cache is None:
@@ -436,6 +437,24 @@ class RowSet:
         else:
             perf.count("rowset.derive.hit")
         return value
+
+    def compact(self) -> None:
+        """Shrink this view to what reading it needs.
+
+        Drops the :meth:`derive` memos and the tuple :attr:`indices`
+        materialized, keeps the cached :attr:`is_ascending` flag, and
+        packs the positions into an ``array`` of
+        :func:`~repro.relational.backends.index_typecode` (4 bytes per
+        position instead of a list slot plus an int object); a ``range``
+        or an ``array`` is kept as it is.  The view holds the same rows in
+        the same order, so every read answers as before, and a later
+        derivation is simply rebuilt.  Not thread-safe: compact a view
+        before sharing it.
+        """
+        self._derived = None
+        self._indices_tuple = None
+        if not isinstance(self._indices, (range, array)):
+            self._indices = array(index_typecode(len(self.table)), self._indices)
 
     def select(self, predicate: Predicate) -> "RowSet":
         """Return the sub-view of rows satisfying ``predicate``.

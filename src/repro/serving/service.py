@@ -21,11 +21,14 @@ pins a single statistics epoch for the whole batch and shares one
 deadline across it (the ROADMAP's batch-API follow-on).
 
 Results are cached per ``(epoch, technique, storage backend, normalized
-SQL)`` with LRU + TTL
-eviction; evicting an entry releases the tree and its per-``RowSet``
-partition derivations.  Only full-rung responses are cached — caching a
-degraded tree would keep serving yesterday's timeout after the pressure
-is gone.  Epoch-keyed caching makes invalidation free: a new epoch
+SQL)`` with LRU + TTL eviction.  An entry is the tree alone, compacted
+(:meth:`~repro.core.tree.CategoryTree.compact`) before it is published:
+a hit reads only labels, counts and row positions, so the categorizer's
+per-``RowSet`` memos are dropped and the positions packed.  Only
+full-rung responses are cached — caching a degraded tree would keep
+serving yesterday's timeout after the pressure is gone — and never one
+computed for a caller-requested decision trace, which belongs to its
+own request.  Epoch-keyed caching makes invalidation free: a new epoch
 simply stops hitting the old keys, and TTL expiry collects them.
 """
 
@@ -138,7 +141,6 @@ def _tree_digest(tree) -> dict[str, Any]:
 @dataclass
 class _CacheEntry:
     tree: CategoryTree
-    rows: RowSet
     stored_at: float
     hits: int = 0
 
@@ -146,11 +148,12 @@ class _CacheEntry:
 class ResultCache:
     """LRU + TTL cache of full-rung categorizations.
 
-    Keys are ``epoch:technique:backend:normalized-SQL`` strings; values hold the tree
-    and its result set, so a hit skips query execution *and* tree
-    building.  The ``service.cache`` fault site fires on every lookup —
-    an armed ``evict`` directive drops the entry being looked up,
-    simulating memory pressure.
+    Keys are ``namespace:epoch:technique:backend:normalized-SQL`` strings;
+    values hold the compacted tree, whose root's row set is the query's
+    result set, so a hit skips query execution *and* tree building.  The
+    ``service.cache`` fault site fires on every lookup — an armed
+    ``evict`` directive drops the entry being looked up, simulating
+    memory pressure.
     """
 
     def __init__(
@@ -191,11 +194,14 @@ class ResultCache:
             perf.count("service.cache_hits")
             return entry
 
-    def put(self, key: str, tree: CategoryTree, rows: RowSet) -> None:
+    def put(self, key: str, tree: CategoryTree) -> None:
         if self.capacity == 0:
             return
+        # Before publishing: no hit, and no request coalesced onto this
+        # computation, may see the tree while it is being compacted.
+        tree.compact()
         with self._lock:
-            self._entries[key] = _CacheEntry(tree, rows, self._clock())
+            self._entries[key] = _CacheEntry(tree, self._clock())
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -327,8 +333,10 @@ class CategorizationService:
                 (default), ``single_level`` (skip the deep build), or
                 ``showtuples`` (no categorization at all); a way to cap
                 cost independent of wall-clock.
-            collect_trace: attach a PR 3 decision trace (stamped with the
-                request's trace id and the served rung).
+            collect_trace: attach a decision trace (stamped with the
+                request's trace id and the served rung).  Such a request
+                neither reads nor fills the result cache, so the trace is
+                always its own.
             trace_id: caller-assigned request id (front ends allocate via
                 :meth:`new_trace_id` so shed requests share the same id
                 space); None allocates one here.
@@ -471,18 +479,23 @@ class CategorizationService:
         """
         if trace_id is None:
             trace_id = self.new_trace_id()
+        # A cached tree carries the decision trace of the request that
+        # built it, or none: a caller who asked for a trace must get its
+        # own, so its request neither reads nor fills the cache.
+        use_cache = budget == RUNG_FULL and not collect_trace
         pipeline = telemetry.active()
         if pipeline is None or not pipeline.sampled(trace_id):
             return self._compute_pinned(
                 query, normalized_sql, epoch, deadline, budget, collect_trace,
-                trace_id,
+                trace_id, use_cache,
             )
         # Sampled: optionally force trace collection so the sink gets the
         # tree's reasoning, not just its shape.  Cache hits skip the
         # build entirely, so the forced collection only costs on misses.
         collect = collect_trace or pipeline.collect_decisions
         result = self._compute_pinned(
-            query, normalized_sql, epoch, deadline, budget, collect, trace_id
+            query, normalized_sql, epoch, deadline, budget, collect, trace_id,
+            use_cache,
         )
         tree = result.tree
         pipeline.emit(
@@ -519,11 +532,16 @@ class CategorizationService:
         budget: str,
         collect_trace: bool,
         trace_id: str,
+        use_cache: bool,
     ) -> ServeResult:
-        """Cache lookup, query execution, and the degradation ladder."""
+        """Cache lookup, query execution, and the degradation ladder.
+
+        ``use_cache`` (only ever true for a full budget) lets the request
+        be answered from, and its full-rung tree stored in, the cache.
+        """
         started = self._clock()
         cache_key = self.result_key(epoch.number, normalized_sql)
-        if budget == RUNG_FULL:
+        if use_cache:
             hit = self.cache.get(cache_key)
             if hit is not None:
                 perf.count("serve.rung", rung=RUNG_FULL)
@@ -532,7 +550,7 @@ class CategorizationService:
                     sql=normalized_sql,
                     rung=RUNG_FULL,
                     epoch=epoch.number,
-                    rows=hit.rows,
+                    rows=hit.tree.root.rows,
                     tree=hit.tree,
                     cached=True,
                     elapsed_ms=(self._clock() - started) * 1000.0,
@@ -562,8 +580,9 @@ class CategorizationService:
         )
         if tree is not None and tree.decision_trace is not None:
             tree.decision_trace.trace_id = trace_id
-        if rung == RUNG_FULL and tree is not None:
-            self.cache.put(cache_key, tree, rows)
+        if use_cache and rung == RUNG_FULL and tree is not None:
+            # The full rung builds its root over ``rows``.
+            self.cache.put(cache_key, tree)
         return ServeResult(
             trace_id=trace_id,
             sql=normalized_sql,

@@ -173,6 +173,14 @@ class TestEndpoints:
             )
             assert payload["decision_trace"]["trace_id"] == payload["trace_id"]
 
+    def test_trace_after_untraced_read_carries_its_own_trace(self, make_service):
+        with running(make_service()) as handle:
+            _request(handle, "POST", "/categorize", {"sql": SERVE_SQL})
+            _, _, payload = _request(
+                handle, "POST", "/categorize", {"sql": SERVE_SQL, "trace": True}
+            )
+            assert payload["decision_trace"]["trace_id"] == payload["trace_id"]
+
 
 class TestErrorMapping:
     def test_bad_sql_is_400_with_reason(self, make_service):

@@ -104,6 +104,16 @@ class TestCategorizeMany:
             if result.tree is not None and result.tree.decision_trace is not None:
                 assert result.tree.decision_trace.trace_id == result.trace_id
 
+    def test_traced_batch_after_untraced_reads_gets_its_own_traces(
+        self, make_service
+    ):
+        service = make_service()
+        service.categorize_many([SERVE_SQL, LOG_SQL])
+        results = service.categorize_many([SERVE_SQL, LOG_SQL], collect_trace=True)
+        for result in results:
+            assert not result.cached
+            assert result.tree.decision_trace.trace_id == result.trace_id
+
 
 class TestCacheKeyBackendTag:
     def test_cache_keys_carry_backend_name(self, make_service):

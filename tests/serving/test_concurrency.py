@@ -9,13 +9,17 @@ The epoch-snapshot contract under real threads:
 * epoch numbers observed by any single thread are monotone;
 * with ≥1000 ``record_query`` calls racing the readers, every query is
   conserved (published + pending + spilled == recorded), including
-  through a forced breaker open → spill → replay cycle.
+  through a forced breaker open → spill → replay cycle;
+* cache hits racing misses, compactions and evictions answer exactly as
+  a tree that was never compacted.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
+from repro.render.treeview import render_tree
 from repro.serving.faults import FaultInjector
 from repro.serving.retry import CircuitBreaker, ResilientIngestor, RetryPolicy
 from repro.serving.snapshot import SnapshotStore
@@ -115,6 +119,45 @@ class TestServiceUnderThreads:
         assert health["recorded"] == N_RECORDS
         assert health["published"] == N_RECORDS
         assert health["spilled"] == 0
+
+    def test_hits_race_misses_and_compaction(self, make_service):
+        """More threads than cores race misses, compactions and LRU
+        evictions of a one-entry cache; every answer equals that of a
+        tree that was never compacted."""
+
+        def answer(result):
+            return (
+                result.rung,
+                render_tree(result.tree),
+                [[row.index for row in node.rows] for node in result.tree.nodes()],
+            )
+
+        queries = (SERVE_SQL, LOG_SQL)
+        reference = make_service(cache_capacity=0)
+        expected = {sql: answer(reference.categorize(sql)) for sql in queries}
+        service = make_service(cache_capacity=1)
+        failures: list[str] = []
+
+        def reader(offset: int):
+            for i in range(8):
+                sql = queries[(i + offset) % 2]
+                result = service.categorize(sql)
+                if answer(result) != expected[sql]:
+                    failures.append(f"{sql!r} differs (cached={result.cached})")
+                    return
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
 
 
 class TestBreakerCycleUnderThreads:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.render.treeview import render_tree
 from repro.serving.degrade import RUNG_FULL, RUNG_SHOWTUPLES, RUNGS
 from repro.serving.errors import InvalidRequest
 from repro.serving.faults import FaultInjector
@@ -76,6 +77,28 @@ class TestServing:
         assert first.tree.decision_trace.trace_id == first.trace_id
         assert first.tree.decision_trace.served_rung == RUNG_FULL
 
+    def test_traced_request_after_untraced_gets_its_own_trace(self, make_service):
+        service = make_service()
+        service.categorize(SERVE_SQL)
+        traced = service.categorize(SERVE_SQL, collect_trace=True)
+        assert traced.tree.decision_trace.trace_id == traced.trace_id
+
+    def test_traced_requests_each_get_their_own_trace(self, make_service):
+        service = make_service()
+        first = service.categorize(SERVE_SQL, collect_trace=True, trace_id="req-A")
+        second = service.categorize(SERVE_SQL, collect_trace=True, trace_id="req-B")
+        assert first.tree.decision_trace.trace_id == first.trace_id == "req-A"
+        assert second.tree.decision_trace.trace_id == second.trace_id == "req-B"
+
+    def test_traced_request_neither_reads_nor_fills_the_cache(self, make_service):
+        service = make_service()
+        traced = service.categorize(SERVE_SQL, collect_trace=True)
+        assert not traced.cached and len(service.cache) == 0
+        untraced = service.categorize(SERVE_SQL)
+        assert not untraced.cached and untraced.tree.decision_trace is None
+        assert service.categorize(SERVE_SQL).cached
+        assert not service.categorize(SERVE_SQL, collect_trace=True).cached
+
     def test_showtuples_budget_skips_categorization(self, make_service):
         service = make_service()
         result = service.categorize(SERVE_SQL, budget="showtuples")
@@ -102,6 +125,27 @@ class TestResultCache:
         assert not miss.cached
         assert hit.cached
         assert hit.tree is miss.tree  # the exact tree, not a rebuild
+
+    @pytest.mark.parametrize("technique", ["cost-based", "attr-cost", "no-cost"])
+    def test_hit_answers_as_an_uncompacted_tree(self, make_service, technique):
+        def answer(result):
+            summary = result.as_dict()
+            for varying in ("trace_id", "cached", "elapsed_ms"):
+                del summary[varying]
+            return summary, render_tree(result.tree)
+
+        for sql in (SERVE_SQL, LOG_SQL):
+            # Capacity 0 stores nothing, so nothing is compacted.
+            reference = make_service(technique=technique, cache_capacity=0)
+            expected = reference.categorize(sql)
+            assert any(node.rows._derived for node in expected.tree.nodes())
+            service = make_service(technique=technique)
+            miss = service.categorize(sql)
+            hit = service.categorize(sql)
+            assert hit.cached and hit.tree is miss.tree
+            assert hit.rows is hit.tree.root.rows
+            assert answer(miss) == answer(hit) == answer(expected)
+            assert all(node.rows._derived is None for node in hit.tree.nodes())
 
     def test_key_is_normalized_sql(self, make_service):
         service = make_service()
