@@ -8,10 +8,10 @@ under concurrent ingestion, deadlines, and injected faults:
 * :mod:`~repro.serving.service` — the request/response front end with
   trace ids and an LRU+TTL result cache.
 * :mod:`~repro.serving.snapshot` — epoch-based statistics snapshots:
-  readers pin immutable epochs, writers batch and publish atomically.
+  readers pin immutable epochs, writers batch and publish atomically,
+  and a failed publish stays pending for the next one.
 * :mod:`~repro.serving.degrade` — deadlines and the degradation ladder
   (full → truncated → single level → SHOWTUPLES).
-* :mod:`~repro.serving.retry` — backoff, circuit breaker, lossless spill.
 * :mod:`~repro.serving.errors` — the typed exception taxonomy.
 * :mod:`~repro.serving.faults` — deterministic fault injection.
 * :mod:`~repro.serving.aserve` — the HTTP front end behind `repro serve`:
@@ -20,7 +20,8 @@ under concurrent ingestion, deadlines, and injected faults:
 * :mod:`~repro.serving.loadgen` — the closed-loop load generator
   (`repro loadgen`).
 * :mod:`~repro.serving.journal` — the write-ahead spill journal that
-  makes acked ingestion survive process death.
+  makes acked ingestion survive process death; a record it refuses is
+  never acked.
 * :mod:`~repro.serving.warmstart` — snapshot pair (table + statistics)
   behind `repro serve --warm-start`.
 * :mod:`~repro.serving.relation` — the per-relation state bundle
@@ -69,7 +70,6 @@ from repro.serving.faults import (
 )
 from repro.serving.journal import FSYNC_POLICIES, SpillJournal
 from repro.serving.relation import Relation
-from repro.serving.retry import CircuitBreaker, ResilientIngestor, RetryPolicy
 from repro.serving.service import CategorizationService, ResultCache, ServeResult
 from repro.serving.snapshot import EpochSnapshot, SnapshotStore
 from repro.serving.warmstart import (
@@ -99,7 +99,6 @@ __all__ = [
     "run_loadgen",
     "start_in_thread",
     "CategorizationService",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
     "Degraded",
@@ -114,9 +113,7 @@ __all__ = [
     "InvalidRequest",
     "PublishError",
     "Relation",
-    "ResilientIngestor",
     "ResultCache",
-    "RetryPolicy",
     "ServeResult",
     "ServingError",
     "SnapshotMismatch",

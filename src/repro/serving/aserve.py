@@ -7,8 +7,8 @@ handles well.  ``AsyncFrontEnd`` speaks HTTP/1.1 over
 ``asyncio.start_server`` (stdlib only) and serves five routes:
 
 =========================  ==================================================
-``GET  /healthz``          service liveness: epoch, breaker state, spill
-                           depth, cache size, plus a ``tables`` map
+``GET  /healthz``          service liveness: epoch, recorded/published/
+                           pending counts, cache size, plus a ``tables`` map
 ``GET  /metrics``          the perf registry in Prometheus text format
 ``POST /categorize``       body ``{"sql": ..., "deadline_ms": ...,
                            "budget": ..., "render": bool}`` → the

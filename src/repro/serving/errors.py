@@ -10,13 +10,13 @@ drivers) can map failures to responses without string matching:
   to the degradation ladder: :meth:`CategorizationService.categorize
   <repro.serving.service.CategorizationService.categorize>` never lets it
   escape — the ladder bottoms out at SHOWTUPLES instead.
-* :class:`PublishError` — an epoch publish failed transiently (injected
-  fault, contention).  Retried with backoff; repeated failures trip the
-  circuit breaker.
-* :class:`IngestionStalled` — the breaker's spill log is full: ingestion
-  has been shedding load longer than the spill can absorb.  The one
-  ingestion error that is *not* silently absorbed, because dropping
-  logged queries silently would skew the statistics forever.
+* :class:`PublishError` — an epoch publish failed.  Only the
+  ``snapshot.publish`` fault site raises it.  Ingestion absorbs it: the
+  delta stays pending and the next full batch or flush publishes it.
+* :class:`IngestionStalled` — the relation's journal refused the record
+  (a write or fsync failed), so the query was not acknowledged, recorded
+  or absorbed.  Maps to HTTP 503 with ``Retry-After``; a client retry
+  cannot double-count the query.
 * :class:`Degraded` — **not an exception.**  The explicit, non-error
   signal that a response was served below the full rung; carried on the
   response object so callers can distinguish "full tree" from "best
@@ -58,8 +58,8 @@ def error_payload(
 ) -> dict[str, Any]:
     """The one error-body serializer.
 
-    ``detail`` carries structured context (reason slug, spill depth,
-    available tables); it is always present, possibly empty, so clients
+    ``detail`` carries structured context (reason slug, available
+    tables); it is always present, possibly empty, so clients
     can index into it unconditionally.
     """
 
@@ -82,7 +82,7 @@ def error_response(exc: Exception) -> tuple[int, dict[str, Any]]:
         return 400, error_payload(exc.code, str(exc), exc.detail())
     if isinstance(exc, IngestionStalled):
         return 503, error_payload(
-            CODE_INGESTION_STALLED, str(exc), {"spilled": exc.spilled}
+            CODE_INGESTION_STALLED, str(exc), {"reason": exc.reason}
         )
     return 500, error_payload(CODE_INTERNAL, f"internal error: {exc}")
 
@@ -151,15 +151,14 @@ class DeadlineExceeded(ServingError):
 
 
 class PublishError(ServingError):
-    """A transient epoch-publish failure (retryable)."""
+    """An epoch publish failed; the pending delta is intact."""
 
 
 class IngestionStalled(ServingError):
-    """The spill log is full while the circuit breaker is shedding load."""
+    """The journal refused a record, so the query was not acknowledged."""
 
-    def __init__(self, message: str, spilled: int = 0) -> None:
-        super().__init__(message)
-        self.spilled = spilled
+    #: Machine-readable slug carried in the wire ``detail``.
+    reason = "journal"
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,8 @@
 Robustness claims are only as good as the failures they were tested
 against, so every serving component exposes **named fault sites** — fixed
 strings at the exact points where production systems break — and calls
-:meth:`FaultInjector.fire` there.  A test (or a chaos-style CI job) arms
-sites with delays, failures, or cache evictions; unarmed sites cost one
-dict lookup.
+:meth:`FaultInjector.fire` there.  A test arms sites with delays,
+failures, or cache evictions; unarmed sites cost one dict lookup.
 
 Sites wired in this package:
 
@@ -58,9 +57,9 @@ from repro.serving.errors import PublishError
 class InjectedFault(PublishError):
     """Raised by an armed ``fail`` site.
 
-    Subclasses :class:`~repro.serving.errors.PublishError` so the retry /
-    circuit-breaker machinery treats injected publish failures exactly
-    like real transient ones — the point of injecting them.
+    Subclasses :class:`~repro.serving.errors.PublishError`, the error a
+    failed epoch publish raises: at ``snapshot.publish`` ingestion
+    absorbs it, leaving the delta pending for the next publish.
     """
 
     def __init__(self, site: str) -> None:
@@ -72,8 +71,9 @@ class InjectedCrash(RuntimeError):
     """Raised by an armed ``crash`` site to simulate process death.
 
     Deliberately *not* a :class:`~repro.serving.errors.PublishError` (or
-    any :class:`~repro.serving.errors.ServingError`): the retry machinery
-    and the journal's best-effort error absorption must not swallow it.
+    any :class:`~repro.serving.errors.ServingError`, or an ``OSError``):
+    neither ingestion's absorption of failed publishes nor the journal's
+    cut-back of failed writes may handle it.
     A test arms a crash site, lets the exception unwind the whole call
     stack, drops every in-memory object, and then exercises recovery
     from the on-disk state exactly as a restarted process would.

@@ -1,11 +1,17 @@
 """Durable write-ahead journal for recorded workload queries.
 
-The PR 4 conservation invariant — every query handed to ``record_query``
-is published, pending, or spilled; none vanish — held only while the
-process lived: a restart threw away the pending delta and the spill log
-and forced a cold rebuild.  :class:`SpillJournal` extends the invariant
-**across process death** by writing every recorded query to an
-append-only log *before* the ingestion path acknowledges it.
+The ingestion invariant — every recorded query is published or pending;
+none vanish (``published + pending == recorded``) — holds in memory
+only while the process lives.  :class:`SpillJournal` extends it
+**across process death**: :meth:`CategorizationService.record_query
+<repro.serving.service.CategorizationService.record_query>` appends the
+query here *before* the statistics store absorbs it and before anything
+acknowledges it.  An append is all-or-nothing: segments are written
+unbuffered, and when a write or fsync fails the active segment is cut
+back to its last complete record and the caller gets the ``OSError``,
+so :attr:`SpillJournal.last_seq` always matches the file.  If that cut
+fails too, the journal refuses every later append until reopening it
+truncates the torn tail.
 
 On-disk layout (one directory per journal)::
 
@@ -57,6 +63,7 @@ its rename.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
@@ -85,6 +92,13 @@ _CHECKPOINT_NAME = "CHECKPOINT"
 
 def _segment_name(first_seq: int) -> str:
     return f"{_SEGMENT_PREFIX}{first_seq:012d}{_SEGMENT_SUFFIX}"
+
+
+def _write_all(handle: io.FileIO, data: bytes) -> None:
+    """Write all of ``data``, continuing short writes (a filling disk)."""
+    view = memoryview(data)
+    while view:
+        view = view[handle.write(view):]
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -191,8 +205,10 @@ class SpillJournal:
                 next_seq, self.directory / _segment_name(next_seq), 0, 0
             )
             self._segments.append(active)
-        self._file = open(active.path, "ab")
+        self._file = open(active.path, "ab", buffering=0)
         self._next_seq = next_seq
+        # A failed append that could not be cut back left a torn tail.
+        self._torn_tail = False
         self._update_gauges()
 
     # -- introspection -------------------------------------------------------
@@ -235,41 +251,64 @@ class SpillJournal:
         The record is on disk (to the armed fsync policy) before this
         returns — callers ack ``/record`` only after the append, which is
         what makes "no acked query vanishes across SIGKILL" true.
+
+        Raises:
+            OSError: a write or fsync failed.  The segment was cut back
+                to its last complete record, so the statement is not in
+                the journal and ``last_seq`` is unchanged.
         """
         payload = sql.encode("utf-8")
         header = _RECORD_HEADER.pack(len(payload), zlib.crc32(payload))
         with self._lock:
+            if self._torn_tail:
+                raise OSError(
+                    "journal refuses appends after a failed append it could "
+                    "not cut back; reopen it to recover"
+                )
             self._faults.fire("journal.append")
-            self._file.write(header)
-            # The torn-write crash point: header bytes are out, payload
-            # is not.  An armed crash here leaves exactly the torn tail
-            # recovery must truncate.
-            self._faults.fire("journal.append.torn")
-            self._file.write(payload)
-            self._file.flush()
-            if self.fsync == "always":
-                os.fsync(self._file.fileno())
+            active = self._segments[-1]
+            try:
+                _write_all(self._file, header)
+                # The torn-write crash point: header bytes are out, payload
+                # is not.  An armed crash here leaves exactly the torn tail
+                # recovery must truncate.
+                self._faults.fire("journal.append.torn")
+                _write_all(self._file, payload)
+                if self.fsync == "always":
+                    os.fsync(self._file.fileno())
+            except OSError:
+                try:
+                    os.ftruncate(self._file.fileno(), active.bytes)
+                except OSError:
+                    self._torn_tail = True
+                raise
             self._faults.fire("journal.append.synced")
             seq = self._next_seq
             self._next_seq += 1
-            active = self._segments[-1]
             active.records += 1
             active.bytes += _RECORD_HEADER.size + len(payload)
             perf.count("journal.appends")
             if active.bytes >= self.segment_bytes:
-                self._rotate_locked()
+                try:
+                    self._rotate_locked()
+                except OSError:
+                    pass  # the record is durable; the next append rotates
             self._update_gauges()
             return seq
 
     def _rotate_locked(self) -> None:
-        """Seal the active segment and open a fresh one."""
+        """Seal the active segment and open a fresh one.
+
+        A failure leaves the old segment active and appendable.
+        """
         if self.fsync in ("rotate", "always"):
             os.fsync(self._file.fileno())
-        self._file.close()
         first = self._next_seq
         segment = _Segment(first, self.directory / _segment_name(first), 0, 0)
+        handle = open(segment.path, "ab", buffering=0)
+        self._file.close()
+        self._file = handle
         self._segments.append(segment)
-        self._file = open(segment.path, "ab")
         _fsync_dir(self.directory)
         perf.count("journal.rotations")
 
@@ -282,7 +321,6 @@ class SpillJournal:
         damage), so replay sees exactly what a restarted process would.
         """
         with self._lock:
-            self._file.flush()
             segments = [
                 (segment.first_seq, segment.path, segment.records)
                 for segment in self._segments
@@ -331,9 +369,8 @@ class SpillJournal:
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> None:
-        """Flush (and, unless policy is ``never``, fsync) the active segment."""
+        """Fsync the active segment unless the policy is ``never``."""
         with self._lock:
-            self._file.flush()
             if self.fsync in ("rotate", "always"):
                 os.fsync(self._file.fileno())
 
@@ -341,7 +378,6 @@ class SpillJournal:
         with self._lock:
             if self._file.closed:
                 return
-            self._file.flush()
             if self.fsync in ("rotate", "always"):
                 os.fsync(self._file.fileno())
             self._file.close()

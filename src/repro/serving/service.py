@@ -54,11 +54,16 @@ from repro.serving.degrade import (
     Deadline,
     DegradationLadder,
 )
-from repro.serving.errors import Degraded, InvalidRequest, PublishError, UnknownTable
+from repro.serving.errors import (
+    Degraded,
+    IngestionStalled,
+    InvalidRequest,
+    PublishError,
+    UnknownTable,
+)
 from repro.serving.faults import NULL_INJECTOR, FaultInjector
 from repro.serving.journal import SpillJournal
 from repro.serving.relation import Relation
-from repro.serving.retry import CircuitBreaker, ResilientIngestor, RetryPolicy
 from repro.serving.snapshot import SnapshotStore
 from repro.sql.compiler import parse_query
 from repro.sql.errors import SqlError
@@ -226,8 +231,6 @@ class CategorizationService:
         cache_capacity / cache_ttl_s: result-cache sizing.
         faults: shared fault injector for every component.
         clock: monotonic time source (injectable for tests).
-        retry / breaker / spill_limit: ingestion-resilience knobs, passed
-            through to :class:`~repro.serving.retry.ResilientIngestor`.
         level_cost_hint_s: seed for the ladder's level-cost estimate.
         journal: durable spill journal override; defaults to the
             relation's own journal (docs/serving.md, "Durability & warm
@@ -248,9 +251,6 @@ class CategorizationService:
         cache_ttl_s: float = 300.0,
         faults: FaultInjector | None = None,
         clock: Callable[[], float] = time.monotonic,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        spill_limit: int = 1024,
         level_cost_hint_s: float = 0.0,
         journal: SpillJournal | None = None,
         initial_epoch: int = 0,
@@ -278,13 +278,8 @@ class CategorizationService:
             initial_epoch=initial_epoch,
         )
         self.journal = journal
-        self.ingestor = ResilientIngestor(
-            self.store,
-            retry=retry,
-            breaker=breaker or CircuitBreaker(clock=clock),
-            spill_limit=spill_limit,
-            journal=journal,
-        )
+        # Journal order is store order: one writer at a time.
+        self._ingest_lock = threading.Lock()
         self._warm_start = False
         self._snapshot_epoch = initial_epoch
         self._replayed_on_boot = 0
@@ -599,9 +594,16 @@ class CategorizationService:
     def record_query(self, sql: str) -> None:
         """Ingest one logged query into the workload statistics.
 
+        The query is journaled (when the relation has a journal) before
+        the store appends it, so a return means it is on disk to the
+        journal's fsync policy.  A failed epoch publish is absorbed: the
+        query stays pending, and the next record or :meth:`flush`
+        publishes it.
+
         Raises:
             InvalidRequest: the SQL does not parse or normalize.
-            IngestionStalled: breaker open and the spill log is full.
+            IngestionStalled: the journal refused the record; the query
+                is neither recorded nor absorbed.
         """
         query, _ = self._parse(sql)
         try:
@@ -609,11 +611,22 @@ class CategorizationService:
         except ValueError as exc:
             raise InvalidRequest(f"unnormalizable query: {exc}", reason="sql") from exc
         self._faults.fire("ingest.record")
-        self.ingestor.record_query(entry)
+        with self._ingest_lock:
+            if self.journal is not None:
+                try:
+                    self.journal.append(entry.to_sql())
+                except OSError as exc:
+                    perf.count("journal.append_failures")
+                    raise IngestionStalled(f"journal append failed: {exc}") from exc
+            try:
+                self.store.record_query(entry)
+            except PublishError:
+                perf.count("ingest.publish_failures")
 
     def flush(self) -> None:
-        """Replay spill and publish everything pending."""
-        self.ingestor.flush()
+        """Publish everything pending; a ``PublishError`` leaves it pending."""
+        with self._ingest_lock:
+            self.store.flush()
 
     # -- durability ----------------------------------------------------------
 
@@ -635,7 +648,7 @@ class CategorizationService:
         Each replayed record counts as recorded (it was acknowledged in a
         previous process life) but is NOT re-journaled — it is already
         durable.  The batch publishes at the end; a failing publish
-        leaves the replayed queries pending, which still conserves.
+        leaves the replayed queries pending for the next publish.
 
         Returns:
             How many records were folded back in.
@@ -643,7 +656,7 @@ class CategorizationService:
         if self.journal is None:
             return 0
         count = 0
-        with perf.span("journal.replay"):
+        with self._ingest_lock, perf.span("journal.replay"):
             for _seq, sql in self.journal.replay(after_seq):
                 try:
                     query = parse_query(sql)
@@ -654,13 +667,13 @@ class CategorizationService:
                     # must bring the server up.
                     perf.count("journal.replay_errors")
                     continue
-                self.ingestor.restore(entry)
+                self.store.append(entry)
                 count += 1
             if count:
                 try:
-                    self.ingestor.flush()
+                    self.store.flush()
                 except PublishError:
-                    pass  # replayed queries stay safely pending
+                    perf.count("ingest.publish_failures")
         self._replayed_on_boot += count
         if count:
             perf.count("journal.replayed", count)
@@ -680,10 +693,8 @@ class CategorizationService:
             "namespace": self.namespace,
             "epoch": self.store.epoch_number,
             "pending": self.store.pending_count,
-            "breaker": self.ingestor.breaker.state,
-            "spilled": self.ingestor.spilled,
-            "recorded": self.ingestor.recorded,
-            "published": self.ingestor.published,
+            "recorded": self.store.recorded,
+            "published": self.store.published,
             "cache_entries": len(self.cache),
             "table_rows": len(self.table),
             "backend": self.table.backend_name,

@@ -18,6 +18,10 @@ reader/writer decoupling:
   <repro.workload.preprocess.WorkloadStatistics.copy>` — count tables
   deep-copied, memo dicts carried over warm), folds the delta into the
   clone, and swaps the new epoch in with one reference assignment.
+* **The store keeps the ingestion ledger.**  Every append counts as
+  ``recorded`` and every publish moves its batch to ``published``, both
+  under the store's lock, so ``published + pending == recorded`` holds
+  whenever no append or publish is in flight.
 
 The swap is guarded by a seqlock-style **generation counter**: it is odd
 while a publish is in flight and even when stable, and :meth:`pin`
@@ -29,6 +33,7 @@ tests* rather than assumed, and survives a future free-threaded runtime.
 Fault site: ``snapshot.publish`` fires at the top of every publish,
 before any state changes — an injected failure or delay therefore never
 loses queries (the delta stays pending) and never corrupts an epoch.
+The next full batch or :meth:`flush` publishes the delta again.
 """
 
 from __future__ import annotations
@@ -99,8 +104,12 @@ class SnapshotStore:
         self._batch_size = batch_size
         self._clock = clock
         self._faults = faults or NULL_INJECTOR
-        self._lock = threading.Lock()
+        # Re-entrant: record_query and flush publish while holding it, and
+        # go through publish_pending so every publish takes one path.
+        self._lock = threading.RLock()
         self._pending: list[WorkloadQuery] = []
+        self._recorded = 0
+        self._published = 0
         self._generation = 0  # even = stable, odd = publish in flight
         self._epoch = EpochSnapshot(initial_epoch, statistics)
 
@@ -137,9 +146,14 @@ class SnapshotStore:
         return len(self._pending)
 
     @property
-    def should_publish(self) -> bool:
-        """True when the pending delta has reached the batch size."""
-        return len(self._pending) >= self._batch_size
+    def recorded(self) -> int:
+        """Queries ever appended (seed statistics not included)."""
+        return self._recorded
+
+    @property
+    def published(self) -> int:
+        """Appended queries folded into some published epoch."""
+        return self._published
 
     def append(self, query: WorkloadQuery) -> int:
         """Buffer one logged query into the pending delta; never fails.
@@ -149,33 +163,35 @@ class SnapshotStore:
         """
         with self._lock:
             self._pending.append(query)
+            self._recorded += 1
             return len(self._pending)
 
     def record_query(self, query: WorkloadQuery) -> float | None:
-        """Append and auto-publish when the batch is full.
+        """Append, and publish when the batch is full.
 
-        The convenience path for callers without retry/breaker needs
-        (tests, offline drivers).  Production ingestion goes through
-        :class:`~repro.serving.retry.ResilientIngestor`, which separates
-        the never-failing append from the retried publish.
+        The production ingestion path: :meth:`CategorizationService.record_query
+        <repro.serving.service.CategorizationService.record_query>` calls it
+        once the query is journaled.  A failed publish leaves the delta
+        pending, and the next append (the batch is still full) or
+        :meth:`flush` publishes it again.
 
         Returns:
             The publish latency in seconds when a publish ran, else None.
 
         Raises:
             PublishError: when the (fault-injectable) publish fails; the
-                query remains safely pending.
+                query is recorded and remains safely pending.
         """
-        self.append(query)
-        if self.should_publish:
-            return self.publish_pending()
-        return None
+        with self._lock:
+            if self.append(query) >= self._batch_size:
+                return self.publish_pending()
+            return None
 
     def publish_pending(self) -> float:
         """Fold the pending delta into a new epoch and swap it in.
 
         Returns:
-            The publish latency in seconds (the circuit breaker's input).
+            The publish latency in seconds.
 
         Raises:
             PublishError: on injected/transient failure.  The pending
@@ -183,35 +199,33 @@ class SnapshotStore:
                 publish — so the caller can simply retry.
         """
         with self._lock:
-            return self._publish_locked()
-
-    def flush(self) -> float | None:
-        """Publish any pending delta; None when there was nothing pending."""
-        with self._lock:
-            if not self._pending:
-                return None
-            return self._publish_locked()
-
-    def _publish_locked(self) -> float:
-        started = self._clock()
-        # Fault site first: a failure here leaves pending + epoch intact.
-        self._faults.fire("snapshot.publish")
-        with perf.span("snapshot.publish"):
-            current = self._epoch
-            clone = current.statistics.copy()
-            for query in self._pending:
-                clone.record_query(query)
-            clone.finalize_indexes()
-            published = EpochSnapshot(current.number + 1, clone)
-            # Seqlock write: odd while the epoch reference swaps.
-            self._generation += 1
-            self._epoch = published
-            self._generation += 1
-            batch = len(self._pending)
-            self._pending = []
+            started = self._clock()
+            # Fault site first: a failure here leaves pending + epoch intact.
+            self._faults.fire("snapshot.publish")
+            with perf.span("snapshot.publish"):
+                current = self._epoch
+                clone = current.statistics.copy()
+                for query in self._pending:
+                    clone.record_query(query)
+                clone.finalize_indexes()
+                published = EpochSnapshot(current.number + 1, clone)
+                # Seqlock write: odd while the epoch reference swaps.
+                self._generation += 1
+                self._epoch = published
+                self._generation += 1
+                batch = len(self._pending)
+                self._pending = []
+                self._published += batch
         elapsed = self._clock() - started
         perf.count("snapshot.publishes")
         perf.count("snapshot.queries_published", batch)
         perf.gauge("snapshot.epoch", published.number)
         perf.gauge("snapshot.publish_latency_s", elapsed)
         return elapsed
+
+    def flush(self) -> float | None:
+        """Publish any pending delta; None when there was nothing pending."""
+        with self._lock:
+            if not self._pending:
+                return None
+            return self.publish_pending()

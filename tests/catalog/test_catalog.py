@@ -144,7 +144,7 @@ class TestIsolation:
         assert movies_health["recorded"] == 20
         for health in (homes_health, movies_health):
             assert (
-                health["published"] + health["pending"] + health["spilled"]
+                health["published"] + health["pending"]
                 == health["recorded"]
             )
 
@@ -194,7 +194,7 @@ class TestPerRelationDurability:
             assert movies.health()["recorded"] == 0
             for health in (homes.health(), movies.health()):
                 assert (
-                    health["published"] + health["pending"] + health["spilled"]
+                    health["published"] + health["pending"]
                     == health["recorded"]
                 )
         finally:

@@ -9,8 +9,8 @@ serving):
 * every /record the server *acked* is in the spill journal on disk
   (journal-before-ack ordering held even mid-kill);
 * a warm restart replays the journal and reports it on /healthz, and
-  the conservation invariant (published + pending + spilled ==
-  recorded) holds over the recovered state;
+  the conservation invariant (published + pending == recorded) holds
+  over the recovered state;
 * the warm tree is byte-identical to a cold in-process rebuild from the
   same CSV + workload + journal (recovery is a no-op semantically);
 * the warm boot is visible on /metrics (`repro_serve_warm_start 1`);
@@ -184,8 +184,7 @@ def test_sigkill_under_load_then_warm_restart(data_files, tmp_path):
         assert durability["journal_truncated_records"] == 0
         # Conservation across process death: nothing recorded vanished.
         assert (
-            health["published"] + health["pending"] + health["spilled"]
-            == health["recorded"]
+            health["published"] + health["pending"] == health["recorded"]
         )
         assert health["recorded"] == len(journaled)
 
@@ -306,9 +305,7 @@ def test_sigkill_with_two_relations_recovers_each_independently(tmp_path):
             assert durability["warm_start"] is True, table
             assert durability["replayed_on_boot"] == len(journaled), table
             assert (
-                table_health["published"]
-                + table_health["pending"]
-                + table_health["spilled"]
+                table_health["published"] + table_health["pending"]
                 == table_health["recorded"]
             ), table
             assert table_health["recorded"] == len(journaled), table

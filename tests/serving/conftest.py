@@ -7,7 +7,8 @@ never leak between tests.
 
 from __future__ import annotations
 
-import os
+import contextlib
+import signal
 
 import pytest
 
@@ -77,6 +78,25 @@ def perf_on():
     perf.disable()
 
 
-def fault_rate() -> float:
-    """Elevated fault rate for the CI fault-injection job (default 0)."""
-    return float(os.environ.get("REPRO_FAULT_RATE", "0") or 0)
+def conserved(health: dict) -> bool:
+    """Every recorded query is published or pending: none vanished."""
+    return health["published"] + health["pending"] == health["recorded"]
+
+
+@contextlib.contextmanager
+def file_size_limit(limit_bytes: int):
+    """Make this process's writes past ``limit_bytes`` of a file fail.
+
+    A stand-in for a full disk: ``RLIMIT_FSIZE`` with ``SIGXFSZ`` ignored
+    makes a write that crosses the limit write what fits and the next
+    one fail with ``EFBIG``.  Both are restored on exit.
+    """
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit_bytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)

@@ -8,8 +8,8 @@ The epoch-snapshot contract under real threads:
   this the moment ingestion mutated a published epoch);
 * epoch numbers observed by any single thread are monotone;
 * with ≥1000 ``record_query`` calls racing the readers, every query is
-  conserved (published + pending + spilled == recorded), including
-  through a forced breaker open → spill → replay cycle;
+  conserved (published + pending == recorded), including through a
+  publish outage followed by a concurrent drain;
 * cache hits racing misses, compactions and evictions answer exactly as
   a tree that was never compacted.
 """
@@ -21,10 +21,9 @@ import threading
 
 from repro.render.treeview import render_tree
 from repro.serving.faults import FaultInjector
-from repro.serving.retry import CircuitBreaker, ResilientIngestor, RetryPolicy
 from repro.serving.snapshot import SnapshotStore
 
-from tests.serving.conftest import LOG_SQL, SERVE_SQL
+from tests.serving.conftest import LOG_SQL, SERVE_SQL, conserved
 
 N_RECORDS = 1200
 N_READERS = 4
@@ -118,7 +117,7 @@ class TestServiceUnderThreads:
         health = service.health()
         assert health["recorded"] == N_RECORDS
         assert health["published"] == N_RECORDS
-        assert health["spilled"] == 0
+        assert health["pending"] == 0
 
     def test_hits_race_misses_and_compaction(self, make_service):
         """More threads than cores race misses, compactions and LRU
@@ -160,46 +159,37 @@ class TestServiceUnderThreads:
         assert not failures, failures[0]
 
 
-class TestBreakerCycleUnderThreads:
-    def test_open_spill_replay_conserves_counts(
-        self, fresh_statistics, workload, fake_clock
+class TestOutageUnderThreads:
+    def test_outage_then_concurrent_drain_conserves(
+        self, make_service, workload
     ):
-        queries = list(workload)[:N_RECORDS]
-        seed_n = fresh_statistics.total_queries
+        sqls = [query.to_sql() for query in list(workload)[:N_RECORDS]]
         faults = FaultInjector(seed=3)
-        store = SnapshotStore(fresh_statistics, batch_size=16, faults=faults)
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout_s=0.5, clock=fake_clock
-        )
-        ingestor = ResilientIngestor(
-            store,
-            retry=RetryPolicy(attempts=2, sleeper=lambda s: None),
-            breaker=breaker,
-            spill_limit=N_RECORDS,
-        )
+        service = make_service(batch_size=16, faults=faults)
+        seed_n = service.store.pin().statistics.total_queries
 
-        # Phase 1: publishes fail → breaker opens, everything sheds.
+        # Phase 1: every publish fails; each record is acked and pending.
         faults.arm("snapshot.publish", fail=True)
-        for query in queries[:400]:
-            ingestor.record_query(query)
-        assert breaker.state == CircuitBreaker.OPEN
-        assert ingestor.spilled > 0
-        assert ingestor.conserved()
+        for sql in sqls[:400]:
+            service.record_query(sql)
+        health = service.health()
+        assert health["pending"] == health["recorded"] == 400
+        assert health["published"] == 0
+        assert conserved(health)
 
-        # Phase 2: outage ends, breaker half-opens; concurrent writers
-        # replay the spill and drain the rest without losing a query.
+        # Phase 2: the outage ends; concurrent writers publish the backlog
+        # with their own records and drain the rest without losing one.
         faults.disarm("snapshot.publish")
-        fake_clock.advance(1.0)
-        remaining = queries[400:]
+        remaining = sqls[400:]
         chunk = len(remaining) // N_READERS
-        lock_failures: list[str] = []
+        failures: list[str] = []
 
         def writer(part):
             try:
-                for query in part:
-                    ingestor.record_query(query)
+                for sql in part:
+                    service.record_query(sql)
             except Exception as exc:  # noqa: BLE001
-                lock_failures.append(repr(exc))
+                failures.append(repr(exc))
 
         threads = [
             threading.Thread(
@@ -209,16 +199,22 @@ class TestBreakerCycleUnderThreads:
             )
             for i in range(N_READERS)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not lock_failures, lock_failures[0]
-        ingestor.flush()
-        assert ingestor.conserved()
-        assert ingestor.spilled == 0
-        assert ingestor.recorded == N_RECORDS
-        assert ingestor.published == N_RECORDS
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[0]
+        service.flush()
+        health = service.health()
+        assert conserved(health)
+        assert health["recorded"] == health["published"] == N_RECORDS
+        assert health["pending"] == 0
         # Query count conserved end to end in the final epoch.
-        assert store.pin().statistics.total_queries == seed_n + N_RECORDS
-        assert breaker.state == CircuitBreaker.CLOSED
+        total = service.store.pin().statistics.total_queries
+        assert total == seed_n + N_RECORDS

@@ -22,8 +22,8 @@ class TestFiring:
         assert injector.fired("snapshot.publish") == 1
 
     def test_injected_fault_is_a_publish_error(self):
-        # The retry/breaker machinery must treat injected publish failures
-        # exactly like real transient ones.
+        # Ingestion absorbs injected publish failures exactly as it does
+        # any failed publish: the delta stays pending.
         assert issubclass(InjectedFault, PublishError)
 
     def test_evict_directive_returned_to_call_site(self):

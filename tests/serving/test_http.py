@@ -10,8 +10,10 @@ import urllib.request
 import pytest
 
 from repro.serving.aserve import AsyncFrontEnd, route_label, start_in_thread
+from repro.serving.journal import SpillJournal
+from repro.workload.model import WorkloadQuery
 
-from tests.serving.conftest import LOG_SQL, SERVE_SQL
+from tests.serving.conftest import LOG_SQL, SERVE_SQL, conserved, file_size_limit
 
 
 @pytest.fixture
@@ -60,7 +62,7 @@ class TestEndpoints:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["epoch"] == 0
-        assert payload["breaker"] == "closed"
+        assert conserved(payload)
 
     def test_metrics_is_prometheus_text(self, server, perf_on):
         _post(server, "/categorize", {"sql": SERVE_SQL})
@@ -176,6 +178,51 @@ class TestErrorMapping:
         status_line = response.split(b"\r\n", 1)[0]
         assert b"400" in status_line, response
         assert b"500" not in status_line
+
+
+class TestJournalRefusal:
+    """An acked /record is on disk; one the journal refuses is never acked."""
+
+    def test_failed_journal_write_is_503_and_not_recorded(
+        self, make_service, tmp_path, perf_on
+    ):
+        sqls = [
+            f"SELECT * FROM ListProperty WHERE bedroomcount = {n}"
+            for n in range(1, 7)
+        ]
+        journal = SpillJournal(tmp_path)
+        handle = start_in_thread(make_service(batch_size=4, journal=journal))
+        try:
+            for sql in sqls[:5]:
+                _post(handle, "/record", {"sql": sql})
+            # Room for the next record's header and 5 payload bytes: the
+            # disk fills partway through the record.
+            with file_size_limit(journal.size_bytes + 8 + 5):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _post(handle, "/record", {"sql": LOG_SQL})
+            assert excinfo.value.code == 503
+            assert excinfo.value.headers["Retry-After"] == "1"
+            error = json.loads(excinfo.value.read())["error"]
+            assert error["code"] == "IngestionStalled"
+            assert error["detail"] == {"reason": "journal"}
+            health = json.loads(_get(handle, "/healthz")[1])
+            assert health["recorded"] == 5 and conserved(health)
+            assert perf_on.counters["journal.append_failures"] == 1
+
+            status, payload = _post(handle, "/record", {"sql": sqls[5]})
+            assert status == 200 and payload["recorded"] == 6
+            live_seq = journal.last_seq
+        finally:
+            handle.stop()
+            journal.close()
+
+        with SpillJournal(tmp_path) as reopened:
+            assert reopened.last_seq == live_seq == 6
+            assert reopened.truncated_records == 0
+            assert list(reopened.replay()) == [
+                (seq, WorkloadQuery.from_sql(sql).to_sql())
+                for seq, sql in enumerate(sqls, start=1)
+            ]
 
 
 class TestRouteLabels:

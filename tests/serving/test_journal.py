@@ -17,6 +17,8 @@ import pytest
 from repro.serving.faults import FaultInjector, InjectedCrash
 from repro.serving.journal import FSYNC_POLICIES, SpillJournal
 
+from tests.serving.conftest import file_size_limit
+
 SQLS = [
     f"SELECT * FROM ListProperty WHERE bedroomcount = {n}" for n in range(1, 11)
 ]
@@ -76,6 +78,71 @@ def test_fsync_policies_accepted(tmp_path, policy):
 def test_unknown_fsync_policy_rejected(tmp_path):
     with pytest.raises(ValueError, match="fsync"):
         SpillJournal(tmp_path, fsync="sometimes")
+
+
+# -- failed appends ----------------------------------------------------------
+
+
+def _fill_disk_mid_record(journal: SpillJournal):
+    """Room for the next record's header and 5 payload bytes."""
+    return file_size_limit(journal.size_bytes + 8 + 5)
+
+
+def test_failed_write_is_cut_back_to_the_last_record(tmp_path):
+    with SpillJournal(tmp_path) as journal:
+        for sql in SQLS[:5]:
+            journal.append(sql)
+        (segment,) = tmp_path.glob("segment-*.log")
+        size = segment.stat().st_size
+        with _fill_disk_mid_record(journal), pytest.raises(OSError):
+            journal.append(SQLS[5])
+        assert journal.last_seq == 5
+        assert segment.stat().st_size == size == journal.size_bytes
+        assert journal.append(SQLS[6]) == 6
+    with SpillJournal(tmp_path) as reopened:
+        assert reopened.truncated_records == 0
+        assert drain(reopened) == list(enumerate(SQLS[:5] + [SQLS[6]], start=1))
+
+
+def test_failed_cut_back_refuses_appends_until_reopened(tmp_path, monkeypatch):
+    import os
+
+    def failing_ftruncate(fd, length):
+        raise OSError("ftruncate refused")
+
+    with SpillJournal(tmp_path) as journal:
+        for sql in SQLS[:5]:
+            journal.append(sql)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "ftruncate", failing_ftruncate)
+            with _fill_disk_mid_record(journal), pytest.raises(OSError):
+                journal.append(SQLS[5])
+        with pytest.raises(OSError, match="reopen"):
+            journal.append(SQLS[6])  # the partial record is still there
+        assert journal.last_seq == 5
+    with SpillJournal(tmp_path) as reopened:
+        assert reopened.truncated_records == 1  # the torn tail
+        assert drain(reopened) == list(enumerate(SQLS[:5], start=1))
+        assert reopened.append(SQLS[6]) == 6
+
+
+def test_failed_rotation_keeps_the_record_and_rotates_next_time(
+    tmp_path, monkeypatch
+):
+    import repro.serving.journal as journal_module
+
+    def failing_open(*args, **kwargs):
+        raise OSError("no inode left for a new segment")
+
+    with SpillJournal(tmp_path, segment_bytes=1) as journal:
+        with monkeypatch.context() as patch:
+            patch.setattr(journal_module, "open", failing_open, raising=False)
+            assert journal.append(SQLS[0]) == 1  # durable, so acked
+        assert journal.segment_count == 1
+        assert journal.append(SQLS[1]) == 2
+        assert journal.segment_count == 2
+    with SpillJournal(tmp_path) as reopened:
+        assert drain(reopened) == list(enumerate(SQLS[:2], start=1))
 
 
 # -- rotation / checkpoint ---------------------------------------------------

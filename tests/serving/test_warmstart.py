@@ -30,7 +30,7 @@ from repro.serving.warmstart import (
     write_stats_snapshot,
     write_table_snapshot,
 )
-from tests.serving.conftest import LOG_SQL, SERVE_SQL
+from tests.serving.conftest import LOG_SQL, SERVE_SQL, conserved
 
 RECORD_SQLS = [
     f"SELECT * FROM ListProperty WHERE bedroomcount = {n % 4 + 1}"
@@ -255,7 +255,7 @@ def test_crash_between_snapshots_replays_the_journal_suffix(
     )
     replayed = restarted.recover_from_journal(after_seq=warm.journal_seq)
     assert replayed == len(RECORD_SQLS) - 4
-    assert restarted.ingestor.conserved()
+    assert conserved(restarted.health())
     total = restarted.store.pin().statistics.total_queries
     assert total == statistics.total_queries + len(RECORD_SQLS)
 
@@ -325,7 +325,7 @@ def test_fallback_to_cold_replays_the_whole_journal(
         Relation(homes_table, statistics.copy(), journal=restart_journal)
     )
     assert cold.recover_from_journal(after_seq=0) == len(RECORD_SQLS)
-    assert cold.ingestor.conserved()
+    assert conserved(cold.health())
     assert (
         cold.store.pin().statistics.total_queries
         == statistics.total_queries + len(RECORD_SQLS)
