@@ -40,6 +40,7 @@ GATED_METRICS: tuple[tuple[str, str], ...] = (
     # Byte counts: steady across runs, so their 20 % budget is not noise.
     ("categorize_memory", "retained_kb"),
     ("categorize_memory", "cached_kb"),
+    ("cold_boot", "peak_kb"),
     ("serving_hot_path", "warm_ms"),
     ("columnar_scale", "columnar_ms"),
     ("serving_load", "async_req_ms"),

@@ -9,6 +9,8 @@ Level construction is the categorizer's inner loop.  This module times
 * the memory one categorized tree keeps alive, as built and compacted
   for the result cache (byte counts, not timings, so their gates do not
   depend on host speed),
+* the memory a cold boot (``DatasetDescriptor.build``) peaks at and
+  keeps, from a CSV file and a log file,
 * the cost of the always-on instrumentation hooks when disabled.
 
 Each bench appends its measurements to ``BENCH_partition.json`` at the
@@ -25,8 +27,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro import perf
+from repro.catalog import DatasetDescriptor
 from repro.core.algorithm import CostBasedCategorizer
 from repro.core.config import PAPER_CONFIG
+from repro.relational.csvio import write_csv
 from repro.study.report import format_table
 from repro.workload.preprocess import preprocess_workload
 
@@ -305,6 +309,57 @@ def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
     # Only the chosen attribute is partitioned, and only on the nodes it
     # refines: one partition() call per internal node.
     assert partition_calls == sum(1 for node in tree.nodes() if not node.is_leaf)
+
+
+def test_perf_cold_boot_memory(bench_homes, bench_workload, tmp_path):
+    """Bytes a cold boot peaks at and keeps: the bench relation and log
+    written to files, then built the way ``repro serve --data/--workload``
+    builds them.
+
+    The log is folded as it is read, so the peak is the table load plus
+    the count tables, not the parsed log (about 2 KiB per query).  Byte
+    counts from ``tracemalloc`` repeat across runs and hosts.
+    """
+    source = tmp_path / "homes.csv"
+    log = tmp_path / "workload.sql"
+    write_csv(bench_homes, source)
+    bench_workload.save(log)
+    descriptor = DatasetDescriptor(name="ListProperty", source=source, workload=log)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table, statistics = descriptor.build()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(bench_homes)
+    assert statistics.total_queries == len(bench_workload)
+
+    print()
+    print(
+        format_table(
+            ["rows", "queries", "peak KiB", "retained KiB"],
+            [
+                [
+                    len(table),
+                    statistics.total_queries,
+                    f"{peak / 1024:.1f}",
+                    f"{retained / 1024:.1f}",
+                ]
+            ],
+            title="Cold boot memory",
+        )
+    )
+    _append_bench_record(
+        "cold_boot",
+        {
+            "rows": len(table),
+            "queries": statistics.total_queries,
+            "peak_kb": round(peak / 1024, 1),
+            "retained_kb": round(retained / 1024, 1),
+        },
+    )
 
 
 def test_perf_instrumentation_disabled_overhead(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import tomllib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.config import PAPER_CONFIG
 from repro.data.homes import generate_homes, list_property_schema
@@ -49,7 +49,8 @@ from repro.relational.csvio import read_csv
 from repro.relational.schema import TableSchema, read_schema_json
 from repro.relational.table import Table
 from repro.workload.generator import WorkloadGeneratorConfig, generate_workload
-from repro.workload.log import Workload
+from repro.workload.log import Workload, read_log
+from repro.workload.model import WorkloadQuery
 from repro.workload.preprocess import WorkloadStatistics, preprocess_workload
 
 
@@ -231,9 +232,10 @@ class DatasetDescriptor:
             backend=self.backend,
         )
 
-    def load_workload(self) -> Workload:
+    def workload_log(self) -> Iterable[WorkloadQuery]:
+        """The seed log: a log file is streamed, a generator's is built."""
         if self.workload is not None:
-            return Workload.load(self.workload)
+            return read_log(self.workload)
         generator = GENERATORS[self.generator]
         return generator.workload(
             self.workload_queries
@@ -245,11 +247,15 @@ class DatasetDescriptor:
         )
 
     def build(self) -> tuple[Table, WorkloadStatistics]:
-        """The cold-boot path: table + preprocessed seed statistics."""
+        """The cold-boot path: table + preprocessed seed statistics.
+
+        A log file is folded as it is read, so the boot never holds the
+        parsed log, only the count tables.
+        """
         schema = self.load_schema()
         table = self.load_table(schema)
         statistics = preprocess_workload(
-            self.load_workload(), schema, self.intervals()
+            self.workload_log(), schema, self.intervals()
         )
         return table, statistics
 

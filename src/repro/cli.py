@@ -84,7 +84,7 @@ from repro.render.treeview import render_tree, summarize_tree
 from repro.sql.compiler import parse_query
 from repro.study.report import format_table
 from repro.workload.generator import WorkloadGeneratorConfig, generate_workload
-from repro.workload.log import Workload
+from repro.workload.log import read_log
 from repro.workload.preprocess import preprocess_workload
 
 TECHNIQUES = {
@@ -385,9 +385,8 @@ def _cmd_generate_workload(args) -> int:
 
 def _cmd_stats(args) -> int:
     schema = load_schema(args.schema)
-    workload = Workload.load(args.workload)
     statistics = preprocess_workload(
-        workload, schema, PAPER_CONFIG.separation_intervals
+        read_log(args.workload), schema, PAPER_CONFIG.separation_intervals
     )
     print(
         format_table(
@@ -417,7 +416,6 @@ def _cmd_stats(args) -> int:
 def _cmd_categorize(args) -> int:
     schema = load_schema(args.schema, table=args.table)
     table = read_csv(schema, args.data, backend=args.backend)
-    workload = Workload.load(args.workload)
     config = CategorizerConfig(
         max_tuples_per_category=args.m,
         label_cost=args.k,
@@ -425,7 +423,9 @@ def _cmd_categorize(args) -> int:
         bucket_count=args.buckets,
         separation_intervals=PAPER_CONFIG.separation_intervals,
     )
-    statistics = preprocess_workload(workload, schema, config.separation_intervals)
+    statistics = preprocess_workload(
+        read_log(args.workload), schema, config.separation_intervals
+    )
 
     query = parse_query(args.query)
     rows = query.execute(table)
@@ -455,8 +455,9 @@ def _cmd_perf_report(args) -> int:
         if args.sample_rate is not None or args.sample_every is not None:
             perf.set_sampling(rate=args.sample_rate, every=args.sample_every)
         table = read_csv(schema, args.data, backend=args.backend)
-        workload = Workload.load(args.workload)
-        statistics = preprocess_workload(workload, schema, config.separation_intervals)
+        statistics = preprocess_workload(
+            read_log(args.workload), schema, config.separation_intervals
+        )
         query = parse_query(args.query)
         rows = query.execute(table)
         categorizer = TECHNIQUES[args.technique](statistics, config)

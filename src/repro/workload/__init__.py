@@ -26,7 +26,7 @@ from repro.workload.generator import (
     build_paper_scale_workload,
     generate_workload,
 )
-from repro.workload.log import Workload
+from repro.workload.log import Workload, read_log
 from repro.workload.model import WorkloadQuery
 from repro.workload.personalization import (
     blend_workloads,
@@ -63,5 +63,6 @@ __all__ = [
     "personal_share",
     "personalized_statistics",
     "preprocess_workload",
+    "read_log",
     "weight_for_share",
 ]

@@ -1,19 +1,57 @@
-"""Workload collections: load, save, split.
+"""Workload collections: read, load, save, split.
 
-A :class:`Workload` is an ordered collection of :class:`WorkloadQuery`
-entries with the file round-trip (one SQL string per line, ``--`` comments
-allowed) and the subset/holdout machinery the cross-validated study needs
-(Section 6.2: "we remove those queries from the workload and build the
-count tables based on the remaining workload").
+A log file holds one SQL string per line (blank lines and ``--`` comments
+allowed).  :func:`read_log` streams it, one :class:`WorkloadQuery` per
+line, so that preprocessing can fold a log of any length without holding
+it.  A :class:`Workload` is the materialized form: an ordered collection
+with the file round-trip and the subset/holdout machinery the
+cross-validated study needs (Section 6.2: "we remove those queries from
+the workload and build the count tables based on the remaining
+workload").
 """
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.workload.model import WorkloadQuery
+
+
+def _parse_lines(
+    statements: Iterable[str], where: Callable[[int], str]
+) -> Iterator[WorkloadQuery]:
+    """Parse SQL strings lazily; blank and ``--`` lines are skipped.
+
+    ``where(index)`` names the 0-based statement in the error raised when
+    it fails to parse or normalize.
+    """
+    for index, sql in enumerate(statements):
+        stripped = sql.strip()
+        if not stripped or stripped.startswith("--"):
+            continue
+        try:
+            query = WorkloadQuery.from_sql(stripped)
+        except ValueError as exc:
+            raise ValueError(f"{where(index)}: {exc}") from exc
+        yield query
+
+
+def read_log(path: str | Path) -> Iterator[WorkloadQuery]:
+    """Stream a log file: one :class:`WorkloadQuery` per statement line.
+
+    Each query is parsed when it is asked for, so a caller that folds
+    the log (:func:`~repro.workload.preprocess.preprocess_workload`) holds
+    one parsed query at a time.  The file is opened on the first ``next``
+    and closed when the log is exhausted, fails, or is discarded.
+
+    Raises:
+        ValueError: ``"<path>:<line>: <reason>"`` (1-based line) for a
+            statement that fails to parse or normalize.
+    """
+    with Path(path).open("r", encoding="utf-8") as handle:
+        yield from _parse_lines(handle, lambda index: f"{path}:{index + 1}")
 
 
 class Workload:
@@ -36,25 +74,16 @@ class Workload:
         """Parse an iterable of SQL strings; blank lines are skipped.
 
         Raises:
-            ValueError: identifying the offending statement index, when a
-                string fails to parse or normalize.
+            ValueError: ``"workload entry <index>: <reason>"`` (0-based,
+                blank and comment strings counted) for a string that fails
+                to parse or normalize.
         """
-        queries: list[WorkloadQuery] = []
-        for index, sql in enumerate(statements):
-            stripped = sql.strip()
-            if not stripped or stripped.startswith("--"):
-                continue
-            try:
-                queries.append(WorkloadQuery.from_sql(stripped))
-            except ValueError as exc:
-                raise ValueError(f"workload entry {index}: {exc}") from exc
-        return cls(queries)
+        return cls(_parse_lines(statements, lambda index: f"workload entry {index}"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Workload":
-        """Load a workload file: one SQL statement per line."""
-        with Path(path).open("r", encoding="utf-8") as handle:
-            return cls.from_sql_strings(handle)
+        """Load a whole log file into memory (see :func:`read_log`)."""
+        return cls(read_log(path))
 
     def save(self, path: str | Path) -> None:
         """Write the workload as one SQL statement per line."""

@@ -22,7 +22,7 @@ of the attributes the query constrains).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro import perf
 from repro.relational.expressions import InPredicate, RangePredicate
@@ -34,7 +34,6 @@ from repro.workload.counts import (
     RangeIndex,
     SplitPointsTable,
 )
-from repro.workload.log import Workload
 
 
 def fold_query_conditions(
@@ -359,7 +358,7 @@ DEFAULT_SEPARATION_INTERVAL = 1.0
 
 
 def preprocess_workload(
-    workload: Workload,
+    workload: Iterable[WorkloadQuery],
     schema: TableSchema,
     separation_intervals: Mapping[str, float] | None = None,
     memoize: bool = True,
@@ -367,7 +366,11 @@ def preprocess_workload(
     """Scan ``workload`` once and build every count table.
 
     Args:
-        workload: the parsed query log.
+        workload: the query log, iterated once: a
+            :class:`~repro.workload.log.Workload`, or a stream such as
+            :func:`~repro.workload.log.read_log`, whose parsing then runs
+            inside this scan and whose queries are dropped as they are
+            folded.
         schema: the relation the queries target; attribute kinds decide
             which table each condition feeds.
         separation_intervals: per-attribute splitpoint grid spacing (the
@@ -407,7 +410,8 @@ def preprocess_workload(
             )
         for index in range_indexes.values():
             index.finalize()
-        perf.count("workload.queries_folded", len(workload))
+        # N is counted by the fold itself: a stream has no len().
+        perf.count("workload.queries_folded", usage.total_queries)
     return WorkloadStatistics(
         schema=schema,
         usage=usage,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,9 @@ from repro.catalog import (
     load_catalog_file,
     parse_dataset_arg,
 )
+from repro.data.homes import generate_homes
+from repro.relational.csvio import write_csv
+from repro.workload.generator import WorkloadGeneratorConfig, generate_workload
 
 
 class TestDescriptorValidation:
@@ -75,6 +80,46 @@ class TestDescriptorValidation:
             table, statistics = descriptor.build()
             assert len(table) == 50
             assert statistics.total_queries == 20
+
+
+class TestColdBootMemory:
+    """A log file is folded as it is read, so a build never holds it.
+
+    The transient (peak minus retained) bytes of a build then stay under
+    one bound whatever the log's length; holding the parsed log cost
+    about 2 KiB per query (1.0 / 4.1 MiB at these lengths).
+    """
+
+    TRANSIENT_BOUND = 256 * 1024
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cold-boot")
+        write_csv(generate_homes(rows=50, seed=3), root / "homes.csv")
+        for queries in (500, 2_000):
+            generate_workload(
+                WorkloadGeneratorConfig(query_count=queries, seed=5)
+            ).save(root / f"w{queries}.sql")
+        return root
+
+    @pytest.mark.parametrize("queries", [500, 2_000])
+    def test_transient_memory_does_not_grow_with_the_log(self, files, queries):
+        descriptor = DatasetDescriptor(
+            name="ListProperty",
+            source=files / "homes.csv",
+            workload=files / f"w{queries}.sql",
+        )
+        descriptor.build()  # imports and module-level caches, untraced
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, statistics = descriptor.build()
+            gc.collect()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert statistics.total_queries == queries
+        assert peak - retained < self.TRANSIENT_BOUND
 
 
 class TestParseDatasetArg:

@@ -44,6 +44,17 @@ class TestStats:
         assert "neighborhood" in out
         assert "OccurrenceCounts" in out
 
+    def test_bad_log_line_names_file_and_line(self, tmp_path, capsys):
+        log = tmp_path / "w.sql"
+        log.write_text(
+            "SELECT * FROM ListProperty WHERE city IN ('Seattle')\n"
+            "-- a comment line still counts as a line\n"
+            "SELECT * FROM ListProperty WHERE price >= 5 AND price <= 1\n"
+        )
+        assert main(["stats", "--workload", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {log}:3: contradictory range conditions on 'price'" in err
+
 
 class TestCategorize:
     QUERY = (

@@ -1,8 +1,10 @@
 """Tests for Workload collections."""
 
+import re
+
 import pytest
 
-from repro.workload.log import Workload
+from repro.workload.log import Workload, read_log
 from repro.workload.model import WorkloadQuery
 
 
@@ -48,6 +50,25 @@ class TestFileRoundTrip:
         loaded = Workload.load(path)
         assert len(loaded) == len(small_workload)
         assert [str(q) for q in loaded] == [str(q) for q in small_workload]
+
+    def test_read_log_streams_the_same_queries(self, small_workload, tmp_path):
+        path = tmp_path / "workload.sql"
+        path.write_text("-- header\n\n" + "\n".join(SQL) + "\n")
+        stream = read_log(path)
+        assert iter(stream) is stream  # one pass, nothing held
+        assert [str(q) for q in stream] == [str(q) for q in small_workload]
+
+    def test_bad_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "w.sql"
+        path.write_text(
+            SQL[0] + "\n\n" + "SELECT * FROM T WHERE price >= 5 AND price <= 1\n"
+        )
+        message = f"{path}:3: contradictory range conditions on 'price'"
+        expected = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=expected):
+            list(read_log(path))
+        with pytest.raises(ValueError, match=expected):
+            Workload.load(path)
 
 
 class TestHoldout:
