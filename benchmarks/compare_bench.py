@@ -74,6 +74,17 @@ def latest_two(runs: list[dict], bench: str, metric: str) -> list[float]:
     return values[-2:]
 
 
+def unit(metric: str) -> str:
+    """The unit a gate line prints after ``metric``, from its name's suffix."""
+    if metric.endswith("_ms"):
+        return " ms"
+    if metric.endswith("_kb"):
+        return " KiB"
+    if metric.endswith("_ratio"):
+        return ""
+    raise ValueError(f"metric {metric!r} ends in none of _ms, _kb, _ratio")
+
+
 def check(runs: list[dict], bench: str, metric: str, threshold: float) -> bool:
     """Print one gate line; True when the gate passes (or has no baseline)."""
     values = latest_two(runs, bench, metric)
@@ -87,7 +98,7 @@ def check(runs: list[dict], bench: str, metric: str, threshold: float) -> bool:
     change = current / previous - 1.0
     verdict = "OK" if change <= threshold else "REGRESSION"
     print(
-        f"  {bench}.{metric}: {previous:.3f} -> {current:.3f} ms "
+        f"  {bench}.{metric}: {previous:.3f} -> {current:.3f}{unit(metric)} "
         f"({change * 100:+.1f}%, budget +{threshold * 100:.0f}%) {verdict}"
     )
     return change <= threshold

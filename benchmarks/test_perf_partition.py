@@ -25,6 +25,7 @@ import time
 import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
+from statistics import median
 
 from repro import perf
 from repro.catalog import DatasetDescriptor
@@ -93,6 +94,27 @@ def _timed_vs_stubbed(fn, repeats=15):
             fn()
             stubbed.append(time.perf_counter() - started)
     return min(instrumented), min(stubbed)
+
+
+def _paired_ratios(fn, pairs):
+    """Per-pair instrumented / perf-stubbed wall-clock ratios of ``fn``.
+
+    Each pair runs the two configurations back to back, and the side that
+    runs first alternates from pair to pair, so warm-up and drift land on
+    both sides alike.  The median of the pair ratios shrugs off the odd
+    pair a noisy neighbor spoiled, where a min-of-N verdict hangs on the
+    single fastest sample of each side.
+    """
+    ratios: list[float] = []
+    for pair in range(pairs):
+        seconds = {}
+        for stubbed in (pair % 2 == 1, pair % 2 == 0):
+            with _stubbed_perf() if stubbed else contextlib.nullcontext():
+                started = time.perf_counter()
+                fn()
+                seconds[stubbed] = time.perf_counter() - started
+        ratios.append(seconds[False] / seconds[True])
+    return ratios
 
 
 def _append_bench_record(bench, record):
@@ -369,8 +391,10 @@ def test_perf_instrumentation_disabled_overhead(
 
     Baseline: the same run with every perf hook stubbed to a no-op, i.e.
     as if the call sites were never instrumented.  Both sides run warm
-    (caches populated), interleaved, taking the min of many repeats — the
-    most noise-resistant wall-clock statistic.
+    (caches populated) in 101 interleaved pairs; the gate reads the
+    median of the per-pair instrumented / stubbed ratios.  Back-to-back
+    runs of the ~20 ms path still differ by ±5–10 % on a shared 2-vCPU
+    host, so fewer pairs leave the median too loose for a 5 % budget.
     """
     query, rows = bench_seattle_query
     categorizer = CostBasedCategorizer(bench_statistics, PAPER_CONFIG)
@@ -380,33 +404,22 @@ def test_perf_instrumentation_disabled_overhead(
 
     run()  # populate every cache so both sides measure steady state
     assert not perf.enabled()
-    instrumented, stubbed = _timed_vs_stubbed(run, repeats=15)
+    ratios = _paired_ratios(run, pairs=101)
 
-    overhead = instrumented / stubbed - 1.0
+    overhead = median(ratios) - 1.0
+    ordered = sorted(ratios)
+    low, high = ordered[len(ordered) // 4], ordered[-1 - len(ordered) // 4]
     print()
     print(
-        format_table(
-            ["configuration", "min seconds"],
-            [
-                ["disabled instrumentation", f"{instrumented:.4f}"],
-                ["no-op stubs", f"{stubbed:.4f}"],
-            ],
-            title="Instrumentation disabled-mode overhead",
-        )
-    )
-    print(
-        f"overhead: {overhead * 100:+.2f}% "
-        f"(budget {MAX_DISABLED_OVERHEAD * 100:.0f}%)"
+        f"disabled-mode overhead over {len(ratios)} pairs: median "
+        f"{overhead * 100:+.2f}% (quartiles {(low - 1) * 100:+.2f}% to "
+        f"{(high - 1) * 100:+.2f}%; budget {MAX_DISABLED_OVERHEAD * 100:.0f}%)"
     )
     _append_bench_record(
         "instrumentation_disabled_overhead",
-        {
-            "instrumented_ms": round(instrumented * 1e3, 3),
-            "stubbed_ms": round(stubbed * 1e3, 3),
-            "overhead_pct": round(overhead * 100, 2),
-        },
+        {"pairs": len(ratios), "overhead_pct": round(overhead * 100, 2)},
     )
-    assert instrumented <= stubbed * (1.0 + MAX_DISABLED_OVERHEAD)
+    assert overhead <= MAX_DISABLED_OVERHEAD
 
 
 def test_perf_instrumentation_sampled_overhead(

@@ -5,7 +5,7 @@ statistics; this package lets one process serve many such relations:
 
 * :mod:`~repro.catalog.descriptor` — :class:`DatasetDescriptor`, the
   declarative record of how one relation gets built (CSV source or
-  built-in generator, workload, schema, backend, namespace), plus the
+  built-in generator, workload, schema, namespace), plus the
   ``--dataset NAME=SPEC`` and ``catalog.toml`` parsers.
 * :mod:`~repro.catalog.catalog` — :class:`Catalog`, the name → service
   registry with a default relation, a process-wide trace-id sequence,

@@ -208,11 +208,7 @@ def open_relation(
     state_dir = Path(state_root) / descriptor.name
     journal = SpillJournal(state_dir / "journal", fsync=journal_fsync)
     try:
-        warm = load_warm(
-            descriptor.load_schema(),
-            state_dir,
-            backend=descriptor.backend,
-        )
+        warm = load_warm(descriptor.load_schema(), state_dir)
     except SnapshotMismatch as exc:
         # Fail-stop honesty: a snapshot that does not fully check out is
         # never served.  Count why, boot cold, replay everything.

@@ -2,7 +2,7 @@
 
 A :class:`DatasetDescriptor` is the catalog's unit of configuration — a
 plain declarative record (name, CSV source *or* built-in generator,
-workload, schema, backend, namespace) in the style of wesdash's
+workload, schema, namespace) in the style of wesdash's
 ``DATASET`` dicts.  Descriptors arrive three ways and converge on the
 same object:
 
@@ -17,7 +17,6 @@ same object:
       [datasets.ListProperty]
       source = "homes.csv"
       workload = "workload.sql"
-      backend = "columnar"
 
       [datasets.Movies]
       generator = "movies"
@@ -44,7 +43,7 @@ from repro.data.movies import (
     generate_movies,
     movie_schema,
 )
-from repro.relational.backends import BACKEND_NAMES, DEFAULT_BACKEND
+from repro.relational.backends import require_columnar
 from repro.relational.csvio import read_csv
 from repro.relational.schema import TableSchema, read_schema_json
 from repro.relational.table import Table
@@ -150,7 +149,6 @@ class DatasetDescriptor:
     seed: int | None = None
     workload_queries: int | None = None
     workload_seed: int | None = None
-    backend: str = DEFAULT_BACKEND
     technique: str = "cost-based"
     lenient_csv: bool = False
     namespace: str | None = None
@@ -169,11 +167,6 @@ class DatasetDescriptor:
             raise ValueError(
                 f"dataset {self.name!r}: unknown generator "
                 f"{self.generator!r}; choose from {sorted(GENERATORS)}"
-            )
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"dataset {self.name!r}: unknown backend {self.backend!r}; "
-                f"choose from {BACKEND_NAMES}"
             )
         if self.source is not None and self.workload is None:
             raise ValueError(
@@ -223,13 +216,11 @@ class DatasetDescriptor:
                 schema,
                 self.source,
                 strict=not self.lenient_csv,
-                backend=self.backend,
             )
         generator = GENERATORS[self.generator]
         return generator.table(
             rows=self.rows if self.rows is not None else generator.default_rows,
             seed=self.seed if self.seed is not None else generator.default_seed,
-            backend=self.backend,
         )
 
     def workload_log(self) -> Iterable[WorkloadQuery]:
@@ -263,7 +254,10 @@ class DatasetDescriptor:
 
     @classmethod
     def from_dict(cls, name: str, spec: Mapping[str, Any]) -> DatasetDescriptor:
-        """Build a descriptor from a declarative dict (TOML table)."""
+        """Build a descriptor from a declarative dict (TOML table).
+
+        A ``backend`` key is accepted for older specs; only ``columnar``.
+        """
         unknown = set(spec) - _SPEC_KEYS
         if unknown:
             raise ValueError(
@@ -271,6 +265,8 @@ class DatasetDescriptor:
                 f"valid keys: {sorted(_SPEC_KEYS)}"
             )
         kwargs: dict[str, Any] = dict(spec)
+        if "backend" in kwargs:
+            require_columnar(kwargs.pop("backend"))
         for key in ("source", "workload", "schema"):
             if kwargs.get(key) is not None:
                 kwargs[key] = Path(kwargs[key])

@@ -43,9 +43,8 @@ address one via ``table=``.  Requests that name no table resolve to the
 default relation and are answered with a ``Deprecation`` header.
 
 ``categorize``/``perf-report``/``serve`` load the relation into the packed
-columnar store; ``--backend rows`` picks the one-list-per-attribute store
-instead, the only one that holds INT values outside int64
-(docs/storage.md).
+column store (docs/storage.md), which refuses an INT value outside int64
+like any other malformed CSV row.
 
 ``serve`` runs the asyncio front end (docs/serving.md): keep-alive
 connections, coalescing of identical in-flight requests, and admission
@@ -77,7 +76,6 @@ from repro.core.config import CategorizerConfig, PAPER_CONFIG
 from repro.core.cost import CostModel
 from repro.core.probability import ProbabilityEstimator
 from repro.data.homes import generate_homes, list_property_schema
-from repro.relational.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.relational.csvio import read_csv, write_csv
 from repro.relational.schema import TableSchema, read_schema_json
 from repro.render.treeview import render_tree, summarize_tree
@@ -92,11 +90,6 @@ TECHNIQUES = {
     "attr-cost": AttrCostCategorizer,
     "no-cost": NoCostCategorizer,
 }
-
-BACKEND_HELP = (
-    "table storage backend (default columnar; rows also stores INT "
-    "values outside int64)"
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--explain", action="store_true",
                      help="print the per-level decision trace (candidates, "
                           "CostAll/CostOne, eliminations, chosen attribute)")
-    cat.add_argument("--backend", choices=BACKEND_NAMES,
-                     default=DEFAULT_BACKEND, help=BACKEND_HELP)
     cat.set_defaults(handler=_cmd_categorize)
 
     report = subparsers.add_parser(
@@ -197,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace sampling probability in [0, 1]")
     report.add_argument("--sample-every", type=int, default=None,
                         help="trace every Nth root span")
-    report.add_argument("--backend", choices=BACKEND_NAMES,
-                        default=DEFAULT_BACKEND, help=BACKEND_HELP)
     report.set_defaults(handler=_cmd_perf_report)
 
     serve = subparsers.add_parser(
@@ -236,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache TTL in seconds")
     serve.add_argument("--lenient-csv", action="store_true",
                        help="skip malformed CSV rows instead of failing")
-    serve.add_argument("--backend", choices=BACKEND_NAMES,
-                       default=DEFAULT_BACKEND, help=BACKEND_HELP)
     # Accepted for old scripts (perfbench passes it); asyncio is the only
     # front end, so the flag changes nothing.
     serve.add_argument("--async", action="store_true", help=argparse.SUPPRESS)
@@ -415,7 +402,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_categorize(args) -> int:
     schema = load_schema(args.schema, table=args.table)
-    table = read_csv(schema, args.data, backend=args.backend)
+    table = read_csv(schema, args.data)
     config = CategorizerConfig(
         max_tuples_per_category=args.m,
         label_cost=args.k,
@@ -454,7 +441,7 @@ def _cmd_perf_report(args) -> int:
     try:
         if args.sample_rate is not None or args.sample_every is not None:
             perf.set_sampling(rate=args.sample_rate, every=args.sample_every)
-        table = read_csv(schema, args.data, backend=args.backend)
+        table = read_csv(schema, args.data)
         statistics = preprocess_workload(
             read_log(args.workload), schema, config.separation_intervals
         )
@@ -511,7 +498,6 @@ def _serve_descriptors(args):
                 source=args.data,
                 workload=args.workload,
                 schema=args.schema,
-                backend=args.backend,
                 technique=args.technique,
                 lenient_csv=args.lenient_csv,
             )

@@ -15,7 +15,7 @@ The value inventory comes from the user query's IN clause when present
 Figure 6 chooses a level's attribute from each candidate category's label
 and size alone, so :meth:`CategoricalPartitioner.sizes` answers from one
 count per value: :meth:`~repro.relational.table.RowSet.count_values` over
-the node (integer codes on the columnar backend), memoized on the node.
+the node (integer codes on dictionary columns), memoized on the node.
 The same count is the value inventory when the query fixes none.
 
 :meth:`CategoricalPartitioner.partition` builds the categories' row sets,

@@ -66,12 +66,7 @@ class Histogram(NamedTuple):
         )
         cumulative = array("q", [0])
         cumulative.extend(itertools.accumulate(counts[value] for value in finite))
-        try:
-            packed: Sequence[float] = array(
-                "q" if finite and type(finite[0]) is int else "d", finite
-            )
-        except OverflowError:  # INT values beyond int64 (rows backend only)
-            packed = finite
+        packed = array("q" if finite and type(finite[0]) is int else "d", finite)
         return cls(packed, cumulative, counts.get(None, 0))
 
     def bucket_counts(self, boundaries: Sequence[float]) -> dict[int, int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.data.distributions import (
     sample_bathrooms,
@@ -28,7 +28,7 @@ from repro.data.distributions import (
     weighted_choice,
 )
 from repro.data.geography import ALL_REGIONS, Neighborhood, Region
-from repro.relational.backends import DEFAULT_BACKEND
+from repro.relational.backends import require_columnar
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeKind, DataType
@@ -79,16 +79,21 @@ class ListPropertyGenerator:
     seed: int = 7
     regions: tuple[Region, ...] = ALL_REGIONS
     null_rates: Mapping[str, float] = field(default_factory=dict)
-    backend: str = DEFAULT_BACKEND
 
     def generate(self) -> Table:
         """Build and return the table.
 
+        The :meth:`listings` stream straight into :meth:`Table.from_rows`
+        (one bulk column load) rather than a per-row ``insert`` loop.
+        """
+        return Table.from_rows(list_property_schema(), self.listings())
+
+    def listings(self) -> Iterator[dict]:
+        """Yield the table's rows as dicts, in table order.
+
         Listings are allocated to regions proportionally to total city
         weight, then to neighborhoods by neighborhood weight, so market
         sizes are skewed the way real inventory is (Seattle ≫ Sammamish).
-        The listings stream straight into :meth:`Table.from_rows` (one
-        bulk column load) rather than a per-row ``insert`` loop.
         """
         if self.rows <= 0:
             raise ValueError(f"rows must be positive, got {self.rows}")
@@ -97,24 +102,18 @@ class ListPropertyGenerator:
             sum(city.weight for city in region.cities) for region in self.regions
         ]
         zipcodes = _ZipcodeAssigner(self.seed)
-
-        def listings():
-            for _ in range(self.rows):
-                region = weighted_choice(rng, list(self.regions), region_weights)
-                neighborhood = weighted_choice(
-                    rng,
-                    list(region.neighborhoods),
-                    [n.weight for n in region.neighborhoods],
-                )
-                listing = self._generate_listing(rng, region, neighborhood, zipcodes)
-                for attribute, rate in self.null_rates.items():
-                    if rate > 0 and rng.random() < rate:
-                        listing[attribute] = None
-                yield listing
-
-        return Table.from_rows(
-            list_property_schema(), listings(), backend=self.backend
-        )
+        for _ in range(self.rows):
+            region = weighted_choice(rng, list(self.regions), region_weights)
+            neighborhood = weighted_choice(
+                rng,
+                list(region.neighborhoods),
+                [n.weight for n in region.neighborhoods],
+            )
+            listing = self._generate_listing(rng, region, neighborhood, zipcodes)
+            for attribute, rate in self.null_rates.items():
+                if rate > 0 and rng.random() < rate:
+                    listing[attribute] = None
+            yield listing
 
     def _generate_listing(
         self,
@@ -164,7 +163,11 @@ class _ZipcodeAssigner:
 def generate_homes(
     rows: int = 50_000,
     seed: int = 7,
-    backend: str = DEFAULT_BACKEND,
+    backend: str = "columnar",
 ) -> Table:
-    """Convenience wrapper: generate the default synthetic ListProperty table."""
-    return ListPropertyGenerator(rows=rows, seed=seed, backend=backend).generate()
+    """Convenience wrapper: generate the default synthetic ListProperty table.
+
+    ``backend`` is accepted for older callers; only ``"columnar"``.
+    """
+    require_columnar(backend)
+    return ListPropertyGenerator(rows=rows, seed=seed).generate()

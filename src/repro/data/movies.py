@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 
 from repro.data.distributions import weighted_choice
-from repro.relational.backends import DEFAULT_BACKEND
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import AttributeKind, DataType
@@ -81,11 +80,7 @@ MOVIE_SEPARATION_INTERVALS = {
 }
 
 
-def generate_movies(
-    rows: int = 20_000,
-    seed: int = 3,
-    backend: str = DEFAULT_BACKEND,
-) -> Table:
+def generate_movies(rows: int = 20_000, seed: int = 3) -> Table:
     """Generate the synthetic movie catalog, deterministic under ``seed``."""
     if rows <= 0:
         raise ValueError(f"rows must be positive, got {rows}")
@@ -114,7 +109,7 @@ def generate_movies(
                 "votes": max(50, votes),
             }
 
-    return Table.from_rows(movie_schema(), movies(), backend=backend)
+    return Table.from_rows(movie_schema(), movies())
 
 
 def generate_movie_workload(queries: int = 8_000, seed: int = 5) -> Workload:

@@ -55,8 +55,7 @@ def normalize_homes(wide: Table) -> tuple[Table, Table]:
     Locations are keyed by neighborhood (the dataset generator assigns one
     zipcode/city/state per neighborhood, so neighborhood determines the
     rest); surrogate ids are assigned in first-appearance order, making the
-    decomposition deterministic.  Both output tables are bulk-loaded and
-    inherit the wide table's storage backend.
+    decomposition deterministic.  Both output tables are bulk-loaded.
     """
     location_rows: list[dict] = []
     fact_rows: list[dict] = []
@@ -87,11 +86,8 @@ def normalize_homes(wide: Table) -> tuple[Table, Table]:
                 "squarefootage": row["squarefootage"],
             }
         )
-    backend = wide.backend_name
-    fact = Table.from_rows(listing_fact_schema(), fact_rows, backend=backend)
-    location = Table.from_rows(
-        location_dimension_schema(), location_rows, backend=backend
-    )
+    fact = Table.from_rows(listing_fact_schema(), fact_rows)
+    location = Table.from_rows(location_dimension_schema(), location_rows)
     return fact, location
 
 

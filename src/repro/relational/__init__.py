@@ -6,15 +6,10 @@ statistics, and CSV round-trip.
 """
 
 from repro.relational.backends import (
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
     ColumnStore,
     DictColumn,
     FloatColumn,
     IntColumn,
-    RowStore,
-    StorageBackend,
-    make_backend,
 )
 from repro.relational.csvio import read_csv, write_csv
 from repro.relational.expressions import (
@@ -44,12 +39,10 @@ from repro.relational.types import AttributeKind, DataType
 __all__ = [
     "Attribute",
     "AttributeKind",
-    "BACKEND_NAMES",
     "CategoricalStats",
     "ColumnStore",
     "ComparisonPredicate",
     "Conjunction",
-    "DEFAULT_BACKEND",
     "DataType",
     "DictColumn",
     "DimensionJoin",
@@ -62,16 +55,13 @@ __all__ = [
     "RangePredicate",
     "Row",
     "RowSet",
-    "RowStore",
     "SelectQuery",
-    "StorageBackend",
     "Table",
     "TableSchema",
     "TruePredicate",
     "categorical_stats",
     "comparison_operator",
     "join_star",
-    "make_backend",
     "normalize",
     "numeric_stats",
     "read_csv",

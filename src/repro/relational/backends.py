@@ -1,29 +1,22 @@
-"""Storage backends for :class:`~repro.relational.table.Table`.
+"""The column store behind every :class:`~repro.relational.table.Table`.
 
-A backend owns the physical column representation; the ``Table`` keeps the
-schema, coercion, and the ``RowSet`` algebra, and delegates storage through
-the :class:`StorageBackend` protocol.  Two implementations ship:
+:class:`ColumnStore` owns the physical column representation; the
+``Table`` keeps the schema, coercion and the ``RowSet`` algebra, and
+delegates storage to it.  Columns are packed and typed:
+``array('q')`` / ``array('d')`` for INT / FLOAT attributes (8 bytes per
+value instead of a ~28+-byte boxed object) and dictionary-encoded TEXT /
+BOOL columns (an ``array('i')`` of integer codes plus one shared decode
+list).  NULLs are a side structure: a small set of null positions for
+numeric columns, the reserved code ``-1`` for dictionary columns.
 
-* :class:`ColumnStore` (``backend="columnar"``, the default) — packed
-  typed columns: ``array('q')`` / ``array('d')`` for INT / FLOAT
-  attributes (8 bytes per value instead of a ~28+-byte boxed object) and
-  dictionary-encoded TEXT / BOOL columns (an ``array('i')`` of integer
-  codes plus one shared decode list).  NULLs are a side structure: a
-  small set of null positions for numeric columns, the reserved code
-  ``-1`` for dictionary columns.
-* :class:`RowStore` (``backend="rows"``) — one plain Python list per
-  attribute, holding the objects coercion produced.  It is the reference
-  the equivalence suite checks the columnar backend against, and the
-  only layout that stores INT values outside int64.
-
-The columnar payoff is **column-at-a-time selection**: instead of asking
+The payoff is **column-at-a-time selection**: instead of asking
 ``predicate.matches(row)`` once per row (a Python call plus a dict-protocol
 lookup each), :meth:`ColumnStore.select_indices` evaluates one conjunct
 over the whole candidate index list as a single list comprehension against
 the packed array — IN-sets become integer-code membership tests, ranges
 become chained float compares.  Conjuncts are applied in order, each
 narrowing the candidate list, which preserves the row-at-a-time engine's
-left-to-right short-circuit semantics exactly.  Any conjunct the backend
+left-to-right short-circuit semantics exactly.  Any conjunct the store
 cannot vectorize (e.g. a range over a TEXT column, which must raise
 ``TypeError`` exactly like the row path) is handed back to the caller as a
 *leftover* predicate to evaluate row-at-a-time over the already-narrowed
@@ -35,10 +28,9 @@ categorical attributes: city, neighborhood, property type).  A TEXT column
 with millions of distinct values still works, at one dictionary entry per
 value on top of its codes.
 
-Limits: ``ColumnStore`` packs INT values into 64-bit storage, so ints
-outside ``[-2**63, 2**63)`` raise ``OverflowError``; both ``append_row``
-and ``load_columns`` then leave the store as it was.  The row backend
-accepts them.
+Limits: INT values are packed into 64-bit storage, so ints outside
+``[-2**63, 2**63)`` raise ``OverflowError``; both ``append_row`` and
+``load_columns`` then leave the store as it was.
 """
 
 from __future__ import annotations
@@ -47,7 +39,7 @@ import bisect
 import math
 from array import array
 from collections import Counter
-from typing import Any, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.relational.expressions import (
     ComparisonPredicate,
@@ -68,12 +60,18 @@ from repro.relational.snapio import (
 )
 from repro.relational.types import DataType
 
-#: The ``backend=`` names :func:`make_backend` accepts.
-BACKEND_NAMES = ("rows", "columnar")
 
-#: The backend every table, loader, generator, descriptor and CLI flag
-#: uses unless told otherwise.
-DEFAULT_BACKEND = "columnar"
+def require_columnar(name: str) -> None:
+    """Refuse every storage name but ``"columnar"``, the only layout.
+
+    ``read_csv``, ``generate_homes`` and a dataset spec's ``backend`` key
+    still take the name, for callers written when a second layout
+    existed; any other value is an error.
+    """
+    if name != "columnar":
+        raise ValueError(
+            f"unknown storage backend {name!r}; the only one is 'columnar'"
+        )
 
 
 def index_typecode(rows: int) -> str:
@@ -83,150 +81,6 @@ def index_typecode(rows: int) -> str:
     needs ``'q'``.
     """
     return "i" if rows < 2**31 else "q"
-
-
-class StorageBackend(Protocol):
-    """The physical storage contract ``Table`` delegates to.
-
-    All values crossing this interface are already schema-coerced; backends
-    never validate, they only pack.  Row positions are dense ``0..n-1`` in
-    insertion order and never change (the engine is append-only).
-    """
-
-    #: Short name used in ``backend=`` parameters and serving cache keys.
-    name: str
-
-    def column(self, name: str) -> Sequence[Any]:
-        """The full column as a sequence of logical values (NULL -> None)."""
-        ...
-
-    def append_row(self, values: Sequence[Any]) -> None:
-        """Append one coerced tuple, given in schema attribute order.
-
-        Must be atomic: a failure (e.g. int64 overflow) leaves no column
-        torn.
-        """
-        ...
-
-    def load_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
-        """Bulk-append one coerced sequence per attribute (equal lengths).
-
-        All or nothing, like :meth:`append_row`: a failure leaves every
-        column as it was.
-        """
-        ...
-
-    def gather(self, name: str, indices: Sequence[int]) -> list[Any]:
-        """The column's logical values at ``indices``, in that order."""
-        ...
-
-    def build_groupby(self, name: str) -> dict[Any, array]:
-        """value -> ascending row positions, NULLs under the ``None`` key.
-
-        Each posting list is packed as an ``array`` of
-        :func:`index_typecode`.
-        """
-        ...
-
-    def count_values(self, name: str, indices: Sequence[int]) -> dict[Any, int]:
-        """value -> how many of ``indices`` hold it, NULLs under ``None``."""
-        ...
-
-    def select_indices(
-        self, predicate: Predicate, indices: Sequence[int]
-    ) -> tuple[Sequence[int], Predicate | None] | None:
-        """Filter ``indices`` by ``predicate``, column-at-a-time.
-
-        Returns ``None`` when this backend has no fast path at all (the
-        caller evaluates the predicate row-at-a-time), or a pair
-        ``(narrowed, leftover)`` where ``leftover`` is the suffix of
-        conjuncts the backend could not vectorize (``None`` when fully
-        evaluated).  The caller must apply ``leftover`` row-at-a-time over
-        ``narrowed`` to finish the selection.
-        """
-        ...
-
-    def bucket_numeric(
-        self, name: str, indices: Sequence[int], boundaries: Sequence[float]
-    ) -> tuple[list[list[int]], int] | None:
-        """Bucket ``indices`` by ascending ``boundaries`` over one column.
-
-        Bucket ``k`` holds rows with ``boundaries[k] <= value <
-        boundaries[k+1]`` (the last bucket closes at ``boundaries[-1]``);
-        NULLs, non-finite values (NaN / ±inf), and out-of-range values are
-        dropped and counted.  Returns the per-bucket index lists plus the
-        dropped count, or ``None`` when this backend has no fast path (the
-        caller falls back to gather-and-classify, which must apply the
-        same drop rules).
-        """
-        ...
-
-
-def make_backend(name: str, schema: TableSchema) -> RowStore | ColumnStore:
-    """Instantiate the backend called ``name`` for ``schema``."""
-    if name == "columnar":
-        return ColumnStore(schema)
-    if name == "rows":
-        return RowStore(schema)
-    raise ValueError(
-        f"unknown storage backend {name!r}; choose from {BACKEND_NAMES}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Row backend: one Python list per attribute (the original layout).
-# ---------------------------------------------------------------------------
-
-
-class RowStore:
-    """List-per-column storage; no vectorized paths, maximal generality."""
-
-    name = "rows"
-
-    def __init__(self, schema: TableSchema) -> None:
-        self._columns: dict[str, list[Any]] = {name: [] for name in schema.names()}
-        self._ordered: list[list[Any]] = [self._columns[n] for n in schema.names()]
-
-    def column(self, name: str) -> list[Any]:
-        return self._columns[name]
-
-    def append_row(self, values: Sequence[Any]) -> None:
-        for column, value in zip(self._ordered, values):
-            column.append(value)
-
-    def load_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
-        for name, column in self._columns.items():
-            column.extend(columns[name])
-
-    def gather(self, name: str, indices: Sequence[int]) -> list[Any]:
-        column = self._columns[name]
-        return [column[i] for i in indices]
-
-    def build_groupby(self, name: str) -> dict[Any, array]:
-        column = self._columns[name]
-        typecode = index_typecode(len(column))
-        buckets: dict[Any, list[int]] = {}
-        for position, value in enumerate(column):
-            buckets.setdefault(value, []).append(position)
-        return {value: array(typecode, ids) for value, ids in buckets.items()}
-
-    def count_values(self, name: str, indices: Sequence[int]) -> dict[Any, int]:
-        return Counter(map(self._columns[name].__getitem__, indices))
-
-    def select_indices(
-        self, predicate: Predicate, indices: Sequence[int]
-    ) -> tuple[Sequence[int], Predicate | None] | None:
-        return None  # no fast path: evaluate row-at-a-time
-
-    def bucket_numeric(
-        self, name: str, indices: Sequence[int], boundaries: Sequence[float]
-    ) -> tuple[list[list[int]], int] | None:
-        return None  # no fast path: gather and classify per value
-
-
-# ---------------------------------------------------------------------------
-# Columnar backend: packed typed columns + dictionary encoding.
-# ---------------------------------------------------------------------------
 
 
 class NumericColumn:
@@ -410,9 +264,12 @@ def _make_column(data_type: DataType) -> NumericColumn | DictColumn:
 
 
 class ColumnStore:
-    """Typed-array storage with column-at-a-time selection."""
+    """Typed-array storage with column-at-a-time selection.
 
-    name = "columnar"
+    All values crossing its methods are already schema-coerced; the store
+    never validates, it only packs.  Row positions are dense ``0..n-1`` in
+    insertion order and never change (the engine is append-only).
+    """
 
     def __init__(self, schema: TableSchema) -> None:
         self._columns: dict[str, NumericColumn | DictColumn] = {
@@ -425,6 +282,7 @@ class ColumnStore:
         return len(self._ordered[0]) if self._ordered else 0
 
     def column(self, name: str) -> NumericColumn | DictColumn:
+        """The full column as a sequence of logical values (NULL -> None)."""
         return self._columns[name]
 
     # int64 overflow is the one write failure coercion does not catch
@@ -432,6 +290,10 @@ class ColumnStore:
     # re-raising, so a refused row or batch never tears the columns.
 
     def append_row(self, values: Sequence[Any]) -> None:
+        """Append one coerced tuple, given in schema attribute order.
+
+        Atomic: a failure (e.g. int64 overflow) leaves no column torn.
+        """
         rows = len(self)
         try:
             for (name, column), value in zip(self._columns.items(), values):
@@ -446,6 +308,11 @@ class ColumnStore:
             raise
 
     def load_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
+        """Bulk-append one coerced sequence per attribute (equal lengths).
+
+        All or nothing, like :meth:`append_row`: a failure leaves every
+        column as it was.
+        """
         rows = len(self)
         try:
             for name, column in self._columns.items():
@@ -459,9 +326,15 @@ class ColumnStore:
             column.truncate(length)
 
     def gather(self, name: str, indices: Sequence[int]) -> list[Any]:
+        """The column's logical values at ``indices``, in that order."""
         return self._columns[name].gather(indices)
 
     def build_groupby(self, name: str) -> dict[Any, array]:
+        """value -> ascending row positions, NULLs under the ``None`` key.
+
+        Each posting list is packed as an ``array`` of
+        :func:`index_typecode`.
+        """
         column = self._columns[name]
         typecode = index_typecode(len(column))
         if isinstance(column, DictColumn):
@@ -489,6 +362,7 @@ class ColumnStore:
         return {value: array(typecode, ids) for value, ids in buckets.items()}
 
     def count_values(self, name: str, indices: Sequence[int]) -> dict[Any, int]:
+        """value -> how many of ``indices`` hold it, NULLs under ``None``."""
         column = self._columns[name]
         if isinstance(column, DictColumn):
             # Count integer codes, then decode once per distinct value.
@@ -654,7 +528,14 @@ class ColumnStore:
 
     def select_indices(
         self, predicate: Predicate, indices: Sequence[int]
-    ) -> tuple[Sequence[int], Predicate | None] | None:
+    ) -> tuple[Sequence[int], Predicate | None]:
+        """Filter ``indices`` by ``predicate``, column-at-a-time.
+
+        Returns ``(narrowed, leftover)``, where ``leftover`` is the suffix
+        of conjuncts the store could not vectorize (``None`` when fully
+        evaluated).  The caller must apply ``leftover`` row-at-a-time over
+        ``narrowed`` to finish the selection.
+        """
         parts = (
             predicate.parts
             if isinstance(predicate, Conjunction)
@@ -792,36 +673,41 @@ class ColumnStore:
 
     def bucket_numeric(
         self, name: str, indices: Sequence[int], boundaries: Sequence[float]
-    ) -> tuple[list[list[int]], int] | None:
-        column = self._columns.get(name)
-        if not isinstance(column, NumericColumn):
-            return None
-        data = column._data
-        nulls = column._nulls
+    ) -> tuple[list[list[int]], int]:
+        """Bucket ``indices`` by ascending ``boundaries`` over one column.
+
+        Bucket ``k`` holds rows with ``boundaries[k] <= value <
+        boundaries[k+1]`` (the last bucket closes at ``boundaries[-1]``);
+        NULLs, non-finite values (NaN / ±inf), and out-of-range values are
+        dropped and counted.  Returns the per-bucket index lists plus the
+        dropped count.
+        """
+        column = self._columns[name]
         low, high = boundaries[0], boundaries[-1]
         last = len(boundaries) - 2
         buckets: list[list[int]] = [[] for _ in range(last + 1)]
         dropped = 0
         bisect_right = bisect.bisect_right
-        if not all(map(math.isfinite, boundaries)):
-            # Non-finite boundaries would let NaN/±inf values through the
-            # range guard and into bisect (whose order is undefined for
-            # them): guard per value.  With finite boundaries — every real
-            # workload — the ``low <= value <= high`` guard below already
-            # drops non-finite values at zero extra cost, so this slow
-            # path only exists to keep the drop-and-count contract
-            # identical whatever the boundaries.
+        if isinstance(column, DictColumn) or not all(
+            map(math.isfinite, boundaries)
+        ):
+            # A dictionary column (a BOOL or TEXT attribute declared
+            # NUMERIC) has no packed values to walk: gather and classify
+            # each one.  Non-finite boundaries take the same guarded path,
+            # since they would let NaN/±inf values through the range guard
+            # and into bisect (whose order is undefined for them).  With
+            # finite boundaries — every real workload — the ``low <= value
+            # <= high`` guard below already drops non-finite values at zero
+            # extra cost.
             isfinite = math.isfinite
-            for i in indices:
-                if nulls and i in nulls:
-                    dropped += 1
-                    continue
-                value = data[i]
-                if isfinite(value) and low <= value <= high:
+            for i, value in zip(indices, column.gather(indices)):
+                if value is not None and isfinite(value) and low <= value <= high:
                     buckets[bisect_right(boundaries, value, 0, last + 1) - 1].append(i)
                 else:
                     dropped += 1
             return buckets, dropped
+        data = column._data
+        nulls = column._nulls
         # Capping bisect's hi at ``last + 1`` folds value == boundaries[-1]
         # into the final (closed) bucket without a per-row min().
         if not nulls:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro import perf
-from repro.relational.backends import DEFAULT_BACKEND
+from repro.relational.backends import require_columnar
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
 from repro.relational.types import DataType
@@ -59,7 +59,7 @@ def read_csv(
     schema: TableSchema,
     path: str | Path,
     strict: bool = True,
-    backend: str = DEFAULT_BACKEND,
+    backend: str = "columnar",
 ) -> Table:
     """Load a CSV written by :func:`write_csv` (or compatible) into a Table.
 
@@ -68,12 +68,12 @@ def read_csv(
     attribute's data type.  The file is read :data:`CHUNK_ROWS` records at
     a time: each chunk is transposed with ``zip(*rows)``, each of its
     columns converted in one pass (``int``, ``float``, or kept as text),
-    and the converted columns appended to the table's backend through
+    and the converted columns appended to the table's store through
     :meth:`Table.load_columns`.  A chunk that does not convert cleanly — a
     ragged row, an unparseable value, a NULL in a non-nullable column — or
-    that the backend refuses (an INT outside int64 on the columnar
-    backend) is inserted again row by row through :meth:`Table.insert`,
-    so errors and skips name the exact record either way.
+    that the store refuses (an INT outside int64) is inserted again row
+    by row through :meth:`Table.insert`, so errors and skips name the
+    exact record either way.
 
     Args:
         schema: the relation the file must conform to.
@@ -85,14 +85,16 @@ def read_csv(
             False, malformed rows are skipped and counted per failure mode
             in the ``csv.bad_rows{reason=...}`` perf counter: ``arity`` for
             rows whose field count does not match the header, ``type`` for
-            rows a schema coercion or the backend rejects.
-        backend: storage backend of the resulting table (``"columnar"``
-            or ``"rows"``; see ``docs/storage.md``).
+            rows a schema coercion or the store rejects.
+        backend: accepted for older callers; only ``"columnar"`` (see
+            ``docs/storage.md``).
 
     Raises:
-        ValueError: if the header is missing schema attributes, or (in
-            strict mode) for the first malformed row.
+        ValueError: if the header is missing schema attributes, for a
+            ``backend`` other than ``"columnar"``, or (in strict mode)
+            for the first malformed row.
     """
+    require_columnar(backend)
     path = Path(path)
     attributes = tuple(schema)
     with path.open("r", newline="", encoding="utf-8") as handle:
@@ -108,7 +110,7 @@ def read_csv(
                 f"required by schema {schema.name!r}"
             )
         positions = [header.index(a.name) for a in attributes]
-        table = Table(schema, backend=backend)
+        table = Table(schema)
         line_number = 2
         while rows := list(islice(reader, CHUNK_ROWS)):
             columns = _convert_chunk(attributes, positions, len(header), rows)
@@ -153,7 +155,7 @@ def _convert_chunk(
 
 def _load_chunk(table: Table, columns: dict[str, Sequence[Any]]) -> bool:
     """Append a converted chunk; False, with the table unchanged, when the
-    backend refuses a value (an INT outside int64 on the columnar backend)."""
+    store refuses a value (an INT outside int64)."""
     try:
         table.load_columns(columns)
     except OverflowError:

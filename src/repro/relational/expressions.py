@@ -40,7 +40,7 @@ def comparison_operator(op: str) -> Callable[[Any, Any], bool]:
     """Return the binary function implementing comparison ``op``.
 
     Shared by :class:`ComparisonPredicate` (row-at-a-time) and the
-    columnar backend's column-at-a-time matcher, so both paths agree on
+    column store's column-at-a-time matcher, so both paths agree on
     operator semantics by construction.
     """
     try:

@@ -93,9 +93,7 @@ def join_star(
                         output[attribute] = dimension_row[attribute]
             yield output
 
-    # Bulk-load the joined rows; the wide table inherits the fact table's
-    # storage backend so a columnar star stays columnar end to end.
-    return Table.from_rows(wide_schema, wide_rows(), backend=fact.backend_name)
+    return Table.from_rows(wide_schema, wide_rows())
 
 
 def _build_index(dimension: DimensionJoin):

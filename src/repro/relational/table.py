@@ -1,36 +1,29 @@
 """Column-oriented in-memory tables.
 
-The engine stores each attribute as a column behind a pluggable
-:class:`~repro.relational.backends.StorageBackend`:
-
-* ``backend="columnar"`` (the default,
-  :data:`~repro.relational.backends.DEFAULT_BACKEND`) — packed
-  ``array.array`` numeric columns and dictionary-encoded TEXT/BOOL columns
-  with column-at-a-time selection (see ``docs/storage.md``);
-* ``backend="rows"`` — one plain Python list per attribute: the reference
-  layout, and the only one that stores INT values outside int64.
+The engine stores each attribute as a column of a
+:class:`~repro.relational.backends.ColumnStore`: packed ``array.array``
+numeric columns and dictionary-encoded TEXT/BOOL columns with
+column-at-a-time selection (see ``docs/storage.md``).
 
 Rows are materialized lazily as dicts or :class:`Row` views.  A
-:class:`Table` owns its backend; selections return lightweight
+:class:`Table` owns its store; selections return lightweight
 :class:`RowSet` views (a table + a sequence of row indices) so that the
 category tree can hold the ``tset`` of every node without copying tuple
 data (paper Section 3.1: ``tset(C)`` is a subset of the result set R).
 
 Bulk construction (:meth:`Table.from_columns`, :meth:`Table.from_rows`) is
 the preferred loading path — it coerces column-wise and hands whole columns
-to the backend, instead of paying per-row dict handling in an ``insert``
+to the store, instead of paying per-row dict handling in an ``insert``
 loop.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 from array import array
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro import perf
-from repro.relational.backends import DEFAULT_BACKEND, index_typecode, make_backend
+from repro.relational.backends import ColumnStore, index_typecode
 from repro.relational.expressions import Predicate, TruePredicate
 from repro.relational.schema import Attribute, TableSchema
 
@@ -79,32 +72,26 @@ class Table:
 
     Construction::
 
-        table = Table(schema)                  # packed typed columns
-        table = Table(schema, backend="rows")  # one list per attribute
+        table = Table(schema)
         table.insert({"price": 250_000, "city": "Seattle"})
         table.extend(rows)
 
         # Bulk loads (preferred for anything larger than a handful of rows):
         table = Table.from_columns(schema, {"price": [...], "city": [...]})
-        table = Table.from_rows(schema, dict_iterable, backend="rows")
+        table = Table.from_rows(schema, dict_iterable)
 
     Values are validated against the schema on insertion, so downstream code
     (partitioning, statistics) can assume type-clean columns.
     """
 
-    def __init__(self, schema: TableSchema, backend: str = DEFAULT_BACKEND) -> None:
+    def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._backend = make_backend(backend, schema)
+        self._store = ColumnStore(schema)
         self._size = 0
         self._groupby_indexes: dict[str, dict[Any, array]] = {}
 
-    @property
-    def backend_name(self) -> str:
-        """The storage backend's name (``"columnar"`` or ``"rows"``)."""
-        return self._backend.name
-
     def close(self) -> None:
-        """Does nothing: both backends hold only in-process memory.
+        """Does nothing: the table holds only in-process memory.
 
         Kept because ``perfbench/`` still calls it.
         """
@@ -116,7 +103,6 @@ class Table:
         cls,
         schema: TableSchema,
         columns: Mapping[str, Sequence[Any]],
-        backend: str = DEFAULT_BACKEND,
         coerce: bool = True,
     ) -> "Table":
         """Build a table from whole columns — the bulk loading path.
@@ -133,7 +119,7 @@ class Table:
                 the first uncoercible value, named as ``column 'a'[i]``.
         """
         _column_length(schema, columns)
-        table = cls(schema, backend=backend)
+        table = cls(schema)
         if coerce:
             columns = {
                 attribute.name: _coerce_column(attribute, columns[attribute.name])
@@ -147,7 +133,6 @@ class Table:
         cls,
         schema: TableSchema,
         rows: Iterable[Mapping[str, Any]],
-        backend: str = DEFAULT_BACKEND,
     ) -> "Table":
         """Build a table from row mappings by transposing to columns.
 
@@ -163,24 +148,24 @@ class Table:
             get = row.get
             for name, append in appends:
                 append(get(name))
-        return cls.from_columns(schema, columns, backend=backend)
+        return cls.from_columns(schema, columns)
 
     @classmethod
-    def from_backend(
-        cls, schema: TableSchema, backend: Any, size: int
+    def from_store(
+        cls, schema: TableSchema, store: ColumnStore, size: int
     ) -> "Table":
-        """Adopt an already-populated storage backend without copying.
+        """Adopt an already-populated store without copying.
 
         The warm-start path (`repro serve --warm-start`) deserializes a
         :class:`~repro.relational.backends.ColumnStore` straight from a
         snapshot file and wraps it here — re-running ``from_columns``
         would pay a per-value materialization pass that the snapshot
-        format exists to avoid.  The caller vouches that ``backend``
+        format exists to avoid.  The caller vouches that ``store``
         holds ``size`` coerced rows matching ``schema``.
         """
         table = cls.__new__(cls)
         table.schema = schema
-        table._backend = backend
+        table._store = store
         table._size = size
         table._groupby_indexes = {}
         return table
@@ -204,7 +189,7 @@ class Table:
             attribute.coerce(row.get(attribute.name))
             for attribute in self.schema
         ]
-        self._backend.append_row(values)
+        self._store.append_row(values)
         self._size += 1
         if self._groupby_indexes:
             self._groupby_indexes.clear()
@@ -218,18 +203,18 @@ class Table:
         """Append whole columns of already-coerced values to the table.
 
         The bulk append behind :meth:`from_columns` and ``read_csv``'s
-        chunks: values go straight to the backend unvalidated, so the
+        chunks: values go straight to the store unvalidated, so the
         producer must have coerced them.  Invalidates every cached groupby
         index.  All or nothing: on any error the table is unchanged.
 
         Raises:
             KeyError: on missing or unknown column names.
             ValueError: on ragged column lengths.
-            OverflowError: when the columnar backend refuses an INT value
-                outside int64.
+            OverflowError: when the store refuses an INT value outside
+                int64.
         """
         length = _column_length(self.schema, columns)
-        self._backend.load_columns(columns)
+        self._store.load_columns(columns)
         self._size += length
         if self._groupby_indexes:
             self._groupby_indexes.clear()
@@ -251,7 +236,7 @@ class Table:
     def column(self, name: str) -> Sequence[Any]:
         """Return the full column for attribute ``name`` (do not mutate)."""
         try:
-            return self._backend.column(name)
+            return self._store.column(name)
         except KeyError:
             raise KeyError(
                 f"no attribute {name!r} in table {self.schema.name!r}; "
@@ -279,7 +264,7 @@ class Table:
             self.column(name)  # raise the helpful KeyError on unknown names
             perf.count("table.groupby_index.build")
             with perf.span("table.groupby_index.build"):
-                index = self._backend.build_groupby(name)
+                index = self._store.build_groupby(name)
             self._groupby_indexes[name] = index
         else:
             perf.count("table.groupby_index.hit")
@@ -300,10 +285,7 @@ class Table:
         return [row.as_dict() for row in self]
 
     def __repr__(self) -> str:
-        return (
-            f"Table({self.schema.name!r}, rows={self._size}, "
-            f"backend={self._backend.name!r})"
-        )
+        return f"Table({self.schema.name!r}, rows={self._size})"
 
 
 def _column_length(schema: TableSchema, columns: Mapping[str, Sequence[Any]]) -> int:
@@ -353,7 +335,7 @@ class RowSet:
     index sequence without copying data.
 
     The index sequence is stored as whatever compact form produced it —
-    a ``range`` for whole-table views, the backend's filtered list for
+    a ``range`` for whole-table views, the store's filtered list for
     selections, a tuple for explicit construction — and only materialized
     as a tuple when :attr:`indices` is read.  :meth:`compact` packs it
     into an ``array`` for views that are kept long after they are built.
@@ -459,25 +441,16 @@ class RowSet:
     def select(self, predicate: Predicate) -> "RowSet":
         """Return the sub-view of rows satisfying ``predicate``.
 
-        The table's storage backend gets first crack at the predicate
-        (column-at-a-time on the columnar backend); whatever it declines
-        is evaluated row-at-a-time, so semantics never depend on the
-        backend.
+        The table's store evaluates the predicate column-at-a-time;
+        whatever conjuncts it declines are evaluated row-at-a-time, so
+        semantics never depend on the storage.
         """
         if isinstance(predicate, TruePredicate):
             return self
         table = self.table
-        fast = table._backend.select_indices(predicate, self._indices)
-        if fast is None:
-            kept: Sequence[int] = [
-                i for i in self._indices if predicate.matches(Row(table, i))
-            ]
-        else:
-            kept, leftover = fast
-            if leftover is not None:
-                kept = [
-                    i for i in kept if leftover.matches(Row(table, i))
-                ]
+        kept, leftover = table._store.select_indices(predicate, self._indices)
+        if leftover is not None:
+            kept = [i for i in kept if leftover.matches(Row(table, i))]
         return RowSet(table, kept)
 
     def partition_by(
@@ -520,14 +493,14 @@ class RowSet:
         ``lambda row: classify(row[attribute])`` — including its
         NULL-handling contract: rows whose key classifies as ``None`` are
         dropped and counted on ``partition.dropped_rows``.  The attribute's
-        values are gathered from the storage backend in one pass (decoded
+        values are gathered from the store in one pass (decoded
         codes / unpacked array values), skipping per-row :class:`Row` view
         construction.  The partitioners use this: level construction is
         the categorizer's inner loop, and on wide tables the view-free
         walk is several times faster.
         """
         table = self.table
-        values = table._backend.gather(attribute, self._indices)
+        values = table._store.gather(attribute, self._indices)
         buckets: dict[Any, list[int]] = {}
         dropped = 0
         for index, value in zip(self._indices, values):
@@ -554,53 +527,16 @@ class RowSet:
         ``partition.dropped_rows``.  Empty buckets are omitted from the
         result.
 
-        The storage backend gets first crack (the columnar backend walks
-        the packed array directly); the fallback gathers values once and
-        classifies with a C-level ``bisect`` per value — either way there
-        is no per-row Python ``classify`` frame, which is what makes this
-        several times faster than :meth:`partition_by_attribute` with a
-        bisecting closure.
+        The store walks the packed column directly, with a C-level
+        ``bisect`` per value and no per-row Python ``classify`` frame,
+        which is what makes this several times faster than
+        :meth:`partition_by_attribute` with a bisecting closure.
         """
         table = self.table
         table.column(attribute)  # helpful KeyError on unknown names
-        fast = table._backend.bucket_numeric(
+        index_lists, dropped = table._store.bucket_numeric(
             attribute, self._indices, boundaries
         )
-        if fast is None:
-            values = table._backend.gather(attribute, self._indices)
-            low, high = boundaries[0], boundaries[-1]
-            last = len(boundaries) - 2
-            buckets: list[list[int]] = [[] for _ in range(last + 1)]
-            dropped = 0
-            bisect_right = bisect.bisect_right
-            if all(map(math.isfinite, boundaries)):
-                # NaN fails every comparison and ±inf is out of range, so
-                # the range guard drops non-finite values for free here.
-                for index, value in zip(self._indices, values):
-                    if value is not None and low <= value <= high:
-                        buckets[
-                            bisect_right(boundaries, value, 0, last + 1) - 1
-                        ].append(index)
-                    else:
-                        dropped += 1
-            else:
-                # Non-finite boundaries would wave NaN/±inf through to
-                # bisect, whose order is undefined for them; same guarded
-                # path as ColumnStore.bucket_numeric.
-                isfinite = math.isfinite
-                for index, value in zip(self._indices, values):
-                    if (
-                        value is not None
-                        and isfinite(value)
-                        and low <= value <= high
-                    ):
-                        buckets[
-                            bisect_right(boundaries, value, 0, last + 1) - 1
-                        ].append(index)
-                    else:
-                        dropped += 1
-            fast = buckets, dropped
-        index_lists, dropped = fast
         if dropped:
             perf.count("partition.dropped_rows", dropped)
         return {
@@ -612,7 +548,7 @@ class RowSet:
     def values(self, attribute: str) -> list[Any]:
         """Return the values of ``attribute`` across this view, in row order."""
         self.table.column(attribute)  # helpful KeyError on unknown names
-        return self.table._backend.gather(attribute, self._indices)
+        return self.table._store.gather(attribute, self._indices)
 
     def distinct_values(self, attribute: str) -> set[Any]:
         """Return the distinct non-NULL values of ``attribute`` in this view."""
@@ -624,13 +560,13 @@ class RowSet:
     def count_values(self, attribute: str) -> dict[Any, int]:
         """Return value → number of rows holding it, NULLs under ``None``.
 
-        Counted by the storage backend in one pass (integer codes on the
-        columnar backend), without building any row-index list: this is
+        Counted by the store in one pass (integer codes on dictionary
+        columns), without building any row-index list: this is
         what candidate costing reads instead of a partitioning.  A fresh
         dict per call; callers may mutate it.
         """
         self.table.column(attribute)  # helpful KeyError on unknown names
-        return self.table._backend.count_values(attribute, self._indices)
+        return self.table._store.count_values(attribute, self._indices)
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Materialize this view as a list of dicts."""

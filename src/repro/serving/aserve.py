@@ -40,7 +40,7 @@ the TCP+scheduling setup cost once per session, not once per request.
 Idle connections are closed after ``keep_alive_timeout_s``.
 
 **In-flight request coalescing.**  Identical concurrent ``/categorize``
-requests — same ``epoch:technique:backend:normalized-SQL`` singleflight
+requests — same ``namespace:epoch:technique:normalized-SQL`` singleflight
 key, via :meth:`CategorizationService.coalescing_key
 <repro.serving.service.CategorizationService.coalescing_key>` — await one
 computation instead of racing the LRU cache N abreast.  Followers consume
@@ -669,7 +669,6 @@ class AsyncFrontEnd:
         telemetry.emit(
             telemetry.FRONTEND,
             trace_id,
-            frontend="async",
             route=telem.get("route"),
             table=telem.get("table"),
             status=status,

@@ -20,8 +20,8 @@ Batches go through :meth:`CategorizationService.categorize_many`, which
 pins a single statistics epoch for the whole batch and shares one
 deadline across it (the ROADMAP's batch-API follow-on).
 
-Results are cached per ``(epoch, technique, storage backend, normalized
-SQL)`` with LRU + TTL eviction.  An entry is the tree alone, compacted
+Results are cached per ``(epoch, technique, normalized SQL)`` with LRU +
+TTL eviction.  An entry is the tree alone, compacted
 (:meth:`~repro.core.tree.CategoryTree.compact`) before it is published:
 a hit reads only labels, counts and row positions, so the categorizer's
 per-``RowSet`` memos are dropped and the positions packed.  Only
@@ -153,7 +153,7 @@ class _CacheEntry:
 class ResultCache:
     """LRU + TTL cache of full-rung categorizations.
 
-    Keys are ``namespace:epoch:technique:backend:normalized-SQL`` strings;
+    Keys are ``namespace:epoch:technique:normalized-SQL`` strings;
     values hold the compacted tree, whose root's row set is the query's
     result set, so a hit skips query execution *and* tree building.  The
     ``service.cache`` fault site fires on every lookup — an armed
@@ -424,18 +424,12 @@ class CategorizationService:
     def result_key(self, epoch_number: int, normalized_sql: str) -> str:
         """The canonical result identity: cache key and singleflight key.
 
-        The backend tag keeps cache entries honest when a service is
-        rebuilt over the same data on a different storage backend:
-        RowSets in cached trees are index views into one specific table.
         The async front end uses the same key shape to coalesce identical
         in-flight requests (docs/serving.md); the leading namespace keeps
         keys disjoint across a catalog's relations, which all share one
         singleflight map.
         """
-        return (
-            f"{self.namespace}:{epoch_number}:{self.technique}:"
-            f"{self.table.backend_name}:{normalized_sql}"
-        )
+        return f"{self.namespace}:{epoch_number}:{self.technique}:{normalized_sql}"
 
     def coalescing_key(self, sql: str) -> str:
         """Singleflight key for ``sql`` against the *current* epoch.
@@ -498,7 +492,6 @@ class CategorizationService:
             trace_id,
             table=self.table.schema.name,
             technique=self.technique,
-            backend=self.table.backend_name,
             sql=result.sql,
             rung=result.rung,
             epoch=result.epoch,
@@ -697,7 +690,6 @@ class CategorizationService:
             "published": self.store.published,
             "cache_entries": len(self.cache),
             "table_rows": len(self.table),
-            "backend": self.table.backend_name,
             "durability": {
                 "journal": journal is not None,
                 "journal_segments": journal.segment_count if journal else 0,

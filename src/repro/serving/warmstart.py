@@ -37,11 +37,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import perf
-from repro.relational.backends import (
-    DEFAULT_BACKEND,
-    ColumnStore,
-    schema_fingerprint,
-)
+from repro.relational.backends import ColumnStore, schema_fingerprint
 from repro.relational.schema import TableSchema
 from repro.relational.snapio import (
     Container,
@@ -87,23 +83,6 @@ class WarmState:
 # -- write side --------------------------------------------------------------
 
 
-def _columnar_store(table: Table) -> ColumnStore:
-    """The table's data as a ColumnStore (converting if need be).
-
-    The columnar backend already is one; the row backend pays a one-time
-    conversion at snapshot time (coercion already happened on load, so
-    this is a straight columnar re-pack).
-    """
-    backend = table._backend
-    if isinstance(backend, ColumnStore):
-        return backend
-    store = ColumnStore(table.schema)
-    store.load_columns(
-        {name: table.column(name) for name in table.schema.names()}
-    )
-    return store
-
-
 def write_table_snapshot(
     table: Table,
     directory: str | Path,
@@ -119,7 +98,7 @@ def write_table_snapshot(
     injector = faults or NULL_INJECTOR
     path = directory / TABLE_SNAPSHOT
     with perf.span("warmstart.dump_table"):
-        _columnar_store(table).dump(
+        table._store.dump(
             table.schema,
             path,
             rename_hook=lambda: injector.fire("warmstart.rename"),
@@ -283,16 +262,10 @@ def _occ_key(value: Any) -> Any:
     )
 
 
-def load_warm(
-    schema: TableSchema,
-    directory: str | Path,
-    backend: str = DEFAULT_BACKEND,
-) -> WarmState:
+def load_warm(schema: TableSchema, directory: str | Path) -> WarmState:
     """Load a full warm state from a snapshot directory, or fail stop.
 
-    The columnar backend adopts the deserialized store zero-copy; the
-    row backend rebuilds from the loaded columns (still far cheaper than
-    re-parsing a CSV — coercion is skipped entirely).
+    The table adopts the deserialized store zero-copy.
 
     Raises:
         SnapshotMismatch: missing files, CRC/version/schema mismatch —
@@ -304,13 +277,5 @@ def load_warm(
         statistics, epoch, journal_seq = _load_statistics(
             schema, directory / STATS_SNAPSHOT
         )
-        if backend == "columnar":
-            table = Table.from_backend(schema, store, rows)
-        else:
-            table = Table.from_columns(
-                schema,
-                {name: store.column(name) for name in schema.names()},
-                backend=backend,
-                coerce=False,
-            )
+        table = Table.from_store(schema, store, rows)
     return WarmState(table, statistics, epoch, journal_seq)

@@ -6,23 +6,21 @@ join on the root):
 
 ``frontend``
     Emitted by the HTTP front end after the response bytes are written.
-    Fields: ``frontend`` (always ``async`` since the threading front
-    end was removed; kept so older sinks audit the same), ``route``,
-    ``table`` (the resolved relation, None when resolution failed),
-    ``status``, ``outcome`` (``ok`` | ``shed`` | ``invalid`` | ``stalled``
-    | ``error``), the latency waterfall ``queue_ms`` (arrival ->
-    admitted), ``compute_ms`` (admitted -> service returned),
-    ``respond_ms`` (service returned -> bytes written), and the admission
-    story: ``pressure``, ``tightened``, ``deadline_ms`` (the effective,
-    possibly tightened deadline), ``coalesced`` + ``leader_trace_id``
-    for singleflight followers.
+    Fields: ``route``, ``table`` (the resolved relation, None when
+    resolution failed), ``status``, ``outcome`` (``ok`` | ``shed`` |
+    ``invalid`` | ``stalled`` | ``error``), the latency waterfall
+    ``queue_ms`` (arrival -> admitted), ``compute_ms`` (admitted ->
+    service returned), ``respond_ms`` (service returned -> bytes
+    written), and the admission story: ``pressure``, ``tightened``,
+    ``deadline_ms`` (the effective, possibly tightened deadline),
+    ``coalesced`` + ``leader_trace_id`` for singleflight followers.
 
 ``service``
     Emitted by :class:`~repro.serving.service.CategorizationService` per
-    served statement: ``table``, ``technique``, ``backend``, ``sql``
-    (normalized), ``rung``, ``epoch``, ``cached``, ``elapsed_ms``,
-    ``rows``, ``categories``, ``chosen`` (per-level attributes),
-    ``degraded`` (reason, or None).
+    served statement: ``table``, ``technique``, ``sql`` (normalized),
+    ``rung``, ``epoch``, ``cached``, ``elapsed_ms``, ``rows``,
+    ``categories``, ``chosen`` (per-level attributes), ``degraded``
+    (reason, or None).
 
 ``decision``
     The :class:`~repro.core.trace.DecisionTrace` digest
@@ -35,6 +33,9 @@ join on the root):
 
 Every event also carries ``ts`` (wall-clock seconds).  Segments start
 with a ``{"type": "meta", "schema": "repro.telemetry.v1", ...}`` line.
+Older sinks also carry ``frontend`` on ``frontend`` events and
+``backend`` on ``service`` events, each naming a retired alternative;
+the audit reads neither.
 """
 
 from __future__ import annotations

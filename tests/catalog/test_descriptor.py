@@ -130,7 +130,6 @@ class TestParseDatasetArg:
         assert descriptor.name == "ListProperty"
         assert descriptor.source == Path("homes.csv")
         assert descriptor.workload == Path("workload.sql")
-        assert descriptor.backend == "columnar"
 
     def test_generator_spec(self):
         descriptor = parse_dataset_arg("Movies=@movies,rows=8000,seed=3")

@@ -6,7 +6,8 @@ chose.  Two oracles keep that honest:
 
 * for each of the four partitioners (cost-based categorical and numeric,
   No-Cost categorical, equi-width), ``sizes`` must equal the labels and
-  lengths of ``partition`` on small random relations on both backends,
+  lengths of ``partition`` on small random relations, in the column store
+  and in the row oracle (``tests/relational/reference_rowstore.py``),
   with NULL, NaN and ±inf values, values outside the query's range,
   IN-lists naming absent values, and the missing-value category on or
   off;
@@ -60,7 +61,7 @@ from repro.core.baselines import (
 from repro.core.config import PAPER_CONFIG
 from repro.core.enumerate import FixedOrderCategorizer
 from repro.core.partition import CategoricalPartitioner, NumericPartitioner
-from repro.relational.backends import BACKEND_NAMES
+from repro.data.homes import ListPropertyGenerator
 from repro.relational.expressions import Conjunction, InPredicate, RangePredicate
 from repro.relational.query import SelectQuery
 from repro.relational.schema import Attribute, TableSchema
@@ -70,6 +71,7 @@ from repro.render.treeview import render_tree
 from repro.workload.log import Workload
 from repro.workload.preprocess import preprocess_workload
 from tests.core.reference_categorizer import reference_categorize
+from tests.relational.reference_rowstore import LAYOUTS, ReferenceTable
 
 SCHEMA = TableSchema(
     "T",
@@ -207,9 +209,9 @@ def test_sizes_equal_partition_lengths(data):
     picks = st.one_of(st.none(), positions, most) if rows else st.none()
     root_picks = data.draw(picks)
     node_picks = data.draw(picks)
-    by_backend = []
-    for backend in BACKEND_NAMES:
-        table = Table.from_rows(SCHEMA, rows, backend=backend)
+    by_layout = []
+    for layout in LAYOUTS.values():
+        table = layout.from_rows(SCHEMA, rows)
         node = view(table, node_picks)
         sized = []
         root = view(table, root_picks)
@@ -220,8 +222,8 @@ def test_sizes_equal_partition_lengths(data):
             ], type(partitioner).__name__
             assert partitioner.sizes(node) == sizes  # memo hit, same answer
             sized.append(sizes)
-        by_backend.append(sized)
-    assert by_backend[0] == by_backend[1]
+        by_layout.append(sized)
+    assert by_layout[0] == by_layout[1]
 
 
 def test_sizes_memo_follows_workload_updates():
@@ -295,10 +297,10 @@ def test_engine_matches_reference_on_random_relations(
         Workload.from_sql_strings(statements), SCHEMA, {"x": 5.0, "n": 5.0}
     )
     config = config.with_overrides(max_tuples_per_category=m, elimination_threshold=0.2)
-    for backend in BACKEND_NAMES:
+    for layout in LAYOUTS.values():
         # Two tables, so neither engine sees the other's memoized counts.
-        result_new = Table.from_rows(SCHEMA, rows, backend=backend).all_rows()
-        result_ref = Table.from_rows(SCHEMA, rows, backend=backend).all_rows()
+        result_new = layout.from_rows(SCHEMA, rows).all_rows()
+        result_ref = layout.from_rows(SCHEMA, rows).all_rows()
         assert_same_as_reference(
             lambda: TECHNIQUES[technique](statistics, config),
             result_new,
@@ -308,11 +310,11 @@ def test_engine_matches_reference_on_random_relations(
 
 
 def test_engine_matches_reference_on_homes(homes_table, statistics, seattle_query):
-    rows_table = Table.from_columns(
-        homes_table.schema,
-        {name: list(homes_table.column(name)) for name in homes_table.schema.names()},
-        backend="rows",
+    # The conftest table's own generator rows, never its column store.
+    rows_table = ReferenceTable.from_rows(
+        homes_table.schema, ListPropertyGenerator(rows=4_000, seed=7).listings()
     )
+    assert rows_table.to_dicts() == homes_table.to_dicts()
     price_query = SelectQuery(
         "ListProperty", RangePredicate("price", 200_000, 600_000)
     )

@@ -4,8 +4,8 @@
 tree it stores) packs each node's row positions into an ``array`` and
 drops the memos the categorizer left on the node's row set.  On the
 random relations, workloads, configs and queries of
-``test_candidate_sizes.py``, on both backends, for the cost-based,
-Attr-Cost and No-Cost techniques:
+``test_candidate_sizes.py``, in the column store and in the row oracle,
+for the cost-based, Attr-Cost and No-Cost techniques:
 
 * the rendering, ``validate()``, every node's positions and ``len(rows)``
   are the same before and after compaction;
@@ -43,8 +43,7 @@ from array import array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.backends import BACKEND_NAMES, index_typecode
-from repro.relational.table import Table
+from repro.relational.backends import index_typecode
 from repro.render.treeview import render_tree
 from repro.workload.log import Workload
 from repro.workload.preprocess import preprocess_workload
@@ -57,6 +56,7 @@ from tests.core.test_candidate_sizes import (
     view,
     workloads,
 )
+from tests.relational.reference_rowstore import LAYOUTS
 
 COMPACTED_TECHNIQUES = ("cost-based", "attr-cost", "no-cost")
 
@@ -103,8 +103,8 @@ def test_compaction_keeps_every_answer(rows, statements, config, query, m, data)
     positions = st.lists(st.integers(0, len(rows) - 1), unique=True)
     picks = st.one_of(st.none(), positions, positions.map(sorted))
     root_picks = data.draw(picks)
-    for backend in BACKEND_NAMES:
-        table = Table.from_rows(SCHEMA, rows, backend=backend)
+    for layout, table_type in LAYOUTS.items():
+        table = table_type.from_rows(SCHEMA, rows)
         for technique in COMPACTED_TECHNIQUES:
             tree = TECHNIQUES[technique](statistics, config).categorize(
                 view(table, root_picks), query
@@ -113,9 +113,9 @@ def test_compaction_keeps_every_answer(rows, statements, config, query, m, data)
             tree.validate()
             tree.compact()
             assert_compacted(tree, table)
-            assert answers(tree) == before, (backend, technique)
+            assert answers(tree) == before, (layout, technique)
             tree.validate()
             again = TECHNIQUES[technique](statistics, config).categorize(
                 tree.root.rows, query
             )
-            assert answers(again) == before, (backend, technique)
+            assert answers(again) == before, (layout, technique)

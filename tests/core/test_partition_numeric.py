@@ -13,7 +13,6 @@ from repro.core.partition.numeric import (
     equi_width_partition,
 )
 from repro.data.homes import list_property_schema
-from repro.relational.backends import BACKEND_NAMES
 from repro.relational.expressions import RangePredicate
 from repro.relational.query import SelectQuery
 from repro.relational.schema import Attribute, TableSchema
@@ -21,6 +20,7 @@ from repro.relational.table import Table
 from repro.relational.types import DataType
 from repro.workload.log import Workload
 from repro.workload.preprocess import preprocess_workload
+from tests.relational.reference_rowstore import LAYOUTS
 
 
 def make_stats(ranges):
@@ -303,13 +303,13 @@ class TestNonFiniteValues:
             Workload.from_sql_strings(sql), TestNonFiniteValues.SCHEMA, {"x": 10}
         )
 
-    def x_rows(self, backend, values):
-        return Table.from_columns(self.SCHEMA, {"x": values}, backend=backend).all_rows()
+    def x_rows(self, layout, values):
+        return LAYOUTS[layout].from_columns(self.SCHEMA, {"x": values}).all_rows()
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_nan_first_value_does_not_bound_the_range(self, backend):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_nan_first_value_does_not_bound_the_range(self, layout):
         rows = self.x_rows(
-            backend, [math.nan, 30.0, 10.0, math.inf, 80.0, -math.inf, 50.0] * 4
+            layout, [math.nan, 30.0, 10.0, math.inf, 80.0, -math.inf, 50.0] * 4
         )
         stats = self.x_stats([(20, 40), (40, 60), (10, 70)])
         partitioner = NumericPartitioner("x", stats, CategorizerConfig(), root_rows=rows)
@@ -320,8 +320,8 @@ class TestNonFiniteValues:
         tree.validate()
         assert tree.root.child_attribute == "x"
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_splitpoint_necessity_ignores_nan(self, backend):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_splitpoint_necessity_ignores_nan(self, layout):
         """Every bucket keeps ``min_bucket_tuples`` of the tuples it holds."""
         stats = self.x_stats([(low, low + 10) for low in range(0, 100, 10)])
         config = CategorizerConfig(bucket_count=5, min_bucket_tuples=5)
@@ -330,7 +330,7 @@ class TestNonFiniteValues:
             values = [float(rng.randrange(100)) for _ in range(40)]
             for _ in range(rng.randrange(1, 10)):
                 values.insert(rng.randrange(len(values) + 1), math.nan)
-            rows = self.x_rows(backend, values)
+            rows = self.x_rows(layout, values)
             partitioner = NumericPartitioner("x", stats, config, root_rows=rows)
             buckets = partitioner.partition(rows)
             if len(buckets) > 1:

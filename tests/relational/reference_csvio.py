@@ -2,7 +2,7 @@
 
 Kept only as the oracle of the differential tests: every field goes
 through ``Attribute.coerce``, good rows accumulate into per-attribute
-lists, and the table is built from them in one shot.
+lists, and a reference row-store table is built from them in one shot.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from typing import Any
 from repro import perf
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
+from tests.relational.reference_rowstore import ReferenceTable
 
 
 def reference_read_csv(
-    schema: TableSchema, path: str | Path, strict: bool = True, backend: str = "rows"
+    schema: TableSchema, path: str | Path, strict: bool = True
 ) -> Table:
     path = Path(path)
     attributes = tuple(schema)
@@ -57,6 +58,6 @@ def reference_read_csv(
             for (_, append, _), value in zip(plan, coerced):
                 append(value)
             loaded_rows += 1
-    table = Table.from_columns(schema, columns, backend=backend, coerce=False)
+    table = ReferenceTable.from_columns(schema, columns, coerce=False)
     perf.count("csv.rows_loaded", loaded_rows)
     return table

@@ -1,8 +1,9 @@
-"""Property-based equivalence: the columnar backend vs the row backend.
+"""Property-based equivalence: the column store vs the row oracle.
 
 The acceptance bar for the storage layer: for randomized tables and
-predicates, the columnar backend must be *observationally identical* to
-the row backend, which serves as the reference — same rows selected (same
+predicates, :class:`~repro.relational.backends.ColumnStore` must be
+*observationally identical* to the reference row store
+(``tests/relational/reference_rowstore.py``) — same rows selected (same
 indices, same order), same statistics, and the same category tree out of
 the full categorizer.  Any divergence here means a fast path changed
 semantics, not just speed.
@@ -34,6 +35,7 @@ from repro.relational.statistics import (
 )
 from repro.relational.table import Table
 from repro.relational.types import AttributeKind, DataType
+from tests.relational.reference_rowstore import ReferenceTable
 
 
 def schema() -> TableSchema:
@@ -50,8 +52,7 @@ def schema() -> TableSchema:
 
 # Small value pools so duplicates, NULLs and empty selections all occur.
 KINDS = ("alpha", "beta", "gamma", None)
-# Bounded ints: the columnar backend packs into int64; arbitrary-precision
-# ints are a documented row-backend-only feature, not an equivalence bug.
+# Bounded ints: the column store packs into int64 and refuses the rest.
 counts = st.one_of(st.none(), st.integers(min_value=-1_000, max_value=1_000))
 scores = st.one_of(
     st.none(),
@@ -147,11 +148,8 @@ def predicates(draw):
 
 
 def both_backends(rows):
-    """(reference rows table, columnar table) over the same rows."""
-    return tuple(
-        Table.from_rows(schema(), rows, backend=backend)
-        for backend in ("rows", "columnar")
-    )
+    """(reference row-store table, column-store table) over the same rows."""
+    return ReferenceTable.from_rows(schema(), rows), Table.from_rows(schema(), rows)
 
 
 class TestStorageEquivalence:
@@ -195,7 +193,9 @@ class TestStorageEquivalence:
     )
     def test_partition_by_buckets_identical(self, rows, boundaries):
         row_table, col_table = both_backends(rows)
-        for attribute in ("count", "score"):
+        # ``flag`` is a BOOL column bucketed as a number: the store's
+        # dictionary-column path.
+        for attribute in ("count", "score", "flag"):
             assert _buckets(col_table, attribute, boundaries) == _buckets(
                 row_table, attribute, boundaries
             )
@@ -203,8 +203,8 @@ class TestStorageEquivalence:
     @settings(deadline=None)
     @given(rows_with_nonfinite)
     def test_nonfinite_boundaries_identical(self, rows):
-        # Non-finite boundaries take the guarded slow path in every
-        # backend; the drop-and-count contract must not change.
+        # Non-finite boundaries take the guarded slow path in both
+        # stores; the drop-and-count contract must not change.
         boundaries = (-math.inf, -10.0, 0.0, 10.0, math.inf)
         row_table, col_table = both_backends(rows)
         assert _buckets(col_table, "score", boundaries) == _buckets(
@@ -239,20 +239,23 @@ def _buckets(table, attribute, boundaries):
 
 
 class TestCategorizerEquivalence:
-    """End-to-end: the full cost-based tree must not depend on the backend."""
+    """End-to-end: the full cost-based tree must not depend on the storage."""
 
     @settings(deadline=None, max_examples=10)
     @given(st.integers(min_value=0, max_value=2**20))
     def test_category_trees_identical(self, statistics, seattle_query, seed):
-        # Random-but-deterministic tables via the real generator; the
-        # workload statistics are backend-independent by construction, so
-        # the tree compare isolates the storage layer.
+        # Random-but-deterministic tables via the real generator's rows;
+        # the workload statistics are storage-independent by construction,
+        # so the tree compare isolates the storage layer.
         from repro.core.algorithm import CostBasedCategorizer
-        from repro.data.homes import generate_homes
+        from repro.data.homes import ListPropertyGenerator, list_property_schema
 
+        generator = ListPropertyGenerator(rows=600, seed=seed)
         trees = []
-        for backend in ("rows", "columnar"):
-            table = generate_homes(rows=600, seed=seed, backend=backend)
+        for table in (
+            ReferenceTable.from_rows(list_property_schema(), generator.listings()),
+            generator.generate(),
+        ):
             rows = seattle_query.execute(table)
             tree = CostBasedCategorizer(statistics).categorize(rows, seattle_query)
             trees.append(

@@ -1,9 +1,11 @@
-"""Tests for the storage-backend layer (RowStore / ColumnStore).
+"""Tests for the storage layer (ColumnStore against the row oracle).
 
-The columnar backend must be *semantically invisible*: every Table /
-RowSet operation returns the same logical values as the row backend, NULL
-contracts included.  These are targeted unit tests; the randomized
-cross-backend checks live in ``test_backend_equivalence.py``.
+The column store must be *semantically invisible*: every Table / RowSet
+operation returns the same logical values as the reference row store
+(``tests/relational/reference_rowstore.py``), NULL contracts included.
+The ``[rows]`` cases run each contract on the oracle, the ``[columnar]``
+cases on the real store.  These are targeted unit tests; the randomized
+cross-layout checks live in ``test_backend_equivalence.py``.
 """
 
 from array import array
@@ -11,15 +13,7 @@ from array import array
 import pytest
 
 from repro import perf
-from repro.relational.backends import (
-    BACKEND_NAMES,
-    ColumnStore,
-    DictColumn,
-    IntColumn,
-    RowStore,
-    index_typecode,
-    make_backend,
-)
+from repro.relational.backends import DictColumn, IntColumn, index_typecode
 from repro.relational.expressions import (
     ComparisonPredicate,
     Conjunction,
@@ -31,6 +25,7 @@ from repro.relational.expressions import (
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import RowSet, Table
 from repro.relational.types import DataType
+from tests.relational.reference_rowstore import LAYOUTS
 
 
 def homes_schema() -> TableSchema:
@@ -53,41 +48,22 @@ ROWS = [
 ]
 
 
-@pytest.fixture(params=BACKEND_NAMES)
+@pytest.fixture(params=list(LAYOUTS))
 def table(request):
-    t = Table(homes_schema(), backend=request.param)
+    t = LAYOUTS[request.param](homes_schema())
     t.extend(ROWS)
     return t
 
 
 @pytest.fixture
 def columnar():
-    t = Table(homes_schema(), backend="columnar")
+    t = Table(homes_schema())
     t.extend(ROWS)
     return t
 
 
-class TestBackendRegistry:
-    def test_make_backend_names(self):
-        schema = homes_schema()
-        assert isinstance(make_backend("rows", schema), RowStore)
-        assert isinstance(make_backend("columnar", schema), ColumnStore)
-
-    def test_make_backend_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown storage backend"):
-            make_backend("parquet", homes_schema())
-
-    def test_table_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown storage backend"):
-            Table(homes_schema(), backend="parquet")
-
-    def test_backend_name_property(self):
-        assert Table(homes_schema()).backend_name == "columnar"
-        assert Table(homes_schema(), backend="rows").backend_name == "rows"
-
-
 class TestBasicsOnBothBackends:
-    """Every Table contract from test_table.py, parametrized over backends."""
+    """Every Table contract from test_table.py, on both layouts."""
 
     def test_len_and_iteration(self, table):
         assert len(table) == 5
@@ -190,7 +166,7 @@ class TestSelectionOnBothBackends:
 
     def test_select_is_null_no_nulls(self, table):
         table.insert({"city": "X", "price": 1, "bath": 1.0})
-        fresh = Table(homes_schema(), backend=table.backend_name)
+        fresh = type(table)(homes_schema())
         fresh.extend([{"city": "A", "price": 1, "bath": 1.0}])
         assert len(fresh.select(IsNullPredicate("price"))) == 0
 
@@ -216,13 +192,13 @@ class TestSelectionOnBothBackends:
 
     def test_select_unknown_attribute_matches_nothing(self, table):
         # Predicates read rows via Mapping.get -> None, so an unknown
-        # attribute silently matches nothing on both backends.
+        # attribute silently matches nothing on both layouts.
         assert len(table.select(InPredicate("bogus", ["x"]))) == 0
         assert len(table.select(RangePredicate("bogus", 0, 1))) == 0
 
     def test_range_on_text_raises_type_error(self, table):
-        # The row engine raises comparing str to float; the columnar
-        # backend must defer to the row path and raise identically.
+        # The row engine raises comparing str to float; the column
+        # store must defer to the row path and raise identically.
         with pytest.raises(TypeError):
             table.select(RangePredicate("city", 0, 10))
 
@@ -233,7 +209,7 @@ class TestSelectionOnBothBackends:
     def test_error_conjunct_order_preserved(self, table):
         # city IN (...) runs first and narrows to zero candidates, so the
         # TypeError-raising range conjunct is never evaluated — on either
-        # backend.
+        # layout.
         rows = table.select(
             Conjunction(
                 (
@@ -318,7 +294,7 @@ class TestColumnarSpecifics:
         schema = TableSchema(
             "T", (Attribute("b", DataType.TEXT), Attribute("a", DataType.INT))
         )
-        table = Table(schema, backend="columnar")
+        table = Table(schema)
         with pytest.raises(OverflowError):
             table.load_columns({"b": ["x", "y", "z"], "a": [1, big, 3]})
         assert len(table) == 0
@@ -337,13 +313,6 @@ class TestColumnarSpecifics:
         assert columnar.to_dicts() == before
         assert columnar.select(IsNullPredicate("price")).indices == (3,)
 
-    def test_row_backend_accepts_big_ints(self):
-        t = Table(homes_schema(), backend="rows")
-        t.insert({"city": "X", "price": 2**100, "bath": 1.0})
-        assert t.row(0)["price"] == 2**100
-        t.load_columns({"city": ["Y"], "price": [2**64], "bath": [None]})
-        assert t.all_rows().values("price") == [2**100, 2**64]
-
     def test_bulk_extend_with_nulls_rolls_back_cleanly(self):
         # load_columns hits array.extend's fast path, which trips on None
         # mid-batch; the rollback must leave values intact and ordered.
@@ -354,23 +323,21 @@ class TestColumnarSpecifics:
                 "price": [1, None, 3],
                 "bath": [None, 2.0, None],
             },
-            backend="columnar",
         )
         assert t.all_rows().values("price") == [1, None, 3]
         assert t.all_rows().values("bath") == [None, 2.0, None]
 
 
 class TestFromColumns:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_round_trip(self, backend):
-        t = Table.from_columns(
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_round_trip(self, layout):
+        t = LAYOUTS[layout].from_columns(
             homes_schema(),
             {
                 "city": ["A", "B"],
                 "price": ["100", 200],  # coerced
                 "bath": [1, None],
             },
-            backend=backend,
         )
         assert t.to_dicts() == [
             {"city": "A", "price": 100, "bath": 1.0},
@@ -410,11 +377,11 @@ class TestFromColumns:
 
 
 class TestFromRows:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_matches_insert_loop(self, backend):
-        via_insert = Table(homes_schema(), backend=backend)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_insert_loop(self, layout):
+        via_insert = LAYOUTS[layout](homes_schema())
         via_insert.extend(ROWS)
-        bulk = Table.from_rows(homes_schema(), ROWS, backend=backend)
+        bulk = LAYOUTS[layout].from_rows(homes_schema(), ROWS)
         assert bulk.to_dicts() == via_insert.to_dicts()
 
     def test_accepts_generator(self):
@@ -453,7 +420,7 @@ class TestPartitionDroppedRowsCounter:
         try:
             # "bath" has one NULL -> counts 1
             table.all_rows().partition_by_attribute("bath", lambda v: v)
-            fresh = Table(homes_schema(), backend=table.backend_name)
+            fresh = type(table)(homes_schema())
             fresh.extend([{"city": "A", "price": 1, "bath": 1.0}])
             fresh.all_rows().partition_by_attribute("price", lambda v: v)
         finally:
@@ -464,7 +431,7 @@ class TestPartitionDroppedRowsCounter:
 
 
 class TestPartitionByBuckets:
-    """The numeric bucketing fast path (both backends)."""
+    """The numeric bucketing fast path (both layouts)."""
 
     def test_buckets_match_semantics(self, table):
         # prices: 300, 500, 400, None, 250; boundaries [250, 400, 500]

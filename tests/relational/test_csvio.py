@@ -130,7 +130,7 @@ class TestLenientMode:
 
 
 class TestIntOutsideInt64:
-    """The columnar backend refuses such INTs; the rows backend stores them."""
+    """The column store refuses such INTs, as a malformed row."""
 
     BIG = "18446744073709551616"  # 2**64
 
@@ -152,19 +152,13 @@ class TestIntOutsideInt64:
 
     def test_strict_names_path_and_line(self, schema, path):
         with pytest.raises(ValueError, match=r"big\.csv:3: attribute 'price'"):
-            read_csv(schema, path, backend="columnar")
+            read_csv(schema, path)
 
     def test_lenient_skips_and_counts_the_row(self, schema, path, perf_on):
-        loaded = read_csv(schema, path, strict=False, backend="columnar")
+        loaded = read_csv(schema, path, strict=False)
         assert loaded.to_dicts() == [
             {"city": "Seattle", "price": 100},
             {"city": "Bellevue", "price": 200},
         ]
         assert perf_on.counters["csv.bad_rows{reason=type}"] == 1
         assert perf_on.counters["csv.rows_loaded"] == 2
-
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_rows_backend_stores_it(self, schema, path, strict):
-        loaded = read_csv(schema, path, strict=strict, backend="rows")
-        assert loaded.all_rows().values("price") == [100, 2**64, 200]
-

@@ -1,8 +1,9 @@
 """Differential tests: chunked ``read_csv`` against the per-row loop.
 
-Both loaders read the same file on the ``rows`` and ``columnar`` backends
-and must produce identical columns, the same strict-mode ``path:line``
-error, and the same lenient ``csv.bad_rows{reason=...}`` counts.  Defects
+Both loaders read the same file — ``read_csv`` into the column store, the
+reference loop into the row oracle (``reference_rowstore.py``) — and must
+produce identical columns, the same strict-mode ``path:line`` error, and
+the same lenient ``csv.bad_rows{reason=...}`` counts.  Defects
 — NULLs, NULLs in non-nullable columns, ragged rows, unparseable values —
 land before, on and after chunk boundaries: the random cases shrink the
 chunk to a few rows, and one case runs at the real :data:`CHUNK_ROWS`.
@@ -77,13 +78,13 @@ def write(path, rows, header=HEADER):
         writer.writerows(rows)
 
 
-def load(loader, path, strict, backend):
+def load(loader, path, strict):
     """(columns or error message, csv.* counters) of one load."""
     perf.reset()
     perf.enable()
     try:
         try:
-            table = loader(SCHEMA, path, strict=strict, backend=backend)
+            table = loader(SCHEMA, path, strict=strict)
         except ValueError as exc:
             result = ("ValueError", str(exc))
         else:
@@ -101,11 +102,10 @@ def load(loader, path, strict, backend):
 
 
 def assert_loaders_agree(path):
-    for backend in ("rows", "columnar"):
-        for strict in (True, False):
-            assert load(read_csv, path, strict, backend) == load(
-                reference_read_csv, path, strict, backend
-            ), (backend, strict)
+    for strict in (True, False):
+        assert load(read_csv, path, strict) == load(
+            reference_read_csv, path, strict
+        ), strict
 
 
 @settings(

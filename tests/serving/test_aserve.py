@@ -1,9 +1,11 @@
 """Tests for the asyncio front end: protocol, coalescing, shedding.
 
-The concurrency tests block the *service* (not the server) behind
-threading events, so the interesting interleavings — N identical
-requests in flight at once, a full waiting room — are constructed
-deterministically instead of hoping a timing race lands the right way.
+The routes and their error mapping are the HTTP contract, tested once in
+``test_http.py``.  The concurrency tests block the *service* (not the
+server) behind threading events, so the interesting interleavings — N
+identical requests in flight at once, a full waiting room — are
+constructed deterministically instead of hoping a timing race lands the
+right way.
 """
 
 from __future__ import annotations
@@ -102,139 +104,6 @@ class _BlockingService:
         if should_block:
             assert self.release.wait(timeout=30), "test never released the service"
         return self._original(sql, **kwargs)
-
-
-class TestEndpoints:
-    """The five routes, one request per connection."""
-
-    def test_healthz_and_metrics(self, make_service, perf_on):
-        with running(make_service()) as handle:
-            status, _, payload = _request(handle, "GET", "/healthz")
-            assert status == 200
-            assert payload["status"] == "ok"
-            _request(handle, "POST", "/categorize", {"sql": SERVE_SQL})
-            status, headers, text = _request(handle, "GET", "/metrics")
-            assert status == 200
-            assert headers["content-type"].startswith("text/plain")
-            assert b"repro_http_requests_by_route_total" in text
-
-    def test_categorize_roundtrip(self, make_service):
-        with running(make_service()) as handle:
-            status, _, payload = _request(
-                handle, "POST", "/categorize", {"sql": SERVE_SQL, "render": True}
-            )
-            assert status == 200
-            assert payload["rung"] == "full"
-            assert payload["row_count"] > 0
-            assert payload["trace_id"].startswith("req-")
-            assert "rendering" in payload
-
-    def test_categorize_batch(self, make_service):
-        with running(make_service()) as handle:
-            status, _, payload = _request(
-                handle, "POST", "/categorize_batch", {"sqls": [SQL_A, SQL_B]}
-            )
-            assert status == 200
-            assert payload["count"] == 2
-            assert {r["epoch"] for r in payload["results"]} == {payload["epoch"]}
-
-    def test_record_roundtrip(self, make_service):
-        with running(make_service(batch_size=2)) as handle:
-            status, _, payload = _request(
-                handle, "POST", "/record", {"sql": SQL_B}
-            )
-            assert status == 200
-            assert payload["status"] == "recorded"
-            _request(handle, "POST", "/record", {"sql": SQL_B})
-            _, _, health = _request(handle, "GET", "/healthz")
-            assert health["epoch"] == 1  # batch of 2 published
-
-    def test_responses_carry_x_trace_id(self, make_service):
-        with running(make_service()) as handle:
-            _, headers, payload = _request(
-                handle, "POST", "/categorize", {"sql": SERVE_SQL}
-            )
-            assert headers["x-trace-id"] == payload["trace_id"]
-            _, headers, payload = _request(
-                handle, "POST", "/categorize_batch", {"sqls": [SQL_A, SQL_B]}
-            )
-            assert headers["x-trace-id"] == payload["trace_id"]
-            assert all(
-                r["trace_id"].startswith(payload["trace_id"] + "#")
-                for r in payload["results"]
-            )
-            _, headers, _ = _request(handle, "POST", "/record", {"sql": SQL_B})
-            assert headers["x-trace-id"].startswith("req-")
-
-    def test_trace_request_bypasses_coalescing_and_traces(self, make_service):
-        with running(make_service()) as handle:
-            _, _, payload = _request(
-                handle, "POST", "/categorize", {"sql": SERVE_SQL, "trace": True}
-            )
-            assert payload["decision_trace"]["trace_id"] == payload["trace_id"]
-
-    def test_trace_after_untraced_read_carries_its_own_trace(self, make_service):
-        with running(make_service()) as handle:
-            _request(handle, "POST", "/categorize", {"sql": SERVE_SQL})
-            _, _, payload = _request(
-                handle, "POST", "/categorize", {"sql": SERVE_SQL, "trace": True}
-            )
-            assert payload["decision_trace"]["trace_id"] == payload["trace_id"]
-
-
-class TestErrorMapping:
-    def test_bad_sql_is_400_with_reason(self, make_service):
-        with running(make_service()) as handle:
-            status, _, payload = _request(
-                handle, "POST", "/categorize", {"sql": "SELECT FROM WHERE"}
-            )
-            assert status == 400
-            assert payload["error"]["code"] == "SqlError"
-            assert payload["error"]["detail"]["reason"] == "sql"
-
-    @pytest.mark.parametrize("route", ["/categorize", "/record"])
-    def test_unconvertible_digit_is_400_sql_error(self, make_service, route):
-        # '²' is a digit to str.isdigit() but not to int(): the lexer must
-        # turn it into a SqlError, not let a ValueError become a 500.
-        sql = "SELECT * FROM ListProperty WHERE price = ²"
-        with running(make_service()) as handle:
-            status, _, payload = _request(handle, "POST", route, {"sql": sql})
-        assert status == 400
-        assert payload["error"]["code"] == "SqlError"
-        assert payload["error"]["detail"]["reason"] == "sql"
-
-    def test_bad_json_is_400(self, make_service):
-        with running(make_service()) as handle:
-            host, port = handle.address
-            connection = http.client.HTTPConnection(host, port, timeout=10)
-            try:
-                connection.request(
-                    "POST", "/categorize", b"not json",
-                    {"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                payload = json.loads(response.read())
-                assert response.status == 400
-                assert payload["error"]["code"] == "InvalidRequest"
-                assert payload["error"]["detail"]["reason"] == "request"
-            finally:
-                connection.close()
-
-    def test_unknown_endpoint_is_404(self, make_service):
-        with running(make_service()) as handle:
-            status, _, _ = _request(handle, "GET", "/nope")
-            assert status == 404
-            status, _, _ = _request(handle, "POST", "/nope", {"sql": SQL_A})
-            assert status == 404
-
-    def test_degradation_is_not_an_error(self, make_service):
-        with running(make_service()) as handle:
-            status, _, payload = _request(
-                handle, "POST", "/categorize",
-                {"sql": SERVE_SQL, "budget": "showtuples"},
-            )
-            assert status == 200
-            assert payload["rung"] == "showtuples"
 
 
 class TestProtocol:

@@ -115,32 +115,17 @@ class TestCategorizeMany:
             assert result.tree.decision_trace.trace_id == result.trace_id
 
 
-class TestCacheKeyBackendTag:
-    def test_cache_keys_carry_backend_name(self, make_service):
+class TestCacheKeyShape:
+    def test_cache_keys_are_namespace_epoch_technique_sql(self, make_service):
         service = make_service()
-        service.categorize(SERVE_SQL)
+        result = service.categorize(SERVE_SQL)
         (key,) = service.cache._entries.keys()
-        namespace, epoch, technique, backend, sql = key.split(":", 4)
+        namespace, epoch, technique, sql = key.split(":", 3)
         assert namespace == service.namespace
-        assert backend == service.table.backend_name == "columnar"
-        assert technique == service.technique
         assert epoch == "0"
-
-    def test_columnar_service_keys_differ(self, make_service, statistics):
-        from repro.data.homes import generate_homes
-        from repro.serving.relation import Relation
-        from repro.serving.service import CategorizationService
-
-        table = generate_homes(rows=500, seed=7, backend="rows")
-        keys = []
-        for service in (
-            make_service(),
-            CategorizationService(Relation(table, statistics.copy())),
-        ):
-            service.categorize(SERVE_SQL)
-            keys.extend(service.cache._entries.keys())
-        assert ":columnar:" in keys[0]
-        assert ":rows:" in keys[1]
+        assert technique == service.technique
+        assert sql == result.sql
+        assert key == service.coalescing_key(SERVE_SQL)
 
 
 @pytest.fixture

@@ -66,10 +66,15 @@ class TestEndpoints:
 
     def test_metrics_is_prometheus_text(self, server, perf_on):
         _post(server, "/categorize", {"sql": SERVE_SQL})
-        status, body = _get(server, "/metrics")
+        with urllib.request.urlopen(_url(server, "/metrics"), timeout=10) as response:
+            status = response.status
+            content_type = response.headers["Content-Type"]
+            body = response.read().decode("utf-8")
         assert status == 200
+        assert content_type.startswith("text/plain")
         assert "# TYPE" in body
         assert "repro_serve_requests_total" in body
+        assert "repro_http_requests_by_route_total" in body
 
     def test_categorize_roundtrip(self, server):
         status, payload = _post(
@@ -80,6 +85,14 @@ class TestEndpoints:
         assert payload["row_count"] > 0
         assert payload["trace_id"].startswith("req-")
         assert "rendering" in payload
+
+    def test_categorize_batch(self, server):
+        status, payload = _post(
+            server, "/categorize_batch", {"sqls": [SERVE_SQL, LOG_SQL]}
+        )
+        assert status == 200
+        assert payload["count"] == 2
+        assert {r["epoch"] for r in payload["results"]} == {payload["epoch"]}
 
     def test_responses_carry_x_trace_id(self, server):
         _, headers, payload = _post_with_headers(
@@ -103,6 +116,13 @@ class TestEndpoints:
         assert payload["decision_trace"]["trace_id"] == payload["trace_id"]
         assert payload["decision_trace"]["served_rung"] == "full"
 
+    def test_trace_after_untraced_read_carries_its_own_trace(self, server):
+        # After an untraced read cached the tree, a traced read still
+        # carries its own trace, not the cached build's (or none).
+        _post(server, "/categorize", {"sql": SERVE_SQL})
+        _, payload = _post(server, "/categorize", {"sql": SERVE_SQL, "trace": True})
+        assert payload["decision_trace"]["trace_id"] == payload["trace_id"]
+
     def test_record_roundtrip(self, server):
         status, payload = _post(server, "/record", {"sql": LOG_SQL})
         assert status == 200
@@ -123,6 +143,18 @@ class TestErrorMapping:
         assert payload["error"]["detail"]["reason"] == "sql"
         assert "position" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("route", ["/categorize", "/record"])
+    def test_unconvertible_digit_is_400_sql_error(self, server, route):
+        # '²' is a digit to str.isdigit() but not to int(): the lexer must
+        # turn it into a SqlError, not let a ValueError become a 500.
+        sql = "SELECT * FROM ListProperty WHERE price = ²"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(server, route, {"sql": sql})
+        assert excinfo.value.code == 400
+        payload = json.loads(excinfo.value.read())
+        assert payload["error"]["code"] == "SqlError"
+        assert payload["error"]["detail"]["reason"] == "sql"
+
     def test_missing_sql_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(server, "/categorize", {})
@@ -138,6 +170,9 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+        payload = json.loads(excinfo.value.read())
+        assert payload["error"]["code"] == "InvalidRequest"
+        assert payload["error"]["detail"]["reason"] == "request"
 
     def test_unknown_endpoint_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -100,6 +100,7 @@ class TestTableRouting:
         assert excinfo.value.code == 404
         body = json.loads(excinfo.value.read())
         assert body["error"]["code"] == "UnknownTable"
+        assert body["error"]["detail"]["table"] == "Nope"
         assert body["error"]["detail"]["available"] == ["ListProperty", "Movies"]
 
     def test_non_string_table_is_400(self, server):
@@ -152,30 +153,3 @@ class TestObservability:
         for table in ("ListProperty", "Movies"):
             assert f'repro_serve_epoch{{table="{table}"}}' in metrics
             assert f'repro_serve_table_rows{{table="{table}"}}' in metrics
-
-
-class TestAsyncFrontEnd:
-    """The table dimension end to end through one body-field request, one
-    defaulted request, and the catalog-wide health map."""
-
-    def test_routes_and_deprecation_header(self, server):
-        _, headers, body = _post(
-            server, "/categorize", {"sql": MOVIES_SQL, "table": "Movies"}
-        )
-        assert body["table"] == "Movies"
-        assert "Deprecation" not in headers
-        _, headers, body = _post(server, "/categorize", {"sql": HOMES_SQL})
-        assert body["table"] == "ListProperty"
-        assert headers.get("Deprecation") == "true"
-
-    def test_unknown_table_is_404_envelope(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(server, "/categorize", {"sql": HOMES_SQL, "table": "Nope"})
-        assert excinfo.value.code == 404
-        body = json.loads(excinfo.value.read())
-        assert body["error"]["code"] == "UnknownTable"
-        assert body["error"]["detail"]["table"] == "Nope"
-
-    def test_healthz_enumerates_tables(self, server):
-        health = json.loads(_get(server, "/healthz"))
-        assert set(health["tables"]) == {"ListProperty", "Movies"}

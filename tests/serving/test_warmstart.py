@@ -49,22 +49,12 @@ def _columns_equal(schema, left: Table, right: Table) -> bool:
 
 
 def test_table_snapshot_roundtrips_columnar(tmp_path):
-    table = generate_homes(rows=300, seed=11, backend="columnar")
+    table = generate_homes(rows=300, seed=11)
     path = write_table_snapshot(table, tmp_path)
     assert path == tmp_path / TABLE_SNAPSHOT
     store, rows = ColumnStore.load(table.schema, path)
     assert rows == len(table)
-    loaded = Table.from_backend(table.schema, store, rows)
-    assert _columns_equal(table.schema, table, loaded)
-
-
-def test_table_snapshot_roundtrips_row_backend(tmp_path):
-    table = generate_homes(rows=200, seed=12, backend="rows")
-    write_table_snapshot(table, tmp_path)
-    store, rows = ColumnStore.load(
-        table.schema, tmp_path / TABLE_SNAPSHOT
-    )
-    loaded = Table.from_backend(table.schema, store, rows)
+    loaded = Table.from_store(table.schema, store, rows)
     assert _columns_equal(table.schema, table, loaded)
 
 
@@ -84,16 +74,15 @@ def test_table_snapshot_preserves_nulls_and_dictionaries(tmp_path):
             "price": [100, None, 300, None, 500],
             "score": [1.5, 2.5, None, 4.5, None],
         },
-        backend="columnar",
     )
     write_table_snapshot(table, tmp_path)
     store, rows = ColumnStore.load(schema, tmp_path / TABLE_SNAPSHOT)
-    loaded = Table.from_backend(schema, store, rows)
+    loaded = Table.from_store(schema, store, rows)
     assert _columns_equal(schema, table, loaded)
 
 
 def test_table_snapshot_rejects_wrong_schema(tmp_path):
-    table = generate_homes(rows=50, seed=13, backend="columnar")
+    table = generate_homes(rows=50, seed=13)
     write_table_snapshot(table, tmp_path)
     other = TableSchema(
         "ListProperty",
@@ -106,7 +95,7 @@ def test_table_snapshot_rejects_wrong_schema(tmp_path):
 
 
 def test_corrupted_snapshot_fails_stop_with_crc(tmp_path):
-    table = generate_homes(rows=50, seed=13, backend="columnar")
+    table = generate_homes(rows=50, seed=13)
     path = write_table_snapshot(table, tmp_path)
     raw = bytearray(path.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
@@ -117,7 +106,7 @@ def test_corrupted_snapshot_fails_stop_with_crc(tmp_path):
 
 
 def test_missing_snapshot_reports_missing(tmp_path):
-    table = generate_homes(rows=10, seed=13, backend="columnar")
+    table = generate_homes(rows=10, seed=13)
     with pytest.raises(SnapshotMismatch) as excinfo:
         ColumnStore.load(table.schema, tmp_path / TABLE_SNAPSHOT)
     assert excinfo.value.reason == "missing"

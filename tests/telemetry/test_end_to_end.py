@@ -12,7 +12,7 @@ from repro import telemetry
 from repro.serving.aserve import start_in_thread
 from repro.serving.loadgen import run_loadgen
 from repro.telemetry import RotatingJsonlSink, TelemetryPipeline
-from repro.telemetry.audit import audit_files
+from repro.telemetry.audit import audit_files, load_events
 
 from tests.telemetry.conftest import LOG_SQL, SERVE_SQL, counter_total
 
@@ -65,6 +65,11 @@ class TestAsyncFrontEndRoundTrip:
         # Every fresh (uncached) tree shipped its decision digest.
         assert report["quality"]["decision_events"] == misses
         assert report["quality"]["chosen_attributes"]
+
+        # No shipped event names a retired front end or storage layout.
+        events, _ = load_events(sink.segments())
+        assert {"frontend", "service"} <= {event["type"] for event in events}
+        assert not [e for e in events if "frontend" in e or "backend" in e]
 
     def test_sampling_rate_zero_ships_nothing(self, tmp_path, make_service):
         service = make_service()

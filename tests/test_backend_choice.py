@@ -1,19 +1,19 @@
-"""Backend choice at every entry point: columnar by default, two names only.
+"""Retired storage options are refused at every entry point.
 
-``DEFAULT_BACKEND`` in :mod:`repro.relational.backends` is the one place
-the default is written; every table constructor, loader, generator,
-descriptor and CLI flag must follow it.  A deleted backend's name and its
-``workers`` option must be refused at every entry point with an error
-that names what is valid.
+The column store is the only layout.  Three spellings older callers pass
+still parse — ``read_csv(..., backend=)``, ``generate_homes(...,
+backend=)`` and a dataset spec's ``backend`` key (``--dataset`` and TOML)
+— and each accepts ``columnar`` alone; any other name is an error naming
+it.  Every other way to choose a layout is gone: the CLI ``--backend``
+and ``--workers`` flags are unrecognized arguments, and ``Table`` takes
+no ``backend`` at all.
 """
 
 import pytest
 
-from repro.catalog import DatasetDescriptor
-from repro.cli import build_parser, main
-from repro.data.homes import ListPropertyGenerator, generate_homes
-from repro.data.movies import generate_movies
-from repro.relational.backends import DEFAULT_BACKEND
+from repro.catalog import load_catalog_file, parse_dataset_arg
+from repro.cli import main
+from repro.data.homes import generate_homes
 from repro.relational.csvio import read_csv
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
@@ -24,50 +24,30 @@ SCHEMA = TableSchema("T", (Attribute("a", DataType.INT),))
 #: The process-pool backend this package no longer has.
 RETIRED = "sharded"
 
-#: The required arguments of each subcommand that takes --backend.
+#: The list-per-attribute layout, now only the tests' reference.
+ORACLE = "rows"
+
+#: The required arguments of each subcommand that once took --backend.
 COMMANDS = {
     "categorize": ["--data", "h.csv", "--workload", "w.sql", "--query", "q"],
     "perf-report": ["--data", "h.csv", "--workload", "w.sql", "--query", "q"],
     "serve": ["--data", "h.csv", "--workload", "w.sql"],
 }
 
+ONLY_COLUMNAR = "the only one is 'columnar'"
+UNKNOWN_KEY = ["unknown key(s) ['workers']", "valid keys: ['backend',"]
 
-def _read_csv(tmp_path):
+
+def _csv(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a\n1\n")
-    return read_csv(SCHEMA, path)
+    return path
 
 
-DEFAULTS = {
-    "Table": lambda tmp_path: Table(SCHEMA).backend_name,
-    "Table.from_columns": lambda tmp_path: Table.from_columns(
-        SCHEMA, {"a": [1]}
-    ).backend_name,
-    "Table.from_rows": lambda tmp_path: Table.from_rows(
-        SCHEMA, [{"a": 1}]
-    ).backend_name,
-    "read_csv": lambda tmp_path: _read_csv(tmp_path).backend_name,
-    "generate_homes": lambda tmp_path: generate_homes(rows=5).backend_name,
-    "ListPropertyGenerator": lambda tmp_path: ListPropertyGenerator(
-        rows=5
-    ).generate().backend_name,
-    "generate_movies": lambda tmp_path: generate_movies(rows=5).backend_name,
-    "DatasetDescriptor": lambda tmp_path: DatasetDescriptor(
-        name="Movies", generator="movies"
-    ).backend,
-}
-for _command, _args in COMMANDS.items():
-    DEFAULTS[f"{_command} --backend"] = (
-        lambda tmp_path, argv=[_command, *_args]: build_parser()
-        .parse_args(argv)
-        .backend
-    )
-
-
-@pytest.mark.parametrize("entry", DEFAULTS)
-def test_default_backend_is_columnar(entry, tmp_path):
-    assert DEFAULT_BACKEND == "columnar"
-    assert DEFAULTS[entry](tmp_path) == DEFAULT_BACKEND
+def _catalog(tmp_path, option: str) -> str:
+    path = tmp_path / "catalog.toml"
+    path.write_text(f'[datasets.ListProperty]\ngenerator = "homes"\n{option}\n')
+    return str(path)
 
 
 def _cli(argv):
@@ -84,48 +64,69 @@ def _cli(argv):
     return attempt
 
 
-def _table(tmp_path, capsys) -> str:
-    with pytest.raises(ValueError) as info:
-        Table(SCHEMA, backend=RETIRED)
-    return str(info.value)
+def _raises(error, call):
+    """A refusal case raised in process: the exception's message."""
+
+    def attempt(tmp_path, capsys) -> str:
+        with pytest.raises(error) as info:
+            call(tmp_path)
+        return str(info.value)
+
+    return attempt
 
 
-def _catalog(tmp_path, option: str) -> list[str]:
-    path = tmp_path / "catalog.toml"
-    path.write_text(f'[datasets.ListProperty]\ngenerator = "homes"\n{option}\n')
-    return ["serve", "--catalog", str(path)]
-
-
-CHOOSE = "choose from ('rows', 'columnar')"
-UNKNOWN_KEY = ["unknown key(s) ['workers']", "valid keys: ['backend',"]
-
-REFUSALS = {
-    "Table-backend": (_table, [CHOOSE]),
-    "dataset-backend": (
-        _cli(lambda tmp_path: ["serve", "--dataset", f"T=@homes,backend={RETIRED}"]),
-        [CHOOSE],
-    ),
-    "dataset-workers": (
-        _cli(lambda tmp_path: ["serve", "--dataset", "T=@homes,workers=2"]),
-        UNKNOWN_KEY,
-    ),
-    "toml-backend": (
-        _cli(lambda tmp_path: _catalog(tmp_path, f'backend = "{RETIRED}"')),
-        [CHOOSE],
-    ),
-    "toml-workers": (
-        _cli(lambda tmp_path: _catalog(tmp_path, "workers = 2")),
-        UNKNOWN_KEY,
-    ),
-}
+REFUSALS = {}
+for _suffix, _name in (("", RETIRED), ("-rows", ORACLE)):
+    REFUSALS[f"Table-backend{_suffix}"] = (
+        _raises(TypeError, lambda tmp_path, name=_name: Table(SCHEMA, backend=name)),
+        ["backend"],
+    )
+    REFUSALS[f"read_csv-backend{_suffix}"] = (
+        _raises(
+            ValueError,
+            lambda tmp_path, name=_name: read_csv(SCHEMA, _csv(tmp_path), backend=name),
+        ),
+        [repr(_name), ONLY_COLUMNAR],
+    )
+    REFUSALS[f"generate_homes-backend{_suffix}"] = (
+        _raises(
+            ValueError,
+            lambda tmp_path, name=_name: generate_homes(rows=5, backend=name),
+        ),
+        [repr(_name), ONLY_COLUMNAR],
+    )
+    REFUSALS[f"dataset-backend{_suffix}"] = (
+        _cli(
+            lambda tmp_path, name=_name: [
+                "serve", "--dataset", f"T=@homes,backend={name}"
+            ]
+        ),
+        [repr(_name), ONLY_COLUMNAR],
+    )
+    REFUSALS[f"toml-backend{_suffix}"] = (
+        _cli(
+            lambda tmp_path, name=_name: [
+                "serve", "--catalog", _catalog(tmp_path, f'backend = "{name}"')
+            ]
+        ),
+        [repr(_name), ONLY_COLUMNAR],
+    )
+REFUSALS["dataset-workers"] = (
+    _cli(lambda tmp_path: ["serve", "--dataset", "T=@homes,workers=2"]),
+    UNKNOWN_KEY,
+)
+REFUSALS["toml-workers"] = (
+    _cli(lambda tmp_path: ["serve", "--catalog", _catalog(tmp_path, "workers = 2")]),
+    UNKNOWN_KEY,
+)
 for _command, _args in COMMANDS.items():
     REFUSALS[f"{_command}-backend"] = (
-        _cli(lambda tmp_path, argv=[_command, *_args, "--backend", RETIRED]: argv),
-        [f"invalid choice: '{RETIRED}' (choose from 'rows', 'columnar')"],
+        _cli(lambda tmp_path, argv=[_command, *_args, "--backend", "columnar"]: argv),
+        ["unrecognized arguments: --backend columnar"],
     )
     REFUSALS[f"{_command}-workers"] = (
         _cli(lambda tmp_path, argv=[_command, *_args, "--workers", "2"]: argv),
-        ["unrecognized arguments: --workers 2", "[--backend {rows,columnar}]"],
+        ["unrecognized arguments: --workers 2"],
     )
 
 
@@ -135,3 +136,12 @@ def test_retired_backend_options_are_refused(entry, tmp_path, capsys):
     error = attempt(tmp_path, capsys)
     for text in expected:
         assert text in error
+
+
+def test_perfbench_columnar_spellings_are_accepted(tmp_path):
+    assert len(read_csv(SCHEMA, _csv(tmp_path), backend="columnar")) == 1
+    assert len(generate_homes(rows=5, seed=1, backend="columnar")) == 5
+    spec = "ListProperty=homes.csv,workload=workload.sql,backend=columnar"
+    assert parse_dataset_arg(spec).name == "ListProperty"
+    catalog = _catalog(tmp_path, 'backend = "columnar"')
+    assert [d.name for d in load_catalog_file(catalog)[0]] == ["ListProperty"]

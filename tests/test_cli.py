@@ -137,7 +137,7 @@ class TestCategorize:
     def test_int_outside_int64_is_an_error_line(
         self, data_and_workload, tmp_path, capsys
     ):
-        # The default columnar backend refuses it; main() must turn that
+        # The column store refuses it; main() must turn that
         # into an error line, not an uncaught OverflowError.
         data, workload = data_and_workload
         with data.open(newline="") as handle:

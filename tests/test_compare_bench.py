@@ -101,3 +101,34 @@ class TestValidation:
             compare_bench.main(
                 ["--trajectory", str(trajectory), "--threshold", "-0.1"]
             )
+
+
+class TestUnits:
+    def _gate_line(self, tmp_path, capsys, bench, metric):
+        runs = [{"bench": bench, metric: value} for value in (10.0, 10.0)]
+        trajectory = tmp_path / "t.json"
+        trajectory.write_text(json.dumps({"runs": runs}))
+        assert compare_bench.main(["--trajectory", str(trajectory)]) == 0
+        (line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if f"{bench}.{metric}:" in line
+        ]
+        return line
+
+    def test_kb_metric_prints_kib(self, tmp_path, capsys):
+        line = self._gate_line(tmp_path, capsys, "cold_boot", "peak_kb")
+        assert "cold_boot.peak_kb: 10.000 -> 10.000 KiB (" in line
+
+    def test_ratio_metric_prints_no_unit(self, tmp_path, capsys):
+        line = self._gate_line(tmp_path, capsys, "telemetry_overhead", "off_ratio")
+        assert "telemetry_overhead.off_ratio: 10.000 -> 10.000 (" in line
+
+    def test_ms_metric_prints_ms(self, tmp_path, capsys):
+        line = self._gate_line(tmp_path, capsys, "categorize_hot_path", "warm_ms")
+        assert "categorize_hot_path.warm_ms: 10.000 -> 10.000 ms (" in line
+
+    def test_every_gated_metric_has_a_unit_suffix(self):
+        for _, metric in compare_bench.GATED_METRICS:
+            compare_bench.unit(metric)  # raises on an unknown suffix
+        with pytest.raises(ValueError, match="_ms, _kb, _ratio"):
+            compare_bench.unit("warm_seconds")
