@@ -43,10 +43,10 @@ REQUIRED_SPEEDUP = 1.5
 #: Acceptance ceiling for disabled-mode instrumentation overhead.
 MAX_DISABLED_OVERHEAD = 0.05
 
-#: Acceptance ceiling for sampled-mode (1-in-10 traces) overhead.  Counters
-#: and gauges stay always-on in this mode, so the bound is far looser than
-#: the disabled one; measured runs land around +26% (docs/observability.md).
-MAX_SAMPLED_OVERHEAD = 0.50
+#: Acceptance ceiling for enabled-mode overhead: every counter, gauge and
+#: span recorded, as ``repro serve`` runs.  Far looser than the disabled
+#: bound (docs/observability.md#measured-overhead).
+MAX_ENABLED_OVERHEAD = 0.50
 
 
 def _timed(fn, repeats=5, statistic="median"):
@@ -65,10 +65,9 @@ def _timed(fn, repeats=5, statistic="median"):
 def _stubbed_perf():
     """Replace every perf hook with a no-op, as if never instrumented."""
     null_scope = contextlib.nullcontext()
-    real = {name: getattr(perf, name) for name in ("count", "span", "timer")}
+    real = {name: getattr(perf, name) for name in ("count", "span")}
     perf.count = lambda name, value=1, **labels: None
     perf.span = lambda name: null_scope
-    perf.timer = lambda name: null_scope
     try:
         yield
     finally:
@@ -422,16 +421,15 @@ def test_perf_instrumentation_disabled_overhead(
     assert overhead <= MAX_DISABLED_OVERHEAD
 
 
-def test_perf_instrumentation_sampled_overhead(
+def test_perf_instrumentation_enabled_overhead(
     bench_statistics, bench_seattle_query
 ):
-    """Sampled tracing (1 in 10 roots) must cost <= 50% over uninstrumented.
+    """Enabled instrumentation must cost <= 50% over uninstrumented.
 
-    Enabled mode keeps counters/gauges always-on and traces only every
-    tenth root span, which is the intended production posture: cheap
-    steady-state accounting plus a representative latency sample.  The
-    baseline is the same no-op-stub configuration the disabled-mode bench
-    uses, i.e. code compiled as if never instrumented.
+    Enabled mode records every counter, gauge and span of every call, as
+    ``repro serve`` runs it: the registry never samples.  The baseline
+    is the same no-op-stub configuration the disabled-mode bench uses,
+    i.e. code compiled as if never instrumented.
     """
     query, rows = bench_seattle_query
     categorizer = CostBasedCategorizer(bench_statistics, PAPER_CONFIG)
@@ -442,36 +440,34 @@ def test_perf_instrumentation_sampled_overhead(
     run()  # populate caches: both sides measure steady state
     assert not perf.enabled()
     perf.enable()
-    perf.set_sampling(every=10)
     try:
-        sampled, stubbed = _timed_vs_stubbed(run, repeats=15)
+        enabled, stubbed = _timed_vs_stubbed(run, repeats=15)
     finally:
-        perf.clear_sampling()
         perf.reset()
         perf.disable()
 
-    overhead = sampled / stubbed - 1.0
+    overhead = enabled / stubbed - 1.0
     print()
     print(
         format_table(
             ["configuration", "min seconds"],
             [
-                ["sampled tracing (every=10)", f"{sampled:.4f}"],
+                ["enabled, every span recorded", f"{enabled:.4f}"],
                 ["no-op stubs", f"{stubbed:.4f}"],
             ],
-            title="Instrumentation sampled-mode overhead",
+            title="Instrumentation enabled-mode overhead",
         )
     )
     print(
         f"overhead: {overhead * 100:+.2f}% "
-        f"(budget {MAX_SAMPLED_OVERHEAD * 100:.0f}%)"
+        f"(budget {MAX_ENABLED_OVERHEAD * 100:.0f}%)"
     )
     _append_bench_record(
-        "instrumentation_sampled_overhead",
+        "instrumentation_enabled_overhead",
         {
-            "sampled_ms": round(sampled * 1e3, 3),
+            "enabled_ms": round(enabled * 1e3, 3),
             "stubbed_ms": round(stubbed * 1e3, 3),
             "overhead_pct": round(overhead * 100, 2),
         },
     )
-    assert sampled <= stubbed * (1.0 + MAX_SAMPLED_OVERHEAD)
+    assert enabled <= stubbed * (1.0 + MAX_ENABLED_OVERHEAD)

@@ -11,8 +11,7 @@ Subcommands::
                           [--explain]
     repro perf-report     --data homes.csv --workload workload.sql \
                           --query "SELECT ..." \
-                          [--format text|prometheus|jsonl|json] \
-                          [--sample-rate 0.5 | --sample-every 10]
+                          [--format text|prometheus|jsonl|json]
     repro serve           --data homes.csv --workload workload.sql \
                           [--host 127.0.0.1 --port 8765] [--lenient-csv] \
                           [--max-inflight 8 --max-queue 32] \
@@ -51,6 +50,12 @@ connections, coalescing of identical in-flight requests, and admission
 control — ``--max-inflight`` requests compute while ``--max-queue`` wait,
 queued work gets tighter deadlines as the queue fills, and arrivals past
 it are shed with 503 + ``Retry-After``.
+
+``perf-report`` categorizes once with :mod:`repro.perf` enabled and prints
+every span, duration histogram, counter and gauge it recorded; ``serve``
+keeps the registry enabled for its lifetime and exposes it at
+``GET /metrics``.  Neither samples: the one sampling decision is
+telemetry's, made per trace root (``--telemetry-sample``).
 
 ``generate-data``/``generate-workload`` emit the synthetic MSN stand-ins;
 ``categorize`` works on any CSV whose schema is the built-in ListProperty
@@ -184,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format for the collected metrics (json = the full "
              "registry as one machine-readable document)",
     )
-    report.add_argument("--sample-rate", type=float, default=None,
-                        help="trace sampling probability in [0, 1]")
-    report.add_argument("--sample-every", type=int, default=None,
-                        help="trace every Nth root span")
     report.set_defaults(handler=_cmd_perf_report)
 
     serve = subparsers.add_parser(
@@ -439,8 +440,6 @@ def _cmd_perf_report(args) -> int:
     config = PAPER_CONFIG.with_overrides(max_tuples_per_category=args.m)
     perf.enable()
     try:
-        if args.sample_rate is not None or args.sample_every is not None:
-            perf.set_sampling(rate=args.sample_rate, every=args.sample_every)
         table = read_csv(schema, args.data)
         statistics = preprocess_workload(
             read_log(args.workload), schema, config.separation_intervals
@@ -460,7 +459,6 @@ def _cmd_perf_report(args) -> int:
         else:
             print(perf.format_report())
     finally:
-        perf.clear_sampling()
         perf.reset()
         perf.disable()
     return 0

@@ -27,12 +27,6 @@ from repro.core.config import (
 )
 from repro.core.correlation import CorrelationAwareEstimator, JointWorkloadIndex
 from repro.core.cost import CostModel, NodeCosts
-from repro.core.explain import (
-    ExplainingCategorizer,
-    Explanation,
-    LevelDecision,
-    explain_categorization,
-)
 from repro.core.enumerate import (
     EnumerationResult,
     FixedOrderCategorizer,
@@ -76,13 +70,10 @@ __all__ = [
     "CostModel",
     "EnumerationResult",
     "EquiWidthNumericPartitioner",
-    "ExplainingCategorizer",
-    "Explanation",
     "FixedOrderCategorizer",
     "JointWorkloadIndex",
     "LIST_PROPERTY_SEPARATION_INTERVALS",
     "LevelByLevelCategorizer",
-    "LevelDecision",
     "MissingLabel",
     "NoCostCategorizer",
     "NodeCosts",
@@ -96,7 +87,6 @@ __all__ = [
     "Sizes",
     "bucketize",
     "enumerate_optimal_tree",
-    "explain_categorization",
     "equi_width_partition",
     "expected_cost_one_of_ordering",
     "order_by_probability",

@@ -11,10 +11,13 @@ structured record of all of it, built by
 <repro.core.algorithm.LevelByLevelCategorizer.categorize>` and attached
 to the returned tree as ``tree.decision_trace``.
 
-The trace is diagnostic, not hot-path: collecting it materializes every
-candidate partitioning (defeating the lazy-skip optimization) and scores
-each candidate under both cost scenarios.  Serve with it off; turn it on
-per query when a tree needs explaining (``repro categorize --explain``).
+The trace is diagnostic, not hot-path: collecting it scores every
+candidate under both cost scenarios, and under the baseline techniques
+sizes every candidate too.  Sizes come from counts
+(``Partitioner.sizes``), as the cost-based choice reads them, so tracing
+partitions nothing beyond the chosen attribute.  Serve with it off; turn
+it on per query when a tree needs explaining (``repro categorize
+--explain``).
 """
 
 from __future__ import annotations

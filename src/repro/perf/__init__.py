@@ -1,21 +1,19 @@
 """Observability for the serving hot path.
 
-Counters, gauges, flat timers, nestable trace spans, per-phase duration
-histograms (p50/p95/p99), trace sampling for production, and exporters
-(JSON-lines, Prometheus text format).  Import the package and call the
-module-level functions::
+Counters, gauges, nestable trace spans, per-span duration histograms
+(p50/p95/p99), and exporters (JSON, JSON-lines, Prometheus text format).
+Import the package and call the module-level functions::
 
     from repro import perf
 
     perf.enable()
-    perf.set_sampling(every=10)   # optional: production sampling
     ...                           # instrumented code runs
     print(perf.format_report())
     print(perf.export_prometheus())
 
 See :mod:`repro.perf.instrument` for the full API and the design notes
-(contextvar-based span nesting, root-level trace sampling, disabled-mode
-overhead budget), :mod:`repro.perf.export` for the wire formats, and
+(contextvar-based span nesting, disabled-mode overhead budget),
+:mod:`repro.perf.export` for the wire formats, and
 ``docs/observability.md`` for the user guide.
 """
 
@@ -29,7 +27,6 @@ from repro.perf.instrument import (
     ACTIVE,
     Instrumentation,
     SpanNode,
-    clear_sampling,
     count,
     disable,
     enable,
@@ -37,24 +34,18 @@ from repro.perf.instrument import (
     format_report,
     gauge,
     get,
-    report,
     reset,
     series_key,
-    set_sampling,
     span,
     split_series_key,
-    timer,
 )
 from repro.perf.metrics import Histogram
-from repro.perf.sampling import Sampler
 
 __all__ = [
     "ACTIVE",
     "Histogram",
     "Instrumentation",
-    "Sampler",
     "SpanNode",
-    "clear_sampling",
     "count",
     "disable",
     "enable",
@@ -66,11 +57,8 @@ __all__ = [
     "format_report",
     "gauge",
     "get",
-    "report",
     "reset",
     "series_key",
-    "set_sampling",
     "span",
     "split_series_key",
-    "timer",
 ]

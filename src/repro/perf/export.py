@@ -1,12 +1,16 @@
-"""Metric exporters: JSON-lines events and Prometheus text exposition.
+"""Metric exporters: one registry snapshot in three wire formats.
 
-Two wire formats over one :class:`~repro.perf.instrument.Instrumentation`
-snapshot:
+:func:`registry_snapshot` is the one traversal of an
+:class:`~repro.perf.instrument.Instrumentation` registry: counters,
+gauges, duration histograms and spans, each a sorted list of JSON-ready
+entries.  Every exporter renders that snapshot:
 
-* :func:`export_jsonl` — one JSON object per line, one line per series
-  (counter / gauge / timer / duration histogram / span), preceded by a
-  ``meta`` line carrying the sampling policy.  Meant for log shipping:
-  append the lines to a file and any JSON-lines consumer can aggregate.
+* :func:`export_json` — the snapshot as one pretty-printed document
+  (``perf-report --format json``), for tools that want ``json.load``.
+* :func:`export_jsonl` — one JSON object per line, one line per entry,
+  tagged with its kind (``counter`` / ``gauge`` / ``histogram`` /
+  ``span``).  Meant for log shipping: append the lines to a file and any
+  JSON-lines consumer can aggregate.
 * :func:`export_prometheus` — the Prometheus text exposition format
   (``# TYPE`` declarations plus ``name{labels} value`` samples), ready to
   serve from a ``/metrics`` endpoint or push through a textfile collector.
@@ -14,7 +18,7 @@ snapshot:
   ``repro_``; duration histograms export as summaries with ``quantile``
   labels.
 
-Both are pure functions of the registry — exporting never mutates or
+All are pure functions of the registry — exporting never mutates or
 resets recorded data, so repeated scrapes are safe.
 """
 
@@ -61,100 +65,42 @@ def _format_labels(labels: dict[str, Any]) -> str:
     return f"{{{inner}}}"
 
 
-def _walk_spans(node: SpanNode, prefix: str) -> Iterator[tuple[str, SpanNode]]:
-    path = f"{prefix}/{node.name}" if prefix else node.name
-    yield path, node
-    for _, child in sorted(node.children.items()):
-        yield from _walk_spans(child, path)
+def _span_paths(node: SpanNode, prefix: str = "") -> Iterator[tuple[str, SpanNode]]:
+    """Every span below ``node``, depth first, siblings sorted by name."""
+    for name, child in sorted(node.children.items()):
+        path = f"{prefix}/{name}" if prefix else name
+        yield path, child
+        yield from _span_paths(child, path)
 
 
-def _span_rows(inst: Instrumentation) -> list[tuple[str, SpanNode]]:
-    rows: list[tuple[str, SpanNode]] = []
-    for _, child in sorted(inst.spans.children.items()):
-        rows.extend(_walk_spans(child, ""))
-    return rows
-
-
-# -- JSON lines ------------------------------------------------------------
-
-
-def export_jsonl(inst: Instrumentation | None = None) -> str:
-    """Serialize the registry as JSON-lines (one event object per line)."""
-    inst = ACTIVE if inst is None else inst
-    lines: list[str] = [
-        json.dumps({"type": "meta", "sampling": inst.sampler.as_dict()})
-    ]
-    for key, value in sorted(inst.counters.items()):
+def _labeled(series: dict[str, Any]) -> list[dict[str, Any]]:
+    entries = []
+    for key, value in sorted(series.items()):
         name, labels = split_series_key(key)
-        lines.append(
-            json.dumps(
-                {"type": "counter", "name": name, "labels": labels, "value": value}
-            )
-        )
-    for key, value in sorted(inst.gauges.items()):
-        name, labels = split_series_key(key)
-        lines.append(
-            json.dumps(
-                {"type": "gauge", "name": name, "labels": labels, "value": value}
-            )
-        )
-    for name, (calls, seconds) in sorted(inst.timers.items()):
-        lines.append(
-            json.dumps(
-                {"type": "timer", "name": name, "calls": calls, "seconds": seconds}
-            )
-        )
-    for name, histogram in sorted(inst.durations.items()):
-        lines.append(
-            json.dumps(
-                {"type": "histogram", "name": name, **histogram.summary()}
-            )
-        )
-    for path, node in _span_rows(inst):
-        lines.append(
-            json.dumps(
-                {
-                    "type": "span",
-                    "path": path,
-                    "calls": node.calls,
-                    "seconds": node.seconds,
-                }
-            )
-        )
-    return "\n".join(lines) + "\n"
+        entries.append({"name": name, "labels": labels, "value": value})
+    return entries
 
 
 def registry_snapshot(inst: Instrumentation | None = None) -> dict[str, Any]:
-    """The whole registry as one JSON-ready object (``--format json``).
+    """The whole registry as one JSON-ready object, every section sorted.
 
-    Same traversal as :func:`export_jsonl`, shaped as a single document
-    instead of a line stream — for tools that want ``json.load`` rather
-    than a JSONL reader.
+    ``counters`` and ``gauges`` hold ``{name, labels, value}`` entries;
+    ``histograms`` one ``{name, **Histogram.summary()}`` entry per span
+    name; ``spans`` one ``{path, calls, seconds}`` entry per node of the
+    span tree, depth first, with a slash-joined ``path``
+    (``"categorize/categorize.level"``).
     """
     inst = ACTIVE if inst is None else inst
-    counters = []
-    for key, value in sorted(inst.counters.items()):
-        name, labels = split_series_key(key)
-        counters.append({"name": name, "labels": labels, "value": value})
-    gauges = []
-    for key, value in sorted(inst.gauges.items()):
-        name, labels = split_series_key(key)
-        gauges.append({"name": name, "labels": labels, "value": value})
     return {
-        "sampling": inst.sampler.as_dict(),
-        "counters": counters,
-        "gauges": gauges,
-        "timers": [
-            {"name": name, "calls": calls, "seconds": seconds}
-            for name, (calls, seconds) in sorted(inst.timers.items())
-        ],
+        "counters": _labeled(inst.counters),
+        "gauges": _labeled(inst.gauges),
         "histograms": [
             {"name": name, **histogram.summary()}
             for name, histogram in sorted(inst.durations.items())
         ],
         "spans": [
             {"path": path, "calls": node.calls, "seconds": node.seconds}
-            for path, node in _span_rows(inst)
+            for path, node in _span_paths(inst.spans)
         ],
     }
 
@@ -164,98 +110,89 @@ def export_json(inst: Instrumentation | None = None) -> str:
     return json.dumps(registry_snapshot(inst), indent=2) + "\n"
 
 
+def export_jsonl(inst: Instrumentation | None = None) -> str:
+    """Serialize :func:`registry_snapshot` as JSON lines.
+
+    One ``{"type": kind, **entry}`` object per entry, ``kind`` being its
+    section in the singular: ``counter``, ``gauge``, ``histogram`` or
+    ``span``.
+    """
+    return "".join(
+        json.dumps({"type": section.removesuffix("s"), **entry}) + "\n"
+        for section, entries in registry_snapshot(inst).items()
+        for entry in entries
+    )
+
+
 # -- Prometheus text format ------------------------------------------------
+
+
+def _by_name(entries: list[dict[str, Any]]) -> dict[str, list[dict[str, Any]]]:
+    grouped: dict[str, list[dict[str, Any]]] = {}
+    for entry in entries:
+        grouped.setdefault(entry["name"], []).append(entry)
+    return grouped
 
 
 def export_prometheus(inst: Instrumentation | None = None) -> str:
     """Serialize the registry in the Prometheus text exposition format."""
-    inst = ACTIVE if inst is None else inst
+    snapshot = registry_snapshot(inst)
     lines: list[str] = []
 
     # Counters: group series by base name so each gets one TYPE line.
-    grouped: dict[str, list[tuple[dict[str, Any], int]]] = {}
-    for key, value in sorted(inst.counters.items()):
-        name, labels = split_series_key(key)
-        grouped.setdefault(name, []).append((labels, value))
-    for name, series in grouped.items():
+    counters = _by_name(snapshot["counters"])
+    for name, series in counters.items():
         metric = f"repro_{_sanitize(name)}_total"
         lines.append(f"# TYPE {metric} counter")
-        for labels, value in series:
-            lines.append(f"{metric}{_format_labels(labels)} {value}")
+        for entry in series:
+            lines.append(f"{metric}{_format_labels(entry['labels'])} {entry['value']}")
 
-    grouped_gauges: dict[str, list[tuple[dict[str, Any], float]]] = {}
-    for key, value in sorted(inst.gauges.items()):
-        name, labels = split_series_key(key)
-        grouped_gauges.setdefault(name, []).append((labels, value))
+    gauges = _by_name(snapshot["gauges"])
     # serve.cache_hit_ratio is *derived at scrape time* from the result
     # cache's hit/miss counters — a ratio is a gauge, and materializing it
     # per-request would just be a slower way to compute hits/(hits+misses).
-    hits = sum(
-        value
-        for key, value in inst.counters.items()
-        if split_series_key(key)[0] == "service.cache_hits"
-    )
-    misses = sum(
-        value
-        for key, value in inst.counters.items()
-        if split_series_key(key)[0] == "service.cache_misses"
-    )
+    hits = sum(entry["value"] for entry in counters.get("service.cache_hits", ()))
+    misses = sum(entry["value"] for entry in counters.get("service.cache_misses", ()))
     if hits + misses:
-        grouped_gauges.setdefault("serve.cache_hit_ratio", []).append(
-            ({}, hits / (hits + misses))
+        gauges.setdefault("serve.cache_hit_ratio", []).append(
+            {"labels": {}, "value": hits / (hits + misses)}
         )
-    for name, gauge_series in grouped_gauges.items():
+    for name, series in gauges.items():
         metric = f"repro_{_sanitize(name)}"
         lines.append(f"# TYPE {metric} gauge")
-        for labels, value in gauge_series:
-            lines.append(f"{metric}{_format_labels(labels)} {_format_value(value)}")
-
-    if inst.timers:
-        lines.append("# TYPE repro_timer_seconds_total counter")
-        for name, (_, seconds) in sorted(inst.timers.items()):
-            labels = _format_labels({"name": name})
-            lines.append(f"repro_timer_seconds_total{labels} {_format_value(seconds)}")
-        lines.append("# TYPE repro_timer_calls_total counter")
-        for name, (calls, _) in sorted(inst.timers.items()):
-            labels = _format_labels({"name": name})
-            lines.append(f"repro_timer_calls_total{labels} {calls}")
-
-    if inst.durations:
-        lines.append("# TYPE repro_duration_seconds summary")
-        for name, histogram in sorted(inst.durations.items()):
-            summary = histogram.summary()
-            if not summary["count"]:
-                continue
-            for quantile in ("0.5", "0.95", "0.99"):
-                labels = _format_labels({"name": name, "quantile": quantile})
-                value = histogram.quantile(float(quantile))
-                lines.append(f"repro_duration_seconds{labels} {_format_value(value)}")
-            labels = _format_labels({"name": name})
+        for entry in series:
             lines.append(
-                f"repro_duration_seconds_sum{labels} {_format_value(summary['sum'])}"
+                f"{metric}{_format_labels(entry['labels'])} "
+                f"{_format_value(entry['value'])}"
             )
-            lines.append(f"repro_duration_seconds_count{labels} {summary['count']}")
 
-    span_rows = _span_rows(inst)
-    if span_rows:
-        lines.append("# TYPE repro_span_seconds_total counter")
-        for path, node in span_rows:
-            labels = _format_labels({"path": path})
+    if snapshot["histograms"]:
+        lines.append("# TYPE repro_duration_seconds summary")
+        for entry in snapshot["histograms"]:
+            for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
+                labels = _format_labels({"name": entry["name"], "quantile": quantile})
+                lines.append(
+                    f"repro_duration_seconds{labels} {_format_value(entry[key])}"
+                )
+            labels = _format_labels({"name": entry["name"]})
             lines.append(
-                f"repro_span_seconds_total{labels} {_format_value(node.seconds)}"
+                f"repro_duration_seconds_sum{labels} {_format_value(entry['sum'])}"
+            )
+            lines.append(f"repro_duration_seconds_count{labels} {entry['count']}")
+
+    if snapshot["spans"]:
+        lines.append("# TYPE repro_span_seconds_total counter")
+        for entry in snapshot["spans"]:
+            labels = _format_labels({"path": entry["path"]})
+            lines.append(
+                f"repro_span_seconds_total{labels} {_format_value(entry['seconds'])}"
             )
         lines.append("# TYPE repro_span_calls_total counter")
-        for path, node in span_rows:
-            labels = _format_labels({"path": path})
-            lines.append(f"repro_span_calls_total{labels} {node.calls}")
+        for entry in snapshot["spans"]:
+            labels = _format_labels({"path": entry["path"]})
+            lines.append(f"repro_span_calls_total{labels} {entry['calls']}")
 
-    sampling = inst.sampler.as_dict()
-    lines.append("# TYPE repro_sampling_decisions_total counter")
-    for outcome in ("sampled", "skipped"):
-        labels = _format_labels({"outcome": outcome})
-        lines.append(f"repro_sampling_decisions_total{labels} {sampling[outcome]}")
-
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _format_value(value: float) -> str:

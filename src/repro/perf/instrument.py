@@ -1,4 +1,4 @@
-"""Zero-dependency instrumentation: counters, gauges, timers, spans.
+"""Zero-dependency instrumentation: counters, gauges, spans.
 
 The serving hot path (``categorize`` and everything under it) needs to be
 *measurably* fast, which requires measurement that is cheap enough to leave
@@ -11,8 +11,6 @@ compiled in.  This module provides the primitives, all hanging off one
   a ``name{key=value,...}`` series key with sorted label keys.
 * **gauges** — named last-value-wins floats (result-set sizes, tree
   depths), also labelable.
-* **timers** — named flat wall-clock accumulators (total seconds + calls),
-  for phases where nesting is irrelevant (e.g. workload preprocessing).
 * **spans** — *nestable* wall-clock scopes forming a trace tree
   ("categorize" → "categorize.level" → "partition.categorical").  The
   current span is tracked in a :mod:`contextvars` context variable, so
@@ -20,48 +18,44 @@ compiled in.  This module provides the primitives, all hanging off one
   stack.  Repeated spans with the same name under the same parent are
   aggregated (calls + total seconds) rather than appended, keeping the
   tree bounded regardless of input size.
-* **duration histograms** — every span and timer exit feeds a per-name
+* **duration histograms** — every span exit feeds a per-name
   :class:`~repro.perf.metrics.Histogram`, so each phase reports
   p50/p95/p99 latency, not just totals.
 
-**Sampling** (:meth:`Instrumentation.set_sampling`) keeps tracing
-affordable under sustained traffic: the sampler decides once per *root*
-span whether the whole trace (spans + their duration observations) is
-recorded; nested spans inherit the decision.  Counters, gauges and flat
-timers stay always-on.  See :mod:`repro.perf.sampling`.
+An enabled registry records every span it is asked for.  It makes no
+sampling decision: the program's one sampler is telemetry's trace-root
+hash (:meth:`repro.telemetry.TelemetryPipeline.sampled`), which decides
+what a request ships, not what the registry measures.
 
 Everything is **disabled by default**.  Disabled-mode overhead is one
 module-global load, one attribute read and one branch per call site — the
 perf benchmark (``benchmarks/test_perf_partition.py``) asserts it stays
-within 5% of fully uninstrumented code, and bounds sampled-mode overhead
+within 5% of fully uninstrumented code, and bounds enabled-mode overhead
 too.  Instrumented modules therefore never guard their calls; they just
-call :func:`count` / :func:`span` / :func:`timer` unconditionally.
+call :func:`count` / :func:`span` unconditionally.
 
 Typical use::
 
     from repro import perf
 
     perf.enable()
-    perf.set_sampling(every=10)     # optional: production mode
     categorizer.categorize(rows, query)
     print(perf.format_report())     # text trace + counter table
-    data = perf.report()            # JSON-ready dict
+    print(perf.export_json())       # the same registry as one document
     perf.reset()
 
-Exporters (JSON-lines, Prometheus text format) live in
+Exporters (JSON, JSON-lines, Prometheus text format) live in
 :mod:`repro.perf.export`.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from contextvars import ContextVar
 from typing import Any, Iterator
 
 from repro.perf.metrics import Histogram
-from repro.perf.sampling import Sampler
 
 
 def series_key(name: str, labels: dict[str, Any]) -> str:
@@ -107,26 +101,11 @@ class SpanNode:
             node = self.children[name] = SpanNode(name)
         return node
 
-    def as_dict(self) -> dict[str, Any]:
-        """Render this subtree as a JSON-ready dict."""
-        return {
-            "name": self.name,
-            "calls": self.calls,
-            "seconds": self.seconds,
-            "children": [
-                child.as_dict() for child in self.children.values()
-            ],
-        }
-
     def __repr__(self) -> str:
         return (
             f"SpanNode({self.name!r}, calls={self.calls}, "
             f"seconds={self.seconds:.6f}, children={len(self.children)})"
         )
-
-
-#: Context marker meaning "inside a trace the sampler skipped".
-_SUPPRESSED = object()
 
 
 class _Span:
@@ -143,7 +122,7 @@ class _Span:
     def __enter__(self) -> SpanNode:
         inst = self._instrumentation
         parent = inst._current.get()
-        if parent is None or parent is _SUPPRESSED:
+        if parent is None:
             parent = inst.spans
         self._node = parent.child(self._name)
         self._token = inst._current.set(self._node)
@@ -167,56 +146,6 @@ class _Span:
         return False
 
 
-class _SuppressedTrace:
-    """Scope for a root span the sampler skipped.
-
-    Marks the context as suppressed so every nested ``span()`` call
-    short-circuits to the shared null scope — a skipped trace costs one
-    contextvar set/reset total, regardless of how deep it nests.
-    """
-
-    __slots__ = ("_instrumentation", "_token", "_generation")
-
-    def __init__(self, instrumentation: "Instrumentation") -> None:
-        self._instrumentation = instrumentation
-
-    def __enter__(self) -> None:
-        inst = self._instrumentation
-        self._token = inst._current.set(_SUPPRESSED)
-        self._generation = inst._generation
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        inst = self._instrumentation
-        if inst._generation != self._generation:
-            inst._current.set(None)
-        else:
-            inst._current.reset(self._token)
-        return False
-
-
-class _Timer:
-    """Context manager accumulating into a flat named timer."""
-
-    __slots__ = ("_instrumentation", "_name", "_started")
-
-    def __init__(self, instrumentation: "Instrumentation", name: str) -> None:
-        self._instrumentation = instrumentation
-        self._name = name
-
-    def __enter__(self) -> "_Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        elapsed = time.perf_counter() - self._started
-        inst = self._instrumentation
-        calls, seconds = inst.timers.get(self._name, (0, 0.0))
-        inst.timers[self._name] = (calls + 1, seconds + elapsed)
-        inst._observe_duration(self._name, elapsed)
-        return False
-
-
 class _NullScope:
     """Shared no-op context manager returned by every disabled call site."""
 
@@ -233,7 +162,7 @@ _NULL_SCOPE = _NullScope()
 
 
 class Instrumentation:
-    """A registry of counters, gauges, timers, trace spans and histograms.
+    """A registry of counters, gauges, trace spans and histograms.
 
     One module-level instance (:data:`ACTIVE`) backs the convenience
     functions; independent instances can be created for isolated
@@ -244,12 +173,9 @@ class Instrumentation:
         self.enabled = enabled
         self.counters: Counter[str] = Counter()
         self.gauges: dict[str, float] = {}
-        #: name -> (calls, total seconds)
-        self.timers: dict[str, tuple[int, float]] = {}
-        #: span/timer name -> duration Histogram
+        #: span name -> duration Histogram
         self.durations: dict[str, Histogram] = {}
         self.spans = SpanNode("<root>")
-        self.sampler = Sampler()
         self._current: ContextVar[Any] = ContextVar(
             "repro_perf_current_span", default=None
         )
@@ -276,33 +202,10 @@ class Instrumentation:
         """
         self.counters.clear()
         self.gauges.clear()
-        self.timers.clear()
         self.durations.clear()
         self.spans = SpanNode("<root>")
-        self.sampler.reset()
         self._generation += 1
         self._current.set(None)
-
-    # -- sampling ------------------------------------------------------------
-
-    def set_sampling(
-        self,
-        rate: float | None = None,
-        every: int | None = None,
-        seed: int = 0x5EED,
-    ) -> None:
-        """Install a span-sampling policy (see :mod:`repro.perf.sampling`).
-
-        ``rate=p`` keeps each root trace with probability p; ``every=n``
-        keeps every n-th deterministically.  Counters, gauges and timers
-        are unaffected.  Call :meth:`clear_sampling` to return to
-        record-everything.
-        """
-        self.sampler = Sampler(rate=rate, every=every, seed=seed)
-
-    def clear_sampling(self) -> None:
-        """Remove any sampling policy (every trace is recorded again)."""
-        self.sampler = Sampler()
 
     # -- recording -----------------------------------------------------------
 
@@ -317,28 +220,9 @@ class Instrumentation:
             self.gauges[series_key(name, labels) if labels else name] = value
 
     def span(self, name: str):
-        """Context manager tracing a nestable span (no-op while disabled).
-
-        Under sampling, a root span consults the sampler; nested spans
-        inherit their root's keep/skip decision.
-        """
-        if not self.enabled:
-            return _NULL_SCOPE
-        current = self._current.get()
-        if current is _SUPPRESSED:
-            return _NULL_SCOPE
-        if current is None and not self.sampler.sample():
-            return _SuppressedTrace(self)
-        return _Span(self, name)
-
-    def timer(self, name: str):
-        """Context manager accumulating a flat timer (no-op while disabled).
-
-        Timers are always-on aggregates: they record even under sampling
-        (only span traces are sampled).
-        """
+        """Context manager tracing a nestable span (no-op while disabled)."""
         if self.enabled:
-            return _Timer(self, name)
+            return _Span(self, name)
         return _NULL_SCOPE
 
     def _observe_duration(self, name: str, elapsed: float) -> None:
@@ -349,45 +233,14 @@ class Instrumentation:
 
     # -- reporting -----------------------------------------------------------
 
-    def report(self) -> dict[str, Any]:
-        """All recorded data as a JSON-ready dict (keys sorted)."""
-        return {
-            "enabled": self.enabled,
-            "sampling": self.sampler.as_dict(),
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "timers": {
-                name: {"calls": calls, "seconds": seconds}
-                for name, (calls, seconds) in sorted(self.timers.items())
-            },
-            "durations": {
-                name: histogram.summary()
-                for name, histogram in sorted(self.durations.items())
-            },
-            "spans": [child.as_dict() for child in self.spans.children.values()],
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """The report serialized as JSON."""
-        return json.dumps(self.report(), indent=indent)
-
     def format_report(self) -> str:
-        """A human-readable text report: spans, durations, timers, counters.
+        """A human-readable text report: spans, durations, counters, gauges.
 
         Every section is stable-sorted by name, so two runs that record
         the same data render byte-identical reports regardless of
         insertion order.
         """
         lines: list[str] = ["== perf report =="]
-        if self.sampler.mode != "always":
-            info = self.sampler.as_dict()
-            detail = (
-                f"rate={info['rate']}" if "rate" in info else f"every={info['every']}"
-            )
-            lines.append(
-                f"-- sampling: {info['mode']} ({detail}), "
-                f"{info['sampled']} sampled / {info['skipped']} skipped --"
-            )
         if self.spans.children:
             lines.append("-- spans (total seconds / calls) --")
             for _, child in sorted(self.spans.children.items()):
@@ -400,10 +253,6 @@ class Instrumentation:
                     f"  {name}: {summary['p50']:.6f} / {summary['p95']:.6f} / "
                     f"{summary['p99']:.6f} ({summary['count']} samples)"
                 )
-        if self.timers:
-            lines.append("-- timers --")
-            for name, (calls, seconds) in sorted(self.timers.items()):
-                lines.append(f"  {name}: {seconds:.6f}s / {calls} calls")
         if self.counters:
             lines.append("-- counters --")
             for name, value in sorted(self.counters.items()):
@@ -452,47 +301,29 @@ def enabled() -> bool:
     return ACTIVE.enabled
 
 
-def set_sampling(
-    rate: float | None = None, every: int | None = None, seed: int = 0x5EED
-) -> None:
-    """Install a span-sampling policy on the active registry."""
-    ACTIVE.set_sampling(rate=rate, every=every, seed=seed)
-
-
-def clear_sampling() -> None:
-    """Remove the active registry's sampling policy."""
-    ACTIVE.clear_sampling()
+# The module-level hooks act on ACTIVE directly rather than through its
+# methods: forwarding ``**labels`` adds a call and repacks a dict on
+# every bump, more than half of what enabled counters cost the
+# categorize hot path.
 
 
 def count(name: str, amount: int = 1, **labels: Any) -> None:
     """Increment a counter on the active registry (no-op while disabled)."""
     if ACTIVE.enabled:
-        ACTIVE.count(name, amount, **labels)
+        ACTIVE.counters[series_key(name, labels) if labels else name] += amount
 
 
 def gauge(name: str, value: float, **labels: Any) -> None:
     """Set a gauge on the active registry (no-op while disabled)."""
     if ACTIVE.enabled:
-        ACTIVE.gauge(name, value, **labels)
+        ACTIVE.gauges[series_key(name, labels) if labels else name] = value
 
 
 def span(name: str):
     """Trace a span on the active registry (no-op while disabled)."""
     if ACTIVE.enabled:
-        return ACTIVE.span(name)
+        return _Span(ACTIVE, name)
     return _NULL_SCOPE
-
-
-def timer(name: str):
-    """Time a flat phase on the active registry (no-op while disabled)."""
-    if ACTIVE.enabled:
-        return _Timer(ACTIVE, name)
-    return _NULL_SCOPE
-
-
-def report() -> dict[str, Any]:
-    """The active registry's JSON-ready report."""
-    return ACTIVE.report()
 
 
 def format_report() -> str:

@@ -1,6 +1,6 @@
 """Metric value types: bounded-memory duration histograms.
 
-Span and timer exits feed a :class:`Histogram` per name, so every
+Each span exit feeds a :class:`Histogram` per name, so every
 instrumented phase gets a latency *distribution* (p50/p95/p99), not just
 a total.  The histogram keeps raw samples up to a limit — quantiles are
 **exact** below the limit — then decimates deterministically (keep every

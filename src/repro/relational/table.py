@@ -550,13 +550,6 @@ class RowSet:
         self.table.column(attribute)  # helpful KeyError on unknown names
         return self.table._store.gather(attribute, self._indices)
 
-    def distinct_values(self, attribute: str) -> set[Any]:
-        """Return the distinct non-NULL values of ``attribute`` in this view."""
-        values = self.values(attribute)
-        distinct = set(values)
-        distinct.discard(None)
-        return distinct
-
     def count_values(self, attribute: str) -> dict[Any, int]:
         """Return value → number of rows holding it, NULLs under ``None``.
 

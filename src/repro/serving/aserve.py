@@ -450,7 +450,7 @@ class AsyncFrontEnd:
                 if request is None:
                     break
                 telem: dict[str, Any] = {"arrived": time.perf_counter()}
-                with perf.timer("aserve.request"):
+                with perf.span("aserve.request"):
                     status, body, content_type, extra = await self._dispatch(
                         request, telem
                     )

@@ -51,6 +51,9 @@ RUNG_SHOWTUPLES = "showtuples"
 
 RUNGS = (RUNG_FULL, RUNG_TRUNCATED, RUNG_SINGLE_LEVEL, RUNG_SHOWTUPLES)
 
+#: Weight of the newest observation in the per-level build-cost EWMA.
+EWMA_ALPHA = 0.3
+
 
 class Deadline:
     """A request's time budget against an injectable monotonic clock.
@@ -102,18 +105,15 @@ class DegradationLadder:
             cost, used to skip rungs that cannot fit the remaining
             budget.  Tests pass a large hint to force ``single_level``
             deterministically.
-        ewma_alpha: weight of the newest observation in the estimate.
     """
 
     def __init__(
         self,
         faults: FaultInjector | None = None,
         level_cost_hint_s: float = 0.0,
-        ewma_alpha: float = 0.3,
     ) -> None:
         self._faults = faults or NULL_INJECTOR
         self._level_cost_s = level_cost_hint_s
-        self._ewma_alpha = ewma_alpha
 
     @property
     def level_cost_s(self) -> float:
@@ -234,8 +234,9 @@ class DegradationLadder:
         if self._level_cost_s <= 0.0:
             self._level_cost_s = sample
         else:
-            a = self._ewma_alpha
-            self._level_cost_s = a * sample + (1.0 - a) * self._level_cost_s
+            self._level_cost_s = (
+                EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * self._level_cost_s
+            )
         perf.gauge("degrade.level_cost_est_s", self._level_cost_s)
 
     @staticmethod

@@ -478,12 +478,11 @@ class CategorizationService:
                 query, normalized_sql, epoch, deadline, budget, collect_trace,
                 trace_id, use_cache,
             )
-        # Sampled: optionally force trace collection so the sink gets the
-        # tree's reasoning, not just its shape.  Cache hits skip the
-        # build entirely, so the forced collection only costs on misses.
-        collect = collect_trace or pipeline.collect_decisions
+        # Sampled: force trace collection so the sink gets the tree's
+        # reasoning, not just its shape.  Cache hits skip the build
+        # entirely, so the forced collection only costs on misses.
         result = self._compute_pinned(
-            query, normalized_sql, epoch, deadline, budget, collect, trace_id,
+            query, normalized_sql, epoch, deadline, budget, True, trace_id,
             use_cache,
         )
         tree = result.tree

@@ -15,7 +15,7 @@ from repro.sql.ast_nodes import (
     SelectStatement,
 )
 from repro.sql.compiler import compile_condition, compile_statement, parse_query
-from repro.sql.errors import SqlError, SqlSyntaxError
+from repro.sql.errors import SqlError
 from repro.sql.formatter import format_literal, format_predicate, format_query
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
@@ -27,7 +27,6 @@ __all__ = [
     "InCondition",
     "SelectStatement",
     "SqlError",
-    "SqlSyntaxError",
     "compile_condition",
     "compile_statement",
     "format_literal",

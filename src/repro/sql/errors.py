@@ -1,17 +1,15 @@
 """The single SQL error type: every lexer/parser/compiler failure.
 
-Before this module existed the dialect raised heterogeneous exceptions —
-:class:`SqlSyntaxError` from the lexer and parser, bare ``ValueError`` /
-``TypeError`` from the compiler's literal coercions — which forced every
-caller (the workload loader, the serving layer) to guess at what could
-escape a parse.  Now everything syntactic or semantic about one SQL
-string raises :class:`SqlError`, which always carries the character
-position and the offending source snippet so errors can be surfaced to
-users ("near ``WHERE price >>``") instead of as bare messages.
+Everything syntactic or semantic about one SQL string — a lexer or
+parser failure, or a literal the compiler cannot coerce — raises
+:class:`SqlError`, so no caller (the workload loader, the serving layer)
+has to guess at what could escape a parse.  It always carries the
+character position and the offending source snippet so errors can be
+surfaced to users ("near ``WHERE price >>``") instead of as bare
+messages.
 
-``SqlError`` subclasses ``ValueError`` so existing ``except ValueError``
-call sites keep working; :data:`SqlSyntaxError` remains as an alias for
-backward compatibility.
+``SqlError`` subclasses ``ValueError`` so ``except ValueError`` call
+sites catch it too.
 """
 
 from __future__ import annotations
@@ -53,8 +51,3 @@ class SqlError(ValueError):
         self.position = position
         self.snippet = snippet
         self.source = source
-
-
-#: Backward-compatible name: the lexer and parser historically raised
-#: ``SqlSyntaxError``; it is the same class now.
-SqlSyntaxError = SqlError

@@ -11,10 +11,10 @@ from __future__ import annotations
 import re
 
 from repro import perf
-from repro.sql.errors import SqlError, SqlSyntaxError
+from repro.sql.errors import SqlError
 from repro.sql.tokens import KEYWORDS, OPERATORS, Token, TokenType
 
-__all__ = ["SqlError", "SqlSyntaxError", "tokenize"]
+__all__ = ["SqlError", "tokenize"]
 
 #: One alternative per token kind; ``lastgroup`` names the kind matched.
 #: ``\s``/``\w``/``\d`` are the Unicode classes of ``str.isspace``,

@@ -8,9 +8,10 @@ oversized nodes to partition) — is what the reproduction checks.
 
 Timing is collected through :mod:`repro.perf` rather than ad-hoc
 ``time.perf_counter`` bookkeeping: each (M, query) categorization runs
-under a per-query timer and duration histogram of a study-local
-:class:`~repro.perf.Instrumentation`, so the study gets mean *and* tail
-latency (p95) from the same machinery the rest of the engine uses.
+under a per-M span of a study-local :class:`~repro.perf.Instrumentation`,
+whose node counts the calls and seconds and whose duration histogram
+gives the tail, so the study gets mean *and* tail latency (p95) from the
+same machinery the rest of the engine uses.
 """
 
 from __future__ import annotations
@@ -63,27 +64,28 @@ def run_timing_study(
             prepared.append((user_query.query, rows))
 
     # A study-local instrumentation keeps timing isolated from (and
-    # unaffected by) the global ACTIVE registry's enabled/sampling state.
+    # unaffected by) the global ACTIVE registry's enabled state.
     inst = Instrumentation(enabled=True)
     points: list[TimingPoint] = []
     for m in m_values:
         m_config = config.with_overrides(max_tuples_per_category=m)
         categorizer = technique(statistics, m_config)
-        timer_name = f"study.timing[m={m}]"
+        span_name = f"study.timing[m={m}]"
+        node = inst.spans.child(span_name)
         for query, rows in prepared:
-            with inst.timer(timer_name):
+            with inst.span(span_name):
                 categorizer.categorize(rows, query)
-        calls, seconds = inst.timers[timer_name]
-        histogram = inst.durations[timer_name]
         points.append(
             TimingPoint(
                 m=m,
-                queries_timed=calls,
-                mean_seconds=seconds / max(1, calls),
+                queries_timed=node.calls,
+                mean_seconds=node.seconds / max(1, node.calls),
                 mean_result_size=(
                     sum(len(rows) for _, rows in prepared) / max(1, len(prepared))
                 ),
-                p95_seconds=histogram.quantile(0.95) if calls else 0.0,
+                p95_seconds=(
+                    inst.durations[span_name].quantile(0.95) if node.calls else 0.0
+                ),
             )
         )
     return points

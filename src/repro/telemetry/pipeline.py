@@ -143,10 +143,6 @@ class TelemetryPipeline:
         sample_rate: fraction of trace roots shipped, in [0, 1].
         queue_capacity: bounded buffer between request threads and the
             writer; overflow drops (counted), never blocks.
-        collect_decisions: when True, the service forces decision-trace
-            collection on sampled cache misses so every sampled request
-            ships its tree's reasoning; False ships only the cheap
-            events (frontend/service).
         clock: wall-clock source stamped on events (injectable in tests).
     """
 
@@ -155,7 +151,6 @@ class TelemetryPipeline:
         sink: Any,
         sample_rate: float = 1.0,
         queue_capacity: int = 2048,
-        collect_decisions: bool = True,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if not 0.0 <= sample_rate <= 1.0:
@@ -164,7 +159,6 @@ class TelemetryPipeline:
             raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
         self.sink = sink
         self.sample_rate = sample_rate
-        self.collect_decisions = collect_decisions
         self._clock = clock
         self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
         self._closed = False

@@ -403,7 +403,7 @@ def preprocess_workload(
         attr.name: RangeIndex(attr.name) for attr in schema.numeric_attributes()
     }
 
-    with perf.span("workload.preprocess"), perf.timer("workload.preprocess"):
+    with perf.span("workload.preprocess"):
         for query in workload:
             fold_query_conditions(
                 query, usage, occurrences, splitpoints, range_indexes

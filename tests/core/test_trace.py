@@ -35,18 +35,40 @@ class TestCollection:
         assert trace.chosen_attributes() == traced_tree.level_attributes()
 
     def test_tracing_does_not_change_the_tree(
-        self, statistics, seattle_query, seattle_rows
+        self, statistics, seattle_query, seattle_rows, traced_tree
     ):
         categorizer = CostBasedCategorizer(statistics, PAPER_CONFIG)
         plain = categorizer.categorize(seattle_rows, seattle_query)
-        assert plain.level_attributes() == (
-            categorizer
-            .categorize(seattle_rows, seattle_query, collect_trace=True)
-            .level_attributes()
+        traced_tree.validate()
+        assert traced_tree.level_attributes() == plain.level_attributes()
+        assert traced_tree.node_count() == plain.node_count()
+        for traced, untraced in zip(traced_tree.nodes(), plain.nodes()):
+            assert traced.display() == untraced.display()
+            assert traced.rows.indices == untraced.rows.indices
+
+    def test_reused_categorizer_traces_each_call_afresh(
+        self, statistics, seattle_query, seattle_rows
+    ):
+        categorizer = CostBasedCategorizer(statistics, PAPER_CONFIG)
+        first = categorizer.categorize(seattle_rows, seattle_query, collect_trace=True)
+        second = categorizer.categorize(seattle_rows, seattle_query, collect_trace=True)
+        assert first.decision_trace is not second.decision_trace
+        assert len(first.decision_trace.levels) == len(second.decision_trace.levels)
+        assert first.decision_trace.chosen_attributes() == (
+            second.decision_trace.chosen_attributes()
         )
 
 
 class TestLevelContents:
+    def test_one_level_trace_per_tree_level(self, traced_tree):
+        levels = traced_tree.decision_trace.levels
+        assert len(levels) >= traced_tree.depth()
+        assert [level.level for level in levels] == list(range(1, len(levels) + 1))
+
+    def test_no_attribute_chosen_twice(self, traced_tree):
+        chosen = traced_tree.decision_trace.chosen_attributes()
+        assert len(chosen) == len(set(chosen))
+
     def test_chosen_attribute_minimizes_cost_all(self, traced_tree):
         for level in traced_tree.decision_trace.levels:
             if level.chosen is None:
@@ -119,6 +141,20 @@ class TestSerialization:
         assert "<- chosen" in text
         for attribute in traced_tree.decision_trace.chosen_attributes():
             assert attribute in text
+        for level in traced_tree.decision_trace.levels:
+            assert f"Level {level.level}:" in text
+
+    def test_render_ranks_candidates_by_cost_all(self, traced_tree):
+        sections = traced_tree.decision_trace.render().split("\n\n")
+        levels = [s for s in sections if s.startswith("Level ")]
+        assert len(levels) == len(traced_tree.decision_trace.levels)
+        for section in levels:
+            # Skip title, header and rule lines; the rest are candidate rows.
+            cells = [line.split()[1] for line in section.splitlines()[3:]]
+            costs = [float(cell) for cell in cells if cell != "-"]
+            assert costs == sorted(costs)
+            # Candidates that refine nothing rank after every costed one.
+            assert "-" not in cells[: len(costs)]
 
     def test_render_empty_trace(self):
         trace = DecisionTrace(technique="cost-based", elimination_threshold=0.4)

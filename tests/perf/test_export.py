@@ -5,7 +5,13 @@ import re
 
 import pytest
 
-from repro.perf import Instrumentation, export_jsonl, export_prometheus
+from repro.perf import (
+    Instrumentation,
+    export_json,
+    export_jsonl,
+    export_prometheus,
+    registry_snapshot,
+)
 
 
 @pytest.fixture()
@@ -15,8 +21,6 @@ def inst():
     registry.count("cache.hit", 1, kind="groupby")
     registry.count("queries")
     registry.gauge("result.size", 1754)
-    with registry.timer("preprocess"):
-        pass
     with registry.span("categorize"):
         with registry.span("level"):
             pass
@@ -27,10 +31,19 @@ class TestJsonLines:
     def test_every_line_parses_as_json(self, inst):
         lines = export_jsonl(inst).strip().split("\n")
         events = [json.loads(line) for line in lines]
-        assert events[0]["type"] == "meta"
         assert {e["type"] for e in events} == {
-            "meta", "counter", "gauge", "timer", "histogram", "span"
+            "counter", "gauge", "histogram", "span"
         }
+
+    def test_one_line_per_snapshot_entry(self, inst):
+        events = [json.loads(line) for line in export_jsonl(inst).splitlines()]
+        snapshot = registry_snapshot(inst)
+        assert events == [
+            {"type": section.removesuffix("s"), **entry}
+            for section, entries in snapshot.items()
+            for entry in entries
+        ]
+        assert export_jsonl(Instrumentation(enabled=True)) == ""
 
     def test_counters_round_trip_with_labels(self, inst):
         events = [
@@ -53,10 +66,10 @@ class TestJsonLines:
         assert paths == ["categorize", "categorize/level"]
 
     def test_export_does_not_mutate(self, inst):
-        before = inst.report()
+        before = registry_snapshot(inst)
         export_jsonl(inst)
         export_jsonl(inst)
-        assert inst.report() == before
+        assert registry_snapshot(inst) == before
 
 
 # One Prometheus sample line: name{optional labels} float-or-int
@@ -99,12 +112,6 @@ class TestPrometheus:
     def test_span_paths_exported_with_path_label(self, inst):
         text = export_prometheus(inst)
         assert 'repro_span_calls_total{path="categorize/level"} 1' in text
-
-    def test_sampling_decisions_always_present(self):
-        empty = Instrumentation(enabled=True)
-        text = export_prometheus(empty)
-        assert 'repro_sampling_decisions_total{outcome="sampled"} 0' in text
-        assert 'repro_sampling_decisions_total{outcome="skipped"} 0' in text
 
     def test_label_values_are_escaped(self):
         registry = Instrumentation(enabled=True)
@@ -161,9 +168,8 @@ class TestDerivedCacheHitRatio:
 
 class TestJsonDocument:
     def test_snapshot_mirrors_the_jsonl_stream(self, inst):
-        from repro.perf import export_json, registry_snapshot
-
         snapshot = registry_snapshot(inst)
+        assert set(snapshot) == {"counters", "gauges", "histograms", "spans"}
         assert {c["name"] for c in snapshot["counters"]} == {"cache.hit", "queries"}
         assert snapshot["gauges"] == [
             {"name": "result.size", "labels": {}, "value": 1754}
@@ -171,15 +177,13 @@ class TestJsonDocument:
         assert [s["path"] for s in snapshot["spans"]] == [
             "categorize", "categorize/level"
         ]
-        assert snapshot["timers"][0]["name"] == "preprocess"
+        assert [h["name"] for h in snapshot["histograms"]] == ["categorize", "level"]
         assert snapshot["histograms"][0]["count"] == 1
 
         document = json.loads(export_json(inst))
         assert document == json.loads(json.dumps(snapshot))
 
     def test_export_json_does_not_mutate(self, inst):
-        from repro.perf import export_json
-
-        before = inst.report()
+        before = registry_snapshot(inst)
         export_json(inst)
-        assert inst.report() == before
+        assert registry_snapshot(inst) == before

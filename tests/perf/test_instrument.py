@@ -1,11 +1,11 @@
-"""Tests for the instrumentation subsystem (counters, timers, spans)."""
+"""Tests for the instrumentation subsystem (counters, gauges, spans)."""
 
 import json
 
 import pytest
 
 from repro import perf
-from repro.perf import Instrumentation
+from repro.perf import Instrumentation, export_json, registry_snapshot
 
 
 @pytest.fixture()
@@ -71,37 +71,24 @@ class TestGauges:
 
 
 class TestDurations:
-    def test_span_and_timer_feed_histograms(self, inst):
+    def test_each_span_exit_feeds_its_name_histogram(self, inst):
+        with inst.span("outer"):
+            with inst.span("phase"):
+                pass
         with inst.span("phase"):
             pass
-        with inst.timer("load"):
-            pass
-        assert inst.durations["phase"].count == 1
-        assert inst.durations["load"].count == 1
+        # One histogram per name, whatever the span's place in the tree.
+        assert inst.durations["outer"].count == 1
+        assert inst.durations["phase"].count == 2
 
     def test_duration_summary_in_report(self, inst):
         for _ in range(4):
             with inst.span("phase"):
                 pass
-        summary = inst.report()["durations"]["phase"]
+        (summary,) = registry_snapshot(inst)["histograms"]
+        assert summary["name"] == "phase"
         assert summary["count"] == 4
         assert summary["p50"] <= summary["p95"] <= summary["p99"]
-
-
-class TestTimers:
-    def test_timer_accumulates_calls_and_seconds(self, inst):
-        for _ in range(3):
-            with inst.timer("phase"):
-                pass
-        calls, seconds = inst.timers["phase"]
-        assert calls == 3
-        assert seconds >= 0.0
-
-    def test_disabled_timer_is_noop(self):
-        inst = Instrumentation(enabled=False)
-        with inst.timer("phase"):
-            pass
-        assert not inst.timers
 
 
 class TestSpans:
@@ -173,16 +160,13 @@ class TestSpans:
 class TestReporting:
     def test_report_is_json_serializable(self, inst):
         inst.count("hits", 2)
-        with inst.timer("phase"):
-            pass
         with inst.span("outer"):
             with inst.span("inner"):
                 pass
-        data = json.loads(inst.to_json())
-        assert data["counters"] == {"hits": 2}
-        assert data["timers"]["phase"]["calls"] == 1
-        assert data["spans"][0]["name"] == "outer"
-        assert data["spans"][0]["children"][0]["name"] == "inner"
+        data = json.loads(export_json(inst))
+        assert data["counters"] == [{"name": "hits", "labels": {}, "value": 2}]
+        assert [span["path"] for span in data["spans"]] == ["outer", "outer/inner"]
+        assert [span["calls"] for span in data["spans"]] == [1, 1]
 
     def test_format_report_mentions_everything(self, inst):
         inst.count("hits")
@@ -202,7 +186,12 @@ class TestModuleLevelApi:
         perf.enable()
         try:
             perf.count("module.level")
-            assert perf.get().counters["module.level"] == 1
+            perf.count("module.level", 2, kind="x")
+            perf.gauge("module.gauge", 3.0, kind="x")
+            assert perf.get().counters == {
+                "module.level": 1, "module.level{kind=x}": 2
+            }
+            assert perf.get().gauges == {"module.gauge{kind=x}": 3.0}
             assert perf.enabled()
         finally:
             perf.disable()
@@ -213,10 +202,9 @@ class TestModuleLevelApi:
     def test_disabled_module_calls_are_noops(self):
         perf.reset()
         perf.count("never")
+        perf.gauge("never", 1.0)
         with perf.span("never"):
-            with perf.timer("never"):
-                pass
-        report = perf.report()
-        assert report["counters"] == {}
-        assert report["timers"] == {}
-        assert report["spans"] == []
+            pass
+        assert registry_snapshot() == {
+            "counters": [], "gauges": [], "histograms": [], "spans": []
+        }

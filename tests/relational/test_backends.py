@@ -96,10 +96,9 @@ class TestBasicsOnBothBackends:
     def test_to_dicts(self, table):
         assert table.to_dicts() == ROWS
 
-    def test_values_and_distinct(self, table):
+    def test_values(self, table):
         rows = table.all_rows()
         assert rows.values("price") == [300, 500, 400, None, 250]
-        assert rows.distinct_values("city") == {"Seattle", "Bellevue", "Redmond"}
 
     def test_count_values(self, table):
         rows = table.all_rows()

@@ -122,9 +122,6 @@ class TestRowSetOperations:
     def test_values(self, table):
         assert table.all_rows().values("price") == [300, 500, 400, None]
 
-    def test_distinct_values_excludes_null(self, table):
-        assert table.all_rows().distinct_values("price") == {300, 400, 500}
-
     def test_indices_refer_to_base_table(self, table):
         rows = table.select(InPredicate("city", ["Seattle"]))
         assert rows.indices == (0, 2)

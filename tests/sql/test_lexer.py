@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sql.lexer import SqlSyntaxError, tokenize
+from repro.sql.errors import SqlError
+from repro.sql.lexer import tokenize
 from repro.sql.tokens import TokenType
 
 
@@ -81,7 +82,7 @@ class TestStrings:
         assert values("'Queen Anne, WA'") == ["Queen Anne, WA"]
 
     def test_unterminated_string_rejected(self):
-        with pytest.raises(SqlSyntaxError, match="unterminated"):
+        with pytest.raises(SqlError, match="unterminated"):
             tokenize("'oops")
 
 
@@ -92,19 +93,19 @@ class TestQuotedIdentifiers:
         assert token.value == "year built"
 
     def test_unterminated_identifier_rejected(self):
-        with pytest.raises(SqlSyntaxError):
+        with pytest.raises(SqlError):
             tokenize('"oops')
 
 
 class TestErrors:
     def test_unexpected_character(self):
-        with pytest.raises(SqlSyntaxError, match="unexpected character"):
+        with pytest.raises(SqlError, match="unexpected character"):
             tokenize("price @ 5")
 
     def test_error_carries_position(self):
         try:
             tokenize("price @ 5")
-        except SqlSyntaxError as exc:
+        except SqlError as exc:
             assert exc.position == 6
 
 
@@ -138,17 +139,17 @@ class TestUnicodeDigits:
     def test_superscript_digit_is_a_sql_error_at_the_literal(self):
         # '²'.isdigit() is true but int('²') raises: a SqlError, never a
         # bare ValueError, located at the start of the literal.
-        with pytest.raises(SqlSyntaxError) as caught:
+        with pytest.raises(SqlError) as caught:
             tokenize("price = 1²")
         assert caught.value.position == 8
 
     def test_superscript_digit_alone(self):
-        with pytest.raises(SqlSyntaxError) as caught:
+        with pytest.raises(SqlError) as caught:
             tokenize("price = ²")
         assert caught.value.position == 8
 
     def test_vulgar_fraction_is_unexpected(self):
-        with pytest.raises(SqlSyntaxError, match="unexpected character") as caught:
+        with pytest.raises(SqlError, match="unexpected character") as caught:
             tokenize("price = ½")
         assert caught.value.position == 8
 
@@ -165,6 +166,6 @@ class TestNumberEdges:
         ]
 
     def test_escape_without_closing_quote_is_unterminated(self):
-        with pytest.raises(SqlSyntaxError, match="unterminated") as caught:
+        with pytest.raises(SqlError, match="unterminated") as caught:
             tokenize("x = 'abc''")
         assert caught.value.position == 4

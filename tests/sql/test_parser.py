@@ -7,7 +7,7 @@ from repro.sql.ast_nodes import (
     ComparisonCondition,
     InCondition,
 )
-from repro.sql.lexer import SqlSyntaxError
+from repro.sql.errors import SqlError
 from repro.sql.parser import parse
 
 
@@ -91,43 +91,43 @@ class TestDiscardedClauses:
 
 class TestErrors:
     def test_missing_from(self):
-        with pytest.raises(SqlSyntaxError, match="expected FROM"):
+        with pytest.raises(SqlError, match="expected FROM"):
             parse("SELECT *")
 
     def test_trailing_garbage(self):
-        with pytest.raises(SqlSyntaxError, match="trailing"):
+        with pytest.raises(SqlError, match="trailing"):
             parse("SELECT * FROM T extra")
 
     def test_bad_condition(self):
-        with pytest.raises(SqlSyntaxError, match="expected IN, BETWEEN"):
+        with pytest.raises(SqlError, match="expected IN, BETWEEN"):
             parse("SELECT * FROM T WHERE price")
 
     def test_in_without_parens(self):
-        with pytest.raises(SqlSyntaxError):
+        with pytest.raises(SqlError):
             parse("SELECT * FROM T WHERE city IN 'a'")
 
     def test_between_missing_and(self):
-        with pytest.raises(SqlSyntaxError):
+        with pytest.raises(SqlError):
             parse("SELECT * FROM T WHERE price BETWEEN 1 2")
 
     def test_non_literal_in_list(self):
-        with pytest.raises(SqlSyntaxError, match="expected a literal"):
+        with pytest.raises(SqlError, match="expected a literal"):
             parse("SELECT * FROM T WHERE city IN (foo)")
 
     def test_empty_input(self):
-        with pytest.raises(SqlSyntaxError):
+        with pytest.raises(SqlError):
             parse("")
 
     def test_error_points_at_the_start_of_the_culprit(self):
         # The second literal starts at offset 30; the error must say so,
         # not point past it.
         source = "SELECT * FROM T WHERE a = 'x' 'y'"
-        with pytest.raises(SqlSyntaxError, match="trailing") as caught:
+        with pytest.raises(SqlError, match="trailing") as caught:
             parse(source)
         assert caught.value.position == 30
         assert source[caught.value.position :] == "'y'"
 
     def test_keyword_error_position(self):
-        with pytest.raises(SqlSyntaxError, match="expected FROM") as caught:
+        with pytest.raises(SqlError, match="expected FROM") as caught:
             parse("SELECT * WHERE")
         assert caught.value.position == 9

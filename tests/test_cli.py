@@ -225,20 +225,32 @@ class TestPerfReport:
             json.loads(line)
             for line in capsys.readouterr().out.strip().split("\n")
         ]
-        assert events[0]["type"] == "meta"
         assert any(e["type"] == "counter" for e in events)
 
-    def test_sampling_flags(self, data_and_workload, capsys):
+    def test_reports_the_categorize_span_and_its_levels(
+        self, data_and_workload, capsys
+    ):
         data, workload = data_and_workload
-        assert self._run(data, workload, "--sample-every", "10") == 0
-        assert "sampling: every" in capsys.readouterr().out
+        assert self._run(data, workload) == 0
+        text = capsys.readouterr().out
+        spans = text.split("-- spans (total seconds / calls) --\n")[1]
+        spans = spans.split("\n--")[0].splitlines()
+        root = next(i for i, s in enumerate(spans) if s.startswith("  categorize: "))
+        assert spans[root].endswith(" / 1 calls")
+        assert spans[root + 1].startswith("    categorize.level: ")
+
+        assert self._run(data, workload, "--format", "json") == 0
+        document = json.loads(capsys.readouterr().out)
+        calls = {span["path"]: span["calls"] for span in document["spans"]}
+        assert calls["categorize"] == 1
+        assert calls["categorize/categorize.level"] >= 1
 
     def test_global_registry_left_clean(self, data_and_workload):
         data, workload = data_and_workload
         assert self._run(data, workload) == 0
         assert not perf.enabled()
         assert not perf.get().counters
-        assert perf.get().sampler.mode == "always"
+        assert not perf.get().spans.children
 
 
 class TestSchemaLoading:
@@ -575,9 +587,7 @@ class TestPerfReportJson:
         )
         assert code == 0
         document = json.loads(capsys.readouterr().out)
-        assert set(document) == {
-            "sampling", "counters", "gauges", "timers", "histograms", "spans"
-        }
+        assert set(document) == {"counters", "gauges", "histograms", "spans"}
         assert any(c["name"] == "sql.queries_parsed" for c in document["counters"])
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import perf
 from repro.data.homes import list_property_schema
 from repro.workload.log import Workload
 from repro.workload.preprocess import preprocess_workload
@@ -155,3 +156,23 @@ class TestInOnNumericAttribute:
         assert stats.n_attr("price") == 1
         assert stats.splitpoints_table("price").goodness(100_000) == 2
         assert stats.range_index("price").total_ranges == 1
+
+
+class TestInstrumentation:
+    def test_one_fold_is_one_duration_observation(self):
+        workload = Workload.from_sql_strings(
+            ["SELECT * FROM ListProperty WHERE price BETWEEN 200000 AND 300000"] * 3
+        )
+        perf.reset()
+        perf.enable()
+        try:
+            preprocess_workload(workload, list_property_schema(), {})
+            assert perf.get().durations["workload.preprocess"].count == 1
+            assert perf.get().spans.children["workload.preprocess"].calls == 1
+            assert (
+                'repro_duration_seconds_count{name="workload.preprocess"} 1\n'
+                in perf.export_prometheus()
+            )
+        finally:
+            perf.reset()
+            perf.disable()
