@@ -11,6 +11,7 @@ Level construction is the categorizer's inner loop.  This module times
   depend on host speed),
 * the memory a cold boot (``DatasetDescriptor.build``) peaks at and
   keeps, from a CSV file and a log file,
+* the largest transient one search's selection allocates,
 * the cost of the always-on instrumentation hooks when disabled.
 
 Each bench appends its measurements to ``BENCH_partition.json`` at the
@@ -24,6 +25,7 @@ import json
 import time
 import tracemalloc
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from statistics import median
 
@@ -42,6 +44,9 @@ REQUIRED_SPEEDUP = 1.5
 
 #: Acceptance ceiling for disabled-mode instrumentation overhead.
 MAX_DISABLED_OVERHEAD = 0.05
+
+#: Searches of the bench workload whose selections are traced.
+SELECTION_QUERIES = 200
 
 #: Acceptance ceiling for enabled-mode overhead: every counter, gauge and
 #: span recorded, as ``repro serve`` runs.  Far looser than the disabled
@@ -379,6 +384,52 @@ def test_perf_cold_boot_memory(bench_homes, bench_workload, tmp_path):
             "queries": statistics.total_queries,
             "peak_kb": round(peak / 1024, 1),
             "retained_kb": round(retained / 1024, 1),
+        },
+    )
+
+
+def test_perf_selection_memory(bench_homes, bench_workload):
+    """The largest transient one search's selection allocates.
+
+    The first :data:`SELECTION_QUERIES` bench-workload searches run once
+    untraced, which builds the posting lists they use (the store keeps
+    those), then once each under ``tracemalloc``; the record keeps the
+    largest peak above the memory traced before the call.  A selection
+    seeded from a categorical ``IN``'s postings allocates about what its
+    result holds; a scan allocates what its first conjunct keeps, which
+    can be most of the table.  Byte counts repeat across runs and hosts.
+    """
+    searches = [
+        logged.query for logged in islice(bench_workload, SELECTION_QUERIES)
+    ]
+    for search in searches:
+        search.execute(bench_homes)
+    gc.collect()
+    largest = 0
+    tracemalloc.start()
+    try:
+        for search in searches:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            search.execute(bench_homes)
+            largest = max(largest, tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+
+    print()
+    print(
+        format_table(
+            ["rows", "queries", "peak KiB"],
+            [[len(bench_homes), len(searches), f"{largest / 1024:.1f}"]],
+            title="Selection memory (largest of one search)",
+        )
+    )
+    _append_bench_record(
+        "selection_memory",
+        {
+            "rows": len(bench_homes),
+            "queries": len(searches),
+            "peak_kb": round(largest / 1024, 1),
         },
     )
 

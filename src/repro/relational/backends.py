@@ -14,14 +14,25 @@ The payoff is **column-at-a-time selection**: instead of asking
 lookup each), :meth:`ColumnStore.select_indices` evaluates one conjunct
 over the whole candidate index list as a single list comprehension against
 the packed array — IN-sets become integer-code membership tests, ranges
-become chained float compares.  Conjuncts are applied in order, each
-narrowing the candidate list, which preserves the row-at-a-time engine's
-left-to-right short-circuit semantics exactly.  Any conjunct the store
-cannot vectorize (e.g. a range over a TEXT column, which must raise
-``TypeError`` exactly like the row path) is handed back to the caller as a
-*leftover* predicate to evaluate row-at-a-time over the already-narrowed
-candidates — so the fast path never changes semantics, it only changes
-speed.
+become chained float compares.  It chooses one of two access paths:
+
+* **index first**: on a whole-table view, the store counts each ``IN``
+  conjunct on a CATEGORICAL attribute exactly, from its posting lists
+  (:meth:`ColumnStore.groupby`).  When the smallest count is below
+  :data:`INDEX_CROSSOVER` of the table, the other conjuncts filter only
+  that conjunct's posting lists, and the survivors are merged into
+  ascending order.  If any other conjunct cannot be vectorized, the store
+  drops this path and scans instead.
+* **scan**: conjuncts are applied in order, each narrowing the candidate
+  list, which preserves the row-at-a-time engine's left-to-right
+  short-circuit semantics exactly.  Any conjunct the store cannot vectorize
+  (e.g. a range over a TEXT column, which must raise ``TypeError`` exactly
+  like the row path) is handed back to the caller as a *leftover*
+  predicate to evaluate row-at-a-time over the already-narrowed
+  candidates.
+
+On a whole-table view both paths return the same positions in ascending
+order, so the choice never changes semantics, only speed.
 
 Dictionary encoding assumes moderate-cardinality columns (the paper's
 categorical attributes: city, neighborhood, property type).  A TEXT column
@@ -39,8 +50,10 @@ import bisect
 import math
 from array import array
 from collections import Counter
+from itertools import chain
 from typing import Any, Iterator, Mapping, Sequence
 
+from repro import perf
 from repro.relational.expressions import (
     ComparisonPredicate,
     Conjunction,
@@ -58,7 +71,27 @@ from repro.relational.snapio import (
     base_manifest,
     write_container,
 )
-from repro.relational.types import DataType
+from repro.relational.types import AttributeKind, DataType
+
+#: A categorical ``IN`` seeds a whole-table selection from its posting
+#: lists when they hold fewer than this share of the table's rows.  The
+#: index path walks those postings, then sorts what survives; a scan walks
+#: the whole table for its first conjunct.  On 500,000 rows (2-vCPU Xeon,
+#: Python 3.11, median of 7) index/scan time read 0.83-0.91 at 70-72 % of
+#: the table whether the IN stood alone, first or after a price range, and
+#: 0.96-1.13 at 80 %.
+INDEX_CROSSOVER = 0.7
+
+#: Per-operator filters over a numeric column without NULLs: one list
+#: comprehension each, so no Python call is made per row.
+_NUMERIC_COMPARISONS = {
+    "<": lambda data, indices, value: [i for i in indices if data[i] < value],
+    "<=": lambda data, indices, value: [i for i in indices if data[i] <= value],
+    ">": lambda data, indices, value: [i for i in indices if data[i] > value],
+    ">=": lambda data, indices, value: [i for i in indices if data[i] >= value],
+    "=": lambda data, indices, value: [i for i in indices if data[i] == value],
+    "!=": lambda data, indices, value: [i for i in indices if data[i] != value],
+}
 
 
 def require_columnar(name: str) -> None:
@@ -268,7 +301,9 @@ class ColumnStore:
 
     All values crossing its methods are already schema-coerced; the store
     never validates, it only packs.  Row positions are dense ``0..n-1`` in
-    insertion order and never change (the engine is append-only).
+    insertion order and never change (the engine is append-only).  The
+    store also keeps each attribute's posting lists once built
+    (:meth:`groupby`); every write drops them.
     """
 
     def __init__(self, schema: TableSchema) -> None:
@@ -277,6 +312,12 @@ class ColumnStore:
             for attribute in schema
         }
         self._ordered = [self._columns[n] for n in schema.names()]
+        self._categorical = frozenset(
+            attribute.name
+            for attribute in schema
+            if attribute.kind is AttributeKind.CATEGORICAL
+        )
+        self._postings: dict[str, dict[Any, array]] = {}
 
     def __len__(self) -> int:
         return len(self._ordered[0]) if self._ordered else 0
@@ -306,6 +347,7 @@ class ColumnStore:
                     "range of a columnar INT column"
                 ) from exc
             raise
+        self._postings.clear()
 
     def load_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
         """Bulk-append one coerced sequence per attribute (equal lengths).
@@ -320,6 +362,7 @@ class ColumnStore:
         except BaseException:
             self._truncate(rows)
             raise
+        self._postings.clear()
 
     def _truncate(self, length: int) -> None:
         for column in self._ordered:
@@ -329,12 +372,23 @@ class ColumnStore:
         """The column's logical values at ``indices``, in that order."""
         return self._columns[name].gather(indices)
 
-    def build_groupby(self, name: str) -> dict[Any, array]:
+    def groupby(self, name: str) -> dict[Any, array]:
         """value -> ascending row positions, NULLs under the ``None`` key.
 
         Each posting list is packed as an ``array`` of
-        :func:`index_typecode`.
+        :func:`index_typecode`.  Built with one column scan on first use,
+        then kept until the next write; callers must not mutate it.
         """
+        index = self._postings.get(name)
+        if index is None:
+            perf.count("table.groupby_index.build")
+            with perf.span("table.groupby_index.build"):
+                index = self._postings[name] = self._build_groupby(name)
+        else:
+            perf.count("table.groupby_index.hit")
+        return index
+
+    def _build_groupby(self, name: str) -> dict[Any, array]:
         column = self._columns[name]
         typecode = index_typecode(len(column))
         if isinstance(column, DictColumn):
@@ -534,13 +588,20 @@ class ColumnStore:
         Returns ``(narrowed, leftover)``, where ``leftover`` is the suffix
         of conjuncts the store could not vectorize (``None`` when fully
         evaluated).  The caller must apply ``leftover`` row-at-a-time over
-        ``narrowed`` to finish the selection.
+        ``narrowed`` to finish the selection.  ``narrowed`` keeps the order
+        of ``indices``.
         """
         parts = (
             predicate.parts
             if isinstance(predicate, Conjunction)
             else (predicate,)
         )
+        if isinstance(indices, range) and indices == range(len(self)):
+            seeded = self._select_from_postings(parts)
+            if seeded is not None:
+                perf.count("select.index_path")
+                return seeded, None
+        perf.count("select.scan_path")
         current: Sequence[int] = indices
         for position, part in enumerate(parts):
             if not len(current):
@@ -559,6 +620,53 @@ class ColumnStore:
                 return current, leftover
             current = filtered
         return current, None
+
+    def _select_from_postings(
+        self, parts: Sequence[Predicate]
+    ) -> Sequence[int] | None:
+        """The whole table's matches, seeded from one categorical IN.
+
+        Picks the categorical ``IN`` conjunct whose posting lists hold the
+        fewest rows, filters the other conjuncts over each of its posting
+        lists, and merges the survivors into ascending order, so nothing
+        larger than one filtered posting list is ever held.  A lone
+        posting list with nothing else to filter is the answer as it is.
+
+        None (scan instead) when no such conjunct stays under
+        :data:`INDEX_CROSSOVER`, or when another conjunct cannot be
+        vectorized: its row-at-a-time evaluation must see the rows the
+        left-to-right scan shows it.  Every conjunct is checked, even
+        when no candidate is left, because whether a filter vectorizes
+        never depends on the rows it is given.
+        """
+        best: tuple[int, int, list[array]] | None = None
+        for position, part in enumerate(parts):
+            if not (
+                isinstance(part, InPredicate)
+                and part.attribute in self._categorical
+            ):
+                continue
+            index = self.groupby(part.attribute)
+            # A NULL in the IN-set selects the NULL postings, as
+            # ``None in values`` matches a NULL row-side.
+            postings = [index[value] for value in part.values if value in index]
+            count = sum(map(len, postings))
+            if best is None or count < best[0]:
+                best = (count, position, postings)
+        if best is None or best[0] >= INDEX_CROSSOVER * len(self):
+            return None
+        _, position, postings = best
+        others = parts[:position] + parts[position + 1:]
+        matches: list[Sequence[int]] = []
+        for candidates in postings or [[]]:
+            for part in others:
+                candidates = self._filter_one(part, candidates)
+                if candidates is None:
+                    return None
+            matches.append(candidates)
+        if len(matches) == 1:
+            return matches[0]
+        return sorted(chain.from_iterable(matches))
 
     def _filter_one(
         self, predicate: Predicate, indices: Sequence[int]
@@ -643,9 +751,9 @@ class ColumnStore:
         column = self._columns.get(predicate.attribute)
         if column is None:
             return None
-        op = comparison_operator(predicate.op)
         value = predicate.value
         if isinstance(column, DictColumn):
+            op = comparison_operator(predicate.op)
             try:
                 # Evaluate once per dictionary entry, not once per row.
                 wanted = {
@@ -665,11 +773,11 @@ class ColumnStore:
             value, (int, float)
         ):
             return None  # ordering against a non-number raises row-side
-        data = column._data
         nulls = column._nulls
-        if not nulls:
-            return [i for i in indices if op(data[i], value)]
-        return [i for i in indices if i not in nulls and op(data[i], value)]
+        if nulls:
+            # A NULL matches no comparison, ``!=`` included.
+            indices = [i for i in indices if i not in nulls]
+        return _NUMERIC_COMPARISONS[predicate.op](column._data, indices, value)
 
     def bucket_numeric(
         self, name: str, indices: Sequence[int], boundaries: Sequence[float]

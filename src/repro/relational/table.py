@@ -88,7 +88,6 @@ class Table:
         self.schema = schema
         self._store = ColumnStore(schema)
         self._size = 0
-        self._groupby_indexes: dict[str, dict[Any, array]] = {}
 
     def close(self) -> None:
         """Does nothing: the table holds only in-process memory.
@@ -167,7 +166,6 @@ class Table:
         table.schema = schema
         table._store = store
         table._size = size
-        table._groupby_indexes = {}
         return table
 
     def insert(self, row: Mapping[str, Any]) -> None:
@@ -191,8 +189,6 @@ class Table:
         ]
         self._store.append_row(values)
         self._size += 1
-        if self._groupby_indexes:
-            self._groupby_indexes.clear()
 
     def extend(self, rows: Iterable[Mapping[str, Any]]) -> None:
         """Append many tuples."""
@@ -216,8 +212,6 @@ class Table:
         length = _column_length(self.schema, columns)
         self._store.load_columns(columns)
         self._size += length
-        if self._groupby_indexes:
-            self._groupby_indexes.clear()
 
     # -- access ------------------------------------------------------------
 
@@ -250,25 +244,18 @@ class Table:
     def groupby_index(self, name: str) -> Mapping[Any, array]:
         """value → ascending row indices for attribute ``name``, cached.
 
-        Built on first use with one column scan and reused by every
-        categorical partitioning across levels, nodes and repeated
-        ``categorize`` calls; :meth:`insert` invalidates it.  NULLs are
-        grouped under the ``None`` key so callers can decide whether a
-        missing-value category exists.  Each posting list is a packed
-        ``array('i')`` (4 bytes per row position; ``'q'`` once the table
-        reaches 2**31 rows), which a :class:`RowSet` adopts without
+        The store builds it on first use with one column scan and keeps it
+        for every categorical partitioning across levels, nodes and
+        repeated ``categorize`` calls, and for the whole-table selections
+        it seeds from a categorical ``IN``; every write invalidates it.
+        NULLs are grouped under the ``None`` key so callers can decide
+        whether a missing-value category exists.  Each posting list is a
+        packed ``array('i')`` (4 bytes per row position; ``'q'`` once the
+        table reaches 2**31 rows), which a :class:`RowSet` adopts without
         copying.  Callers must not mutate the result.
         """
-        index = self._groupby_indexes.get(name)
-        if index is None:
-            self.column(name)  # raise the helpful KeyError on unknown names
-            perf.count("table.groupby_index.build")
-            with perf.span("table.groupby_index.build"):
-                index = self._store.build_groupby(name)
-            self._groupby_indexes[name] = index
-        else:
-            perf.count("table.groupby_index.hit")
-        return index
+        self.column(name)  # raise the helpful KeyError on unknown names
+        return self._store.groupby(name)
 
     # -- relational operations ----------------------------------------------
 
@@ -335,10 +322,11 @@ class RowSet:
     index sequence without copying data.
 
     The index sequence is stored as whatever compact form produced it —
-    a ``range`` for whole-table views, the store's filtered list for
-    selections, a tuple for explicit construction — and only materialized
-    as a tuple when :attr:`indices` is read.  :meth:`compact` packs it
-    into an ``array`` for views that are kept long after they are built.
+    a ``range`` for whole-table views, the store's filtered list or a
+    posting ``array`` for selections, a tuple for explicit construction —
+    and only materialized as a tuple when :attr:`indices` is read.
+    :meth:`compact` packs it into an ``array`` for views that are kept
+    long after they are built.
     """
 
     __slots__ = ("table", "_indices", "_indices_tuple", "_ascending", "_derived")
@@ -441,9 +429,11 @@ class RowSet:
     def select(self, predicate: Predicate) -> "RowSet":
         """Return the sub-view of rows satisfying ``predicate``.
 
-        The table's store evaluates the predicate column-at-a-time;
-        whatever conjuncts it declines are evaluated row-at-a-time, so
-        semantics never depend on the storage.
+        The table's store evaluates the predicate column-at-a-time, and
+        seeds a whole-table view's selection from a categorical ``IN``'s
+        posting lists when they are small; whatever conjuncts it declines
+        are evaluated row-at-a-time, so semantics never depend on the
+        storage.
         """
         if isinstance(predicate, TruePredicate):
             return self

@@ -78,6 +78,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
+import functools
 import json
 import threading
 import time
@@ -842,12 +844,16 @@ class AsyncFrontEnd:
         return deadline_ms
 
     async def _run(self, fn: Callable, /, *args: Any, **kwargs: Any) -> Any:
-        """Run a blocking service call on the bounded executor."""
+        """Run a blocking service call on the bounded executor.
+
+        The call runs in a copy of the request's context, so the spans it
+        opens nest under the request's ``aserve.request`` span
+        (``run_in_executor`` alone carries no context variables).
+        """
         loop = asyncio.get_running_loop()
-        if kwargs:
-            call = lambda: fn(*args, **kwargs)  # noqa: E731
-        else:
-            call = lambda: fn(*args)  # noqa: E731
+        call = functools.partial(
+            contextvars.copy_context().run, fn, *args, **kwargs
+        )
         return await loop.run_in_executor(self._executor, call)
 
 

@@ -3,8 +3,8 @@
 The layout the column store replaced, kept only so the equivalence tests
 can compare :class:`~repro.relational.backends.ColumnStore` against it.
 It has no fast paths: :meth:`RowStore.select_indices` hands the whole
-predicate back for ``Table`` to evaluate row by row, and
-:meth:`RowStore.bucket_numeric` gathers every value and bisects it.
+predicate back for ``Table`` to evaluate row by row, whatever the view,
+and :meth:`RowStore.bucket_numeric` gathers every value and bisects it.
 
 A :class:`ReferenceTable` is filled from input rows or columns through
 the schema's coercion, exactly like a ``Table``; it is never copied out
@@ -34,6 +34,7 @@ class RowStore:
     def __init__(self, schema: TableSchema) -> None:
         self._columns: dict[str, list[Any]] = {name: [] for name in schema.names()}
         self._ordered: list[list[Any]] = [self._columns[n] for n in schema.names()]
+        self._postings: dict[str, dict[Any, array]] = {}
 
     def column(self, name: str) -> list[Any]:
         return self._columns[name]
@@ -41,22 +42,29 @@ class RowStore:
     def append_row(self, values: Sequence[Any]) -> None:
         for column, value in zip(self._ordered, values):
             column.append(value)
+        self._postings.clear()
 
     def load_columns(self, columns: Mapping[str, Sequence[Any]]) -> None:
         for name, column in self._columns.items():
             column.extend(columns[name])
+        self._postings.clear()
 
     def gather(self, name: str, indices: Sequence[int]) -> list[Any]:
         column = self._columns[name]
         return [column[i] for i in indices]
 
-    def build_groupby(self, name: str) -> dict[Any, array]:
-        column = self._columns[name]
-        typecode = index_typecode(len(column))
-        buckets: dict[Any, list[int]] = {}
-        for position, value in enumerate(column):
-            buckets.setdefault(value, []).append(position)
-        return {value: array(typecode, ids) for value, ids in buckets.items()}
+    def groupby(self, name: str) -> dict[Any, array]:
+        index = self._postings.get(name)
+        if index is None:
+            column = self._columns[name]
+            typecode = index_typecode(len(column))
+            buckets: dict[Any, list[int]] = {}
+            for position, value in enumerate(column):
+                buckets.setdefault(value, []).append(position)
+            index = self._postings[name] = {
+                value: array(typecode, ids) for value, ids in buckets.items()
+            }
+        return index
 
     def count_values(self, name: str, indices: Sequence[int]) -> dict[Any, int]:
         return Counter(map(self._columns[name].__getitem__, indices))

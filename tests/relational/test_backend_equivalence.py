@@ -13,6 +13,26 @@ selection and bucketing tests — the NaN-divergence bugfix's regression
 surface — but not for the contents/statistics tests: NaN breaks ``==``
 by design, so observational identity is asserted where observations are
 row *indices*, not raw float values.
+
+Seeded mutations of ``ColumnStore`` selection this suite catches (each
+run once, in a copy of the tree):
+
+* postings merged in concatenation order, not sorted;
+* a NULL dropped from the IN-set whose postings seed the candidates;
+* the index path kept when another conjunct does not vectorize (that
+  conjunct skipped);
+* the index path applied to a sub-view;
+* the index path returning early once no candidate is left, before
+  checking that the rest vectorize;
+* NULL rows kept by a numeric comparison.
+
+Two more survive the 100 examples here and are caught in
+``test_backends.py``: swapping one numeric comparison operator for its
+neighbor (``<=`` for ``<`` and so on; rows equal to the compared value
+are rarely drawn), caught for each of the six by
+``test_select_comparison_ops``; and an IN-set none of whose values is
+stored answering ``[]`` without checking that the rest vectorize,
+caught by ``test_error_conjunct_order_preserved``.
 """
 
 import math
@@ -81,13 +101,21 @@ def rows_strategy_with(score_values):
 
 rows_strategy = rows_strategy_with(scores)
 rows_with_nonfinite = rows_strategy_with(nonfinite_scores)
+kind_in_values = st.lists(
+    st.sampled_from(KINDS + ("missing",)), min_size=1, max_size=3
+)
 
 
 def in_predicates(draw):
-    attribute = draw(st.sampled_from(("kind", "count")))
+    # ``kind`` and ``flag`` are CATEGORICAL, so on a whole-table view their
+    # IN-sets may seed the selection from posting lists; the sets hold NULL
+    # and values no row stores ("missing", and often one of the booleans).
+    attribute = draw(st.sampled_from(("kind", "flag", "count")))
     if attribute == "kind":
+        values = draw(kind_in_values)
+    elif attribute == "flag":
         values = draw(
-            st.lists(st.sampled_from(KINDS + ("missing",)), min_size=1, max_size=3)
+            st.lists(st.sampled_from((True, False, None)), min_size=1, max_size=2)
         )
     else:
         values = draw(
@@ -147,6 +175,33 @@ def predicates(draw):
     return Conjunction(built)
 
 
+@st.composite
+def index_first_conjunctions(draw):
+    """A ``kind IN`` mixed, in any order, with numeric ranges and
+    comparisons, other IN-sets, and ``kind`` conditions that raise
+    ``TypeError`` on any row that reaches them (a range, an ordering)."""
+    parts = [InPredicate("kind", draw(kind_in_values))]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        part = draw(st.sampled_from(("range", "cmp", "in", "kind-range", "kind-cmp")))
+        if part == "range":
+            parts.append(range_predicates(draw))
+        elif part == "cmp":
+            parts.append(
+                ComparisonPredicate(
+                    draw(st.sampled_from(("count", "score"))),
+                    draw(st.sampled_from(("<", "<=", ">", ">=", "=", "!="))),
+                    draw(st.integers(min_value=-20, max_value=20)),
+                )
+            )
+        elif part == "in":
+            parts.append(in_predicates(draw))
+        elif part == "kind-range":
+            parts.append(RangePredicate("kind", 0, 10))
+        else:
+            parts.append(ComparisonPredicate("kind", "<", 5))
+    return Conjunction(draw(st.permutations(parts)))
+
+
 def both_backends(rows):
     """(reference row-store table, column-store table) over the same rows."""
     return ReferenceTable.from_rows(schema(), rows), Table.from_rows(schema(), rows)
@@ -167,8 +222,16 @@ class TestStorageEquivalence:
         assert _selection(col_table, predicate) == _selection(row_table, predicate)
 
     @settings(deadline=None)
+    @given(rows_with_nonfinite, index_first_conjunctions())
+    def test_index_first_selection_identical(self, rows, predicate):
+        # Whole-table views: the column store may seed from postings.
+        row_table, col_table = both_backends(rows)
+        assert _selection(col_table, predicate) == _selection(row_table, predicate)
+
+    @settings(deadline=None)
     @given(rows_with_nonfinite, predicates(), predicates())
     def test_chained_selection_identical(self, rows, first, second):
+        # The second selection runs on a sub-view, which always scans.
         row_table, col_table = both_backends(rows)
         assert _selection(col_table, first, second) == _selection(
             row_table, first, second

@@ -146,6 +146,21 @@ class TestSelectionOnBothBackends:
             4,
         )
         assert table.select(ComparisonPredicate("bath", "<", 2.0)).indices == (0, 4)
+        # Every operator at a stored value, where each differs from its
+        # neighbor; the NULL price (row 3) matches none of them.
+        assert table.select(ComparisonPredicate("price", "<", 400)).indices == (0, 4)
+        assert table.select(ComparisonPredicate("price", "<=", 400)).indices == (
+            0,
+            2,
+            4,
+        )
+        assert table.select(ComparisonPredicate("price", ">", 400)).indices == (1,)
+        assert table.select(ComparisonPredicate("price", "=", 400)).indices == (2,)
+        assert table.select(ComparisonPredicate("bath", "<=", 2.0)).indices == (
+            0,
+            3,
+            4,
+        )
 
     def test_select_comparison_on_text_ordering(self, table):
         # Ordering over strings is well-defined and must work on the
@@ -218,6 +233,17 @@ class TestSelectionOnBothBackends:
             )
         )
         assert len(rows) == 0
+        # With the range first, every row with a city reaches it, even
+        # though the IN-set's postings are empty.
+        with pytest.raises(TypeError):
+            table.select(
+                Conjunction(
+                    (
+                        RangePredicate("city", 0, 10),
+                        InPredicate("city", ["Nowhere"]),
+                    )
+                )
+            )
 
 
 class TestGroupbyOnBothBackends:
@@ -396,6 +422,49 @@ class TestFromRows:
         # schema rather than erroring per-row.
         t = Table.from_rows(homes_schema(), [{"city": "A", "bogus": 1}])
         assert t.to_dicts() == [{"city": "A", "price": None, "bath": None}]
+
+
+class TestAccessPath:
+    """Which path the column store's selection takes; the equivalence
+    suite checks that both answer as the row oracle does."""
+
+    @staticmethod
+    def _select(view, predicate):
+        perf.reset()
+        perf.enable()
+        try:
+            rows = view.select(predicate)
+        finally:
+            perf.disable()
+        counters = dict(perf.get().counters)
+        perf.reset()
+        path = "index" if counters.get("select.index_path") else "scan"
+        return rows.indices, path
+
+    def test_narrow_categorical_in_seeds_from_postings(self, columnar):
+        # Seattle holds 2 of 5 rows, under the crossover.
+        predicate = Conjunction(
+            (RangePredicate("price", 0, 450), InPredicate("city", ["Seattle"]))
+        )
+        assert self._select(columnar.all_rows(), predicate) == ((0, 2), "index")
+
+    def test_wide_categorical_in_scans(self, columnar):
+        predicate = InPredicate("city", ["Seattle", "Bellevue", "Redmond"])
+        assert self._select(columnar.all_rows(), predicate) == (
+            (0, 1, 2, 3),
+            "scan",
+        )
+
+    def test_sub_view_scans(self, columnar):
+        view = columnar.select(RangePredicate("price", 0, 1000))
+        predicate = InPredicate("city", ["Seattle"])
+        assert self._select(view, predicate) == ((0, 2), "scan")
+
+    def test_conjunct_that_does_not_vectorize_scans(self, columnar):
+        predicate = Conjunction(
+            (InPredicate("city", ["Nowhere"]), RangePredicate("city", 0, 10))
+        )
+        assert self._select(columnar.all_rows(), predicate) == ((), "scan")
 
 
 class TestPartitionDroppedRowsCounter:

@@ -76,6 +76,14 @@ class TestEndpoints:
         assert "repro_serve_requests_total" in body
         assert "repro_http_requests_by_route_total" in body
 
+    def test_executor_spans_nest_under_the_request(self, server, perf_on):
+        # The service call runs on an executor thread in the request's
+        # context, so one request records one span tree.
+        _post(server, "/categorize", {"sql": SERVE_SQL})
+        _, body = _get(server, "/metrics")
+        assert 'path="aserve.request/serve.request"' in body
+        assert 'path="serve.request"' not in body
+
     def test_categorize_roundtrip(self, server):
         status, payload = _post(
             server, "/categorize", {"sql": SERVE_SQL, "render": True}
