@@ -41,6 +41,7 @@ GATED_METRICS: tuple[tuple[str, str], ...] = (
     ("categorize_memory", "retained_kb"),
     ("categorize_memory", "cached_kb"),
     ("cold_boot", "peak_kb"),
+    ("cold_boot", "retained_kb"),
     ("selection_memory", "peak_kb"),
     ("serving_hot_path", "warm_ms"),
     ("columnar_scale", "columnar_ms"),

@@ -33,7 +33,10 @@ identical partitionings:
 The index path wins when the node covers a sizable share of the rows whose
 values it partitions on (always true at the root level); for small deep
 nodes the posting lists dwarf the node and the scan path is chosen
-instead.  :meth:`CategoricalPartitioner.partition` picks per node.
+instead.  :meth:`CategoricalPartitioner.partition` picks per node, from
+the table's whole-table value counts
+(:meth:`repro.relational.table.Table.tally`), so a node that scans builds
+no posting list.
 
 Both ``sizes`` and ``partition`` label their categories through
 :func:`single_value_categories`, so they differ only in how they count.
@@ -228,10 +231,12 @@ class CategoricalPartitioner:
             return False  # index path emits table order; keep outputs identical
         if len(rows) == len(rows.table):
             return True  # posting lists ARE the buckets: no filtering at all
-        index = rows.table.groupby_index(self.attribute)
-        candidate_volume = sum(len(index.get(value, ())) for value in ordered)
+        # Sized from the whole-table counts, so a node that scans never
+        # builds the posting lists.
+        tally = rows.table.tally(self.attribute)
+        candidate_volume = sum(tally.get(value, 0) for value in ordered)
         if self.include_missing:
-            candidate_volume += len(index.get(None, ()))
+            candidate_volume += tally.get(None, 0)
         return candidate_volume <= INDEX_PATH_ADVANTAGE * len(rows)
 
     def _partition_via_index(

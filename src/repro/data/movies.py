@@ -16,6 +16,7 @@ Used by ``examples/movies.py`` and the cross-domain benchmark
 from __future__ import annotations
 
 import random
+from typing import Any, Iterator
 
 from repro.data.distributions import weighted_choice
 from repro.relational.schema import Attribute, TableSchema
@@ -82,6 +83,11 @@ MOVIE_SEPARATION_INTERVALS = {
 
 def generate_movies(rows: int = 20_000, seed: int = 3) -> Table:
     """Generate the synthetic movie catalog, deterministic under ``seed``."""
+    return Table.from_rows(movie_schema(), movie_rows(rows, seed))
+
+
+def movie_rows(rows: int = 20_000, seed: int = 3) -> Iterator[dict[str, Any]]:
+    """The rows :func:`generate_movies` loads, one dict per movie."""
     if rows <= 0:
         raise ValueError(f"rows must be positive, got {rows}")
     rng = random.Random(seed)
@@ -89,27 +95,23 @@ def generate_movies(rows: int = 20_000, seed: int = 3) -> Table:
     genre_weights = [w for _, w, _ in GENRES]
     language_names = [l for l, _ in LANGUAGES]
     language_weights = [w for _, w in LANGUAGES]
-
-    def movies():
-        for _ in range(rows):
-            genre = weighted_choice(rng, genre_names, genre_weights)
-            year = min(2004, max(1920, int(rng.gauss(1985, 18))))
-            rating = round(min(9.8, max(1.0, rng.gauss(6.2, 1.2))), 1)
-            # Popular, well-rated, recent movies accumulate votes.
-            votes_scale = 10 ** rng.uniform(2.0, 5.5)
-            votes = int(votes_scale * (0.4 + rating / 10) * (0.5 + (year - 1920) / 170))
-            runtime = int(round(rng.gauss(108, 18) / 5) * 5)
-            yield {
-                "genre": genre,
-                "language": weighted_choice(rng, language_names, language_weights),
-                "certificate": rng.choice(CERTIFICATES),
-                "year": year,
-                "runtime": max(60, min(240, runtime)),
-                "rating": rating,
-                "votes": max(50, votes),
-            }
-
-    return Table.from_rows(movie_schema(), movies())
+    for _ in range(rows):
+        genre = weighted_choice(rng, genre_names, genre_weights)
+        year = min(2004, max(1920, int(rng.gauss(1985, 18))))
+        rating = round(min(9.8, max(1.0, rng.gauss(6.2, 1.2))), 1)
+        # Popular, well-rated, recent movies accumulate votes.
+        votes_scale = 10 ** rng.uniform(2.0, 5.5)
+        votes = int(votes_scale * (0.4 + rating / 10) * (0.5 + (year - 1920) / 170))
+        runtime = int(round(rng.gauss(108, 18) / 5) * 5)
+        yield {
+            "genre": genre,
+            "language": weighted_choice(rng, language_names, language_weights),
+            "certificate": rng.choice(CERTIFICATES),
+            "year": year,
+            "runtime": max(60, min(240, runtime)),
+            "rating": rating,
+            "votes": max(50, votes),
+        }
 
 
 def generate_movie_workload(queries: int = 8_000, seed: int = 5) -> Workload:

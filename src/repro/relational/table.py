@@ -1,9 +1,10 @@
 """Column-oriented in-memory tables.
 
 The engine stores each attribute as a column of a
-:class:`~repro.relational.backends.ColumnStore`: packed ``array.array``
-numeric columns and dictionary-encoded TEXT/BOOL columns with
-column-at-a-time selection (see ``docs/storage.md``).
+:class:`~repro.relational.backends.ColumnStore`: dictionary-coded columns
+(raw packed ``array.array`` values for a numeric column with too many
+distinct values) with column-at-a-time selection (see
+``docs/storage.md``).
 
 Rows are materialized lazily as dicts or :class:`Row` views.  A
 :class:`Table` owns its store; selections return lightweight
@@ -256,6 +257,17 @@ class Table:
         """
         self.column(name)  # raise the helpful KeyError on unknown names
         return self._store.groupby(name)
+
+    def tally(self, name: str) -> Mapping[Any, int]:
+        """value → how many rows of the whole table hold it, cached.
+
+        The lengths of :meth:`groupby_index`'s posting lists, counted
+        without building them (one count per dictionary code on a coded
+        column), kept and dropped like the posting lists.  NULLs are
+        counted under ``None``.  Callers must not mutate the result.
+        """
+        self.column(name)  # raise the helpful KeyError on unknown names
+        return self._store.tally(name)
 
     # -- relational operations ----------------------------------------------
 
@@ -517,9 +529,10 @@ class RowSet:
         ``partition.dropped_rows``.  Empty buckets are omitted from the
         result.
 
-        The store walks the packed column directly, with a C-level
-        ``bisect`` per value and no per-row Python ``classify`` frame,
-        which is what makes this several times faster than
+        The store buckets with no per-row Python ``classify`` frame: one
+        ``bisect`` per dictionary entry and a table lookup per row on a
+        coded column, a C-level ``bisect`` per value on a raw one, which
+        is what makes this several times faster than
         :meth:`partition_by_attribute` with a bisecting closure.
         """
         table = self.table

@@ -173,6 +173,24 @@ class TestIndexPathEquivalence:
             slow.partition(shuffled)
         )
 
+    def test_scan_path_builds_no_posting_list(self, stats, rows):
+        from repro import perf
+        from repro.relational.table import RowSet
+
+        # One B row: B's five rows are more than 4x the node, so it scans,
+        # sized from the table's value counts, not its posting lists.
+        node = RowSet(rows.table, (3,))
+        perf.reset()
+        perf.enable()
+        try:
+            CategoricalPartitioner("neighborhood", stats).partition(node)
+        finally:
+            perf.disable()
+        counters = dict(perf.get().counters)
+        perf.reset()
+        assert counters.get("partition.categorical.scan_path", 0) == 1
+        assert counters.get("table.groupby_index.build", 0) == 0
+
     def test_index_path_taken_on_full_table(self, stats, rows):
         from repro import perf
 

@@ -10,6 +10,11 @@ A :class:`ReferenceTable` is filled from input rows or columns through
 the schema's coercion, exactly like a ``Table``; it is never copied out
 of a ``ColumnStore``, so a storage bug cannot leak into the oracle.
 
+Its groupby and value counts key values as a dict does (0.0 and -0.0
+share a key), except that every NaN counts under the one key
+``math.nan``, as the column store's do: a dict would give each NaN
+object a key of its own, since NaN != NaN.
+
 Imports only the standard library and ``repro``: the benchmarks load it
 without hypothesis installed.
 """
@@ -60,14 +65,22 @@ class RowStore:
             typecode = index_typecode(len(column))
             buckets: dict[Any, list[int]] = {}
             for position, value in enumerate(column):
-                buckets.setdefault(value, []).append(position)
+                key = value if value == value else math.nan
+                buckets.setdefault(key, []).append(position)
             index = self._postings[name] = {
                 value: array(typecode, ids) for value, ids in buckets.items()
             }
         return index
 
     def count_values(self, name: str, indices: Sequence[int]) -> dict[Any, int]:
-        return Counter(map(self._columns[name].__getitem__, indices))
+        column = self._columns[name]
+        return Counter(
+            value if value == value else math.nan
+            for value in map(column.__getitem__, indices)
+        )
+
+    def tally(self, name: str) -> dict[Any, int]:
+        return self.count_values(name, range(len(self._columns[name])))
 
     def select_indices(
         self, predicate: Predicate, indices: Sequence[int]

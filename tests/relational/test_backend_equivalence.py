@@ -33,13 +33,32 @@ are rarely drawn), caught for each of the six by
 ``test_select_comparison_ops``; and an IN-set none of whose values is
 stored answering ``[]`` without checking that the rest vectorize,
 caught by ``test_error_conjunct_order_preserved``.
+
+Seeded mutations of the dictionary-coded numeric columns this suite
+catches: -0.0 keyed as 0.0 and an IN on a zero missing the other zero
+(both through the explicit example of ``test_layouts_answer_as_the_oracle``),
+value counts or posting lists overwriting equal keys instead of merging
+them, the per-code bucket table open at its top bound or letting
+non-finite values through, an exclusive range mask built inclusive, NULL
+matching a comparison mask, and no code-width widening.  Caught
+elsewhere: the cap off by one and no widening
+(``test_int_column_past_the_cap_is_raw``), a coded INT column admitting
+values past int64 (``test_int64_overflow_raises``), a snapshot's NaN not
+made ``math.nan`` (``tests/serving/test_warmstart.py``), counting an IN
+or sizing a partitioning from posting lists
+(``test_two_categorical_ins_build_one_posting_list``,
+``test_scan_path_builds_no_posting_list``) and writes keeping the
+tallies (``test_tally_counts_the_whole_table_and_follows_writes``).
 """
 
 import math
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.relational import backends
+from repro.relational.backends import DictColumn, IntColumn
 from repro.relational.expressions import (
     ComparisonPredicate,
     Conjunction,
@@ -53,8 +72,9 @@ from repro.relational.statistics import (
     numeric_stats,
     value_counts,
 )
-from repro.relational.table import Table
+from repro.relational.table import RowSet, Table
 from repro.relational.types import AttributeKind, DataType
+from repro.workload.preprocess import preprocess_workload
 from tests.relational.reference_rowstore import ReferenceTable
 
 
@@ -99,8 +119,16 @@ def rows_strategy_with(score_values):
     )
 
 
+# ...and the two FLOAT values a dict cannot key by value: NaN and -0.0.
+edge_scores = st.one_of(
+    scores,
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0)),
+)
+
+
 rows_strategy = rows_strategy_with(scores)
 rows_with_nonfinite = rows_strategy_with(nonfinite_scores)
+rows_with_edges = rows_strategy_with(edge_scores)
 kind_in_values = st.lists(
     st.sampled_from(KINDS + ("missing",)), min_size=1, max_size=3
 )
@@ -241,7 +269,7 @@ class TestStorageEquivalence:
     @given(rows_with_nonfinite)
     def test_groupby_identical(self, rows):
         row_table, col_table = both_backends(rows)
-        for name in ("kind", "flag", "count"):
+        for name in ("kind", "flag", "count", "score"):
             assert col_table.groupby_index(name) == row_table.groupby_index(name)
 
     @settings(deadline=None)
@@ -283,6 +311,142 @@ class TestStorageEquivalence:
             col_table, "kind"
         )
         assert value_counts(row_table, "kind") == value_counts(col_table, "kind")
+
+
+class TestCodedNumericColumns:
+    """INT and FLOAT columns crossing the code widths (past 256 values)
+    and the dictionary cap, in the middle of a ``load_columns`` and in the
+    middle of ``insert``s, with NULL, NaN, ±inf and ±0.0 among the values.
+
+    ``prefix`` rows of distinct values come first, so 40 drawn rows can
+    take a dictionary past 256 entries; ``cap`` replaces
+    :data:`~repro.relational.backends.NUMERIC_DICTIONARY_CAP` while the
+    tables load.  The rows up to ``split`` load in one ``from_rows``, the
+    rest one ``insert`` each.
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows_with_edges,
+        st.integers(min_value=0, max_value=40),
+        st.sampled_from((3, 16, 300)),
+        st.sampled_from((0, 250)),
+        predicates(),
+    )
+    @example(  # both zeros in one load, then NaN and -0.0 inserted
+        rows=[
+            {"kind": "alpha", "flag": True, "count": 1, "score": score}
+            for score in (0.0, -0.0, None, math.nan, -0.0, math.inf)
+        ],
+        split=3,
+        cap=300,
+        prefix=0,
+        predicate=InPredicate("score", [-0.0]),
+    )
+    def test_layouts_answer_as_the_oracle(self, rows, split, cap, prefix, predicate):
+        rows = [
+            {"kind": "alpha", "flag": True, "count": 2_000 + n, "score": n / 4}
+            for n in range(prefix)
+        ] + rows
+        split += prefix
+        with mock.patch.object(backends, "NUMERIC_DICTIONARY_CAP", cap):
+            row_table, col_table = (
+                _loaded(layout, rows, split) for layout in (ReferenceTable, Table)
+            )
+        counts = {row["count"] for row in rows}
+        assert isinstance(col_table.column("count"), IntColumn) == (
+            len(counts) > cap
+        )
+        if len(counts) <= cap:
+            assert isinstance(col_table.column("count"), DictColumn)
+        for name in schema().names():
+            # repr tells -0.0 from 0.0: each row reads back what it stored.
+            assert list(map(repr, col_table.column(name))) == list(
+                map(repr, row_table.column(name))
+            )
+        assert _selection(col_table, predicate) == _selection(row_table, predicate)
+        boundaries = (-50, -0.0, 10, 50.5, 2_100)
+        for name in ("count", "score"):
+            assert col_table.groupby_index(name) == row_table.groupby_index(name)
+            assert col_table.tally(name) == row_table.tally(name)
+            every_other = RowSet(col_table, range(0, len(rows), 2))
+            assert every_other.count_values(name) == RowSet(
+                row_table, range(0, len(rows), 2)
+            ).count_values(name)
+            assert _buckets(col_table, name, boundaries) == _buckets(
+                row_table, name, boundaries
+            )
+
+
+class TestMoviesLayouts:
+    """The movies relation: ``votes`` (12,687 distinct values in 20,000
+    rows) lands raw, every other column stays coded, and the trees and
+    selections match the row oracle's."""
+
+    def test_votes_raw_and_trees_identical(self):
+        from repro.core.algorithm import CostBasedCategorizer
+        from repro.core.baselines import NoCostCategorizer
+        from repro.core.config import CategorizerConfig
+        from repro.data.movies import (
+            MOVIE_SEPARATION_INTERVALS,
+            generate_movie_workload,
+            movie_rows,
+            movie_schema,
+        )
+        from repro.relational.query import SelectQuery
+
+        table = Table.from_rows(movie_schema(), movie_rows())
+        oracle = ReferenceTable.from_rows(movie_schema(), movie_rows())
+        assert isinstance(table.column("votes"), IntColumn)
+        for name in movie_schema().names():
+            if name != "votes":
+                assert isinstance(table.column(name), DictColumn), name
+        statistics = preprocess_workload(
+            generate_movie_workload(queries=2_000, seed=5),
+            movie_schema(),
+            MOVIE_SEPARATION_INTERVALS,
+        )
+        config = CategorizerConfig(separation_intervals=MOVIE_SEPARATION_INTERVALS)
+        # Fresh per table: the No-Cost baseline draws a new attribute
+        # order on every call.  It buckets the raw ``votes`` column.
+        categorizers = (
+            lambda: CostBasedCategorizer(statistics, config),
+            lambda: NoCostCategorizer(
+                statistics, config, attribute_set=("votes", "year", "rating")
+            ),
+        )
+        queries = (
+            SelectQuery("Movies", RangePredicate("rating", 7.0, 10.0)),
+            SelectQuery(
+                "Movies",
+                Conjunction(
+                    (
+                        InPredicate("genre", ["Drama", "Comedy"]),
+                        ComparisonPredicate("votes", ">=", 10_000),
+                    )
+                ),
+            ),
+        )
+        for query in queries:
+            rows = [query.execute(t) for t in (table, oracle)]
+            assert rows[0].indices == rows[1].indices
+            for categorizer in categorizers:
+                trees = [
+                    [
+                        (node.display(), node.level, tuple(node.rows.indices))
+                        for node in categorizer().categorize(r, query).nodes()
+                    ]
+                    for r in rows
+                ]
+                assert trees[0] == trees[1]
+
+
+def _loaded(layout, rows, split):
+    """``rows[:split]`` loaded in one batch, then the rest one by one."""
+    table = layout.from_rows(schema(), rows[:split])
+    for row in rows[split:]:
+        table.insert(row)
+    return table
 
 
 def _selection(table, *predicate_chain):

@@ -8,12 +8,18 @@ cases on the real store.  These are targeted unit tests; the randomized
 cross-layout checks live in ``test_backend_equivalence.py``.
 """
 
+import math
 from array import array
 
 import pytest
 
 from repro import perf
-from repro.relational.backends import DictColumn, IntColumn, index_typecode
+from repro.relational.backends import (
+    NUMERIC_DICTIONARY_CAP,
+    DictColumn,
+    IntColumn,
+    index_typecode,
+)
 from repro.relational.expressions import (
     ComparisonPredicate,
     Conjunction,
@@ -24,7 +30,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import RowSet, Table
-from repro.relational.types import DataType
+from repro.relational.types import AttributeKind, DataType
 from tests.relational.reference_rowstore import LAYOUTS
 
 
@@ -273,6 +279,15 @@ class TestGroupbyOnBothBackends:
         assert list(after["Seattle"]) == [0, 2, 5]
 
 
+    def test_tally_counts_the_whole_table_and_follows_writes(self, table):
+        assert table.tally("city") == {
+            "Seattle": 2, "Bellevue": 1, "Redmond": 1, None: 1
+        }
+        table.insert({"city": "Seattle", "price": 700, "bath": 1.0})
+        assert table.tally("city")["Seattle"] == 3
+        assert table.tally("price")[700] == 1
+
+
 def test_posting_typecode_widens_only_at_2_31_rows():
     assert index_typecode(0) == "i"
     assert index_typecode(2**31 - 1) == "i"
@@ -288,11 +303,67 @@ class TestColumnarSpecifics:
         assert column.code_of("Nowhere") is None
 
     def test_int_column_packed(self, columnar):
+        # Few distinct values: dictionary-coded, one byte per row.
         column = columnar.column("price")
-        assert isinstance(column, IntColumn)
+        assert isinstance(column, DictColumn)
+        assert column._codes.typecode == "B"
+        assert column.cardinality == 4  # 300, 500, 400, 250
         assert column[0] == 300
         assert column[3] is None
         assert column[-1] == 250  # negative indexing, like a list
+
+    def test_int_column_past_the_cap_is_raw(self):
+        schema = TableSchema("T", (Attribute("a", DataType.INT),))
+        table = Table.from_columns(
+            schema, {"a": list(range(NUMERIC_DICTIONARY_CAP - 1))}
+        )
+        column = table.column("a")
+        assert isinstance(column, DictColumn)
+        assert column._codes.typecode == "H"
+        table.insert({"a": None})  # the dictionary's last entry: NULL
+        assert isinstance(table.column("a"), DictColumn)
+        table.insert({"a": -1})
+        column = table.column("a")
+        assert isinstance(column, IntColumn)
+        assert column._data.typecode == "q"
+        assert column[NUMERIC_DICTIONARY_CAP - 1] is None
+        assert list(column)[-3:] == [NUMERIC_DICTIONARY_CAP - 2, None, -1]
+        # Raw for good: a value the dictionary already held stays raw.
+        table.insert({"a": 0})
+        assert isinstance(table.column("a"), IntColumn)
+
+    def test_code_width_widens_past_a_byte(self):
+        schema = TableSchema("T", (Attribute("s", DataType.TEXT),))
+        table = Table.from_columns(schema, {"s": [str(n) for n in range(256)]})
+        assert table.column("s")._codes.typecode == "B"
+        table.insert({"s": "one more"})
+        column = table.column("s")
+        assert column._codes.typecode == "H"
+        assert column[0] == "0" and column[256] == "one more"
+
+    def test_float_nan_and_signed_zero(self):
+        schema = TableSchema("T", (Attribute("x", DataType.FLOAT),))
+        table = Table.from_columns(
+            schema, {"x": [0.0, float("nan"), -0.0, float("nan"), 1.0, -0.0]}
+        )
+        column = table.column("x")
+        assert isinstance(column, DictColumn)
+        assert column.cardinality == 4  # 0.0, NaN, -0.0, 1.0
+        signs = [math.copysign(1.0, value) for value in column]
+        assert signs[0] == 1.0 and signs[2] == -1.0 and signs[5] == -1.0
+        assert column[1] is math.nan and column[3] is math.nan
+        rows = table.all_rows()
+        assert rows.count_values("x") == {0.0: 3, math.nan: 2, 1.0: 1}
+        index = table.groupby_index("x")
+        assert {key: list(ids) for key, ids in index.items()} == {
+            0.0: [0, 2, 5], math.nan: [1, 3], 1.0: [4]
+        }
+        # IN and = treat the two zeros alike; NaN matches neither.
+        assert table.select(InPredicate("x", [-0.0])).indices == (0, 2, 5)
+        assert table.select(ComparisonPredicate("x", "=", 0)).indices == (
+            0, 2, 5
+        )
+        assert len(table.select(InPredicate("x", [math.nan]))) == 0
 
     def test_int64_overflow_raises(self, columnar):
         with pytest.raises(OverflowError):
@@ -459,6 +530,38 @@ class TestAccessPath:
         view = columnar.select(RangePredicate("price", 0, 1000))
         predicate = InPredicate("city", ["Seattle"])
         assert self._select(view, predicate) == ((0, 2), "scan")
+
+    def test_two_categorical_ins_build_one_posting_list(self):
+        schema = TableSchema(
+            "T",
+            (
+                Attribute("city", DataType.TEXT, AttributeKind.CATEGORICAL),
+                Attribute("zone", DataType.INT, AttributeKind.CATEGORICAL),
+            ),
+        )
+        table = Table.from_columns(
+            schema,
+            {
+                "city": ["A", "B", "C", "A", "B", "C", "A", "B", "C", "D"],
+                "zone": [1, 2, 3, 4, 1, 2, 1, 4, 1, 2],
+            },
+        )
+        # zone IN (1, 2) selects 7 rows, city IN ('A') 3: only city's
+        # posting lists are built, and only to be walked.
+        predicate = Conjunction(
+            (InPredicate("zone", [1, 2]), InPredicate("city", ["A"]))
+        )
+        perf.reset()
+        perf.enable()
+        try:
+            rows = table.select(predicate)
+        finally:
+            perf.disable()
+        counters = dict(perf.get().counters)
+        perf.reset()
+        assert rows.indices == (0, 6)
+        assert counters.get("select.index_path", 0) == 1
+        assert counters.get("table.groupby_index.build", 0) == 1
 
     def test_conjunct_that_does_not_vectorize_scans(self, columnar):
         predicate = Conjunction(

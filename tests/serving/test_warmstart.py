@@ -11,12 +11,29 @@ process dies between snapshots.
 
 from __future__ import annotations
 
+import math
+from array import array
+
 import pytest
 
+from repro import perf
+from repro.catalog import DatasetDescriptor
+from repro.catalog.catalog import open_relation
 from repro.data.homes import generate_homes
-from repro.relational.backends import ColumnStore, schema_fingerprint
+from repro.relational.backends import (
+    NUMERIC_DICTIONARY_CAP,
+    ColumnStore,
+    DictColumn,
+    FloatColumn,
+    schema_fingerprint,
+)
 from repro.relational.schema import Attribute, TableSchema
-from repro.relational.snapio import SnapshotMismatch
+from repro.relational.snapio import (
+    Container,
+    SnapshotMismatch,
+    base_manifest,
+    write_container,
+)
 from repro.relational.table import Table
 from repro.relational.types import AttributeKind, DataType
 from repro.render.treeview import render_tree
@@ -79,6 +96,108 @@ def test_table_snapshot_preserves_nulls_and_dictionaries(tmp_path):
     store, rows = ColumnStore.load(schema, tmp_path / TABLE_SNAPSHOT)
     loaded = Table.from_store(schema, store, rows)
     assert _columns_equal(schema, table, loaded)
+
+
+def test_table_snapshot_keeps_code_widths_raw_columns_and_signs(tmp_path):
+    schema = TableSchema(
+        "Edges",
+        (
+            Attribute("wide", DataType.INT, AttributeKind.NUMERIC),
+            Attribute("raw", DataType.FLOAT, AttributeKind.NUMERIC),
+            Attribute("score", DataType.FLOAT, AttributeKind.NUMERIC),
+        ),
+    )
+    rows = NUMERIC_DICTIONARY_CAP + 1
+    scores = [0.0, -0.0, math.nan, math.inf, -math.inf, None, 1.5]
+    table = Table.from_columns(
+        schema,
+        {
+            "wide": [n % 300 for n in range(rows)],  # 300 values: 2-byte codes
+            "raw": [n / 7 for n in range(rows)],  # past the cap: raw
+            "score": [scores[n % len(scores)] for n in range(rows)],
+        },
+    )
+    assert isinstance(table.column("raw"), FloatColumn)
+    write_table_snapshot(table, tmp_path)
+    with Container(tmp_path / TABLE_SNAPSHOT) as container:
+        entries = {e["name"]: e for e in container.manifest["columns"]}
+    assert container.manifest["version"] == ColumnStore.FORMAT_VERSION == 2
+    assert entries["wide"]["typecode"] == "H"
+    assert entries["score"]["typecode"] == "B"
+    assert entries["raw"] == {"name": "raw", "layout": "num", "typecode": "d"}
+    store, rows_loaded = ColumnStore.load(schema, tmp_path / TABLE_SNAPSHOT)
+    loaded = Table.from_store(schema, store, rows_loaded)
+    assert isinstance(loaded.column("score"), DictColumn)
+    assert isinstance(loaded.column("raw"), FloatColumn)
+    for name in schema.names():
+        assert list(map(repr, loaded.column(name))) == list(
+            map(repr, table.column(name))
+        )
+    # The rebuilt dictionary keys NaN and -0.0 apart, as a write does.
+    assert loaded.column("score")[2] is math.nan
+    assert loaded.all_rows().count_values("score") == table.all_rows().count_values(
+        "score"
+    )
+    loaded.insert({"wide": 1, "raw": 0.5, "score": -0.0})
+    assert math.copysign(1.0, loaded.column("score")[rows]) == -1.0
+
+
+def _write_format_1_snapshot(table: Table, path) -> None:
+    """``table`` as format 1 stored it: INT/FLOAT columns as 8-byte arrays,
+    TEXT/BOOL as ``'i'`` codes with -1 for NULL and no typecode."""
+    manifest = base_manifest("columnstore", 1)
+    manifest["table"] = table.schema.name
+    manifest["schema"] = schema_fingerprint(table.schema)
+    manifest["rows"] = len(table)
+    columns, blocks = [], []
+    for attribute in table.schema:
+        values = list(table.column(attribute.name))
+        if attribute.data_type in (DataType.INT, DataType.FLOAT):
+            typecode = "q" if attribute.data_type is DataType.INT else "d"
+            columns.append(
+                {"name": attribute.name, "layout": "num", "typecode": typecode}
+            )
+            data = array(typecode, [0 if v is None else v for v in values])
+        else:
+            decode = list(dict.fromkeys(v for v in values if v is not None))
+            columns.append(
+                {"name": attribute.name, "layout": "dict", "decode": decode}
+            )
+            codes = {value: code for code, value in enumerate(decode)}
+            data = array("i", [-1 if v is None else codes[v] for v in values])
+        blocks.append((f"col:{attribute.name}", data.tobytes()))
+    manifest["columns"] = columns
+    write_container(path, manifest, blocks)
+
+
+def test_format_1_snapshot_boots_cold_with_the_same_trees(tmp_path):
+    descriptor = DatasetDescriptor(
+        name="ListProperty", generator="homes", rows=400, workload_queries=300
+    )
+    table, statistics = descriptor.build()
+    state = tmp_path / "ListProperty"
+    state.mkdir()
+    _write_format_1_snapshot(table, state / TABLE_SNAPSHOT)
+    write_stats_snapshot(statistics, state, epoch=0, journal_seq=0)
+    perf.reset()
+    perf.enable()
+    try:
+        relation = open_relation(descriptor, state_root=tmp_path)
+    finally:
+        perf.disable()
+    counters = dict(perf.get().counters)
+    perf.reset()
+    assert counters["warmstart.fallback{reason=version,table=ListProperty}"] == 1
+    assert relation.warm is False
+    booted = CategorizationService(relation)
+    reference = CategorizationService(Relation(table, statistics))
+    try:
+        for sql in (SERVE_SQL, LOG_SQL):
+            assert render_tree(booted.categorize(sql).tree) == render_tree(
+                reference.categorize(sql).tree
+            )
+    finally:
+        relation.journal.close()
 
 
 def test_table_snapshot_rejects_wrong_schema(tmp_path):
