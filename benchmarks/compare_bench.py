@@ -38,6 +38,7 @@ GATED_METRICS: tuple[tuple[str, str], ...] = (
     ("categorize_hot_path", "warm_ms"),
     ("partition_fast_path", "fast_ms"),
     # Byte counts: steady across runs, so their 20 % budget is not noise.
+    ("categorize_memory", "build_peak_kb"),
     ("categorize_memory", "retained_kb"),
     ("categorize_memory", "cached_kb"),
     ("cold_boot", "peak_kb"),

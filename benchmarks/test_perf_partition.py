@@ -5,10 +5,11 @@ Level construction is the categorizer's inner loop.  This module times
 * one full-level partitioning through both RowSet APIs (generic per-row
   vs column-direct),
 * the categorize hot path with the caching layer on vs off (groupby
-  index, RowSet-derived partitionings, memoized workload statistics),
-* the memory one categorized tree keeps alive, as built and compacted
-  for the result cache (byte counts, not timings, so their gates do not
-  depend on host speed),
+  index, a ``BuildMemo`` handle's partitionings, memoized workload
+  statistics),
+* the memory one categorization peaks at and the tree it keeps alive, as
+  returned and as the result cache stores it (byte counts, not timings,
+  so their gates do not depend on host speed),
 * the memory a cold boot (``DatasetDescriptor.build``) peaks at and
   keeps, from a CSV file and a log file,
 * the largest transient one search's selection allocates,
@@ -33,7 +34,9 @@ from repro import perf
 from repro.catalog import DatasetDescriptor
 from repro.core.algorithm import CostBasedCategorizer
 from repro.core.config import PAPER_CONFIG
+from repro.core.memo import BuildMemo
 from repro.relational.csvio import write_csv
+from repro.serving.service import ResultCache
 from repro.study.report import format_table
 from repro.workload.preprocess import preprocess_workload
 
@@ -201,10 +204,11 @@ def test_perf_categorize_hot_path_caching(
 
     Cold: statistics memoization off AND ``enable_caches=False`` — every
     call recomputes partitionings, bounds and probabilities from scratch.
-    Warm: the defaults — the table groupby index, RowSet-derived
+    Warm: the defaults plus one ``BuildMemo`` handle across the calls —
+    the table groupby index, the handle's counts, sizes and
     partitionings and memoized count-table lookups all hit after the
-    first call, which is the serving pattern (the same result set is
-    re-categorized as the exploration UI re-renders).
+    first call, which is the pattern of a caller that re-categorizes the
+    same result set (an exploration UI re-rendering it, an M sweep).
     """
     query, rows = bench_seattle_query
     cold_statistics = preprocess_workload(
@@ -222,12 +226,13 @@ def test_perf_categorize_hot_path_caching(
     warm = CostBasedCategorizer(warm_statistics, PAPER_CONFIG)
 
     # Correctness first: both configurations build the identical tree.
+    memo = BuildMemo()
     cold_tree = cold.categorize(rows, query)
-    warm_tree = warm.categorize(rows, query)
+    warm_tree = warm.categorize(rows, query, memo=memo)
     assert _tree_shape(cold_tree.root) == _tree_shape(warm_tree.root)
 
     cold_seconds = _timed(lambda: cold.categorize(rows, query), repeats=5)
-    warm_seconds = _timed(lambda: warm.categorize(rows, query), repeats=7)
+    warm_seconds = _timed(lambda: warm.categorize(rows, query, memo=memo), repeats=7)
     speedup = cold_seconds / warm_seconds
 
     print()
@@ -257,17 +262,20 @@ def test_perf_categorize_hot_path_caching(
 
 
 def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
-    """Bytes one categorized tree keeps alive, as built and as cached.
+    """Bytes one categorization peaks at, and the bytes its tree keeps.
 
-    As built (``retained_kb``), the tree owns its nodes' row sets and
-    whatever the categorizer memoized on them; that is what a caller who
-    keeps the returned tree holds.  ``cached_kb`` is what is left after
-    ``tree.compact()``, which the serving result cache applies to every
-    tree it stores: packed positions and no memos.  Table- and
-    statistics-level caches are warmed on a first result so that only the
-    tree's own memory is traced on a second, fresh result of the same
-    query.  ``tracemalloc`` counts allocations, not pages, so both figures
-    repeat across runs and hosts.
+    ``build_peak_kb`` is the ``tracemalloc`` peak above the memory traced
+    before the call: the build's permutation, its node memos (one level's
+    at a time, plus the root's histograms) and the row lists of the node
+    being partitioned.  ``retained_kb`` is the returned tree: nodes,
+    labels, one packed permutation of the result's positions and a slice
+    view per node.  ``cached_kb`` is the tree exactly as ``ResultCache``
+    stores it, measured after ``put``; the cache adds no step, so it
+    reads as ``retained_kb`` plus the entry.  Table- and
+    statistics-level caches are warmed on a first result so that only
+    the build's own memory is traced on a second, fresh result of the
+    same query.  ``tracemalloc`` counts allocations, not pages, so the
+    figures repeat across runs and hosts.
     """
     query, rows = bench_seattle_query
     categorizer = CostBasedCategorizer(bench_statistics, PAPER_CONFIG)
@@ -286,14 +294,17 @@ def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
     del tree
 
     fresh = query.execute(rows.table)
+    cache = ResultCache(capacity=1)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tree = categorizer.categorize(fresh, query)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-        tree.compact()
+        retained, peak = tracemalloc.get_traced_memory()
+        retained -= before
+        peak -= before
+        cache.put("bench", tree)
         gc.collect()
         cached = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -305,6 +316,7 @@ def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
         format_table(
             [
                 "result rows",
+                "build peak KiB",
                 "retained KiB",
                 "cached KiB",
                 "partition calls",
@@ -313,19 +325,21 @@ def test_perf_categorize_retained_memory(bench_statistics, bench_seattle_query):
             [
                 [
                     len(rows),
+                    f"{peak / 1024:.1f}",
                     f"{retained / 1024:.1f}",
                     f"{cached / 1024:.1f}",
                     partition_calls,
                     levels,
                 ]
             ],
-            title="Categorize retained memory",
+            title="Categorize memory",
         )
     )
     _append_bench_record(
         "categorize_memory",
         {
             "result_rows": len(rows),
+            "build_peak_kb": round(peak / 1024, 1),
             "retained_kb": round(retained / 1024, 1),
             "cached_kb": round(cached / 1024, 1),
             "partition_calls": partition_calls,

@@ -12,6 +12,13 @@ and size (|tset(Ci)|), so candidates are scored from their partitioners'
 ``sizes``, which count instead of building row sets; ``partition`` runs
 only for the attribute a level chose, on the nodes it refines.
 
+Each level partitions its parents' tuples, so a tree is one permutation
+of the result's positions (:class:`~repro.relational.table.Permutation`)
+with every node a slice of it: attaching a node's children reorders its
+slice in place (:meth:`~repro.relational.table.RowSlice.split`), and the
+partitioners' row lists live only while one node is partitioned.  What a
+level derives per node lives in that level's memos (:mod:`repro.core.memo`).
+
 The module provides the shared level-by-level engine
 (:class:`LevelByLevelCategorizer`) parameterized over two policies —
 *how to partition* on an attribute and *how to choose* the level's
@@ -31,8 +38,9 @@ from repro import perf
 from repro.core.config import CategorizerConfig, PAPER_CONFIG
 from repro.core.cost import CostModel
 from repro.core.labels import CategoryLabel
+from repro.core.memo import BuildMemo, NodeMemo, NodeMemos, memo_of
 from repro.core.partition.categorical import CategoricalPartitioner
-from repro.core.partition.numeric import NumericPartitioner
+from repro.core.partition.numeric import HISTOGRAM, NumericPartitioner
 from repro.core.probability import ProbabilityEstimator
 from repro.core.trace import (
     MAX_CHILD_PROBABILITIES,
@@ -45,13 +53,32 @@ from repro.core.trace import (
 )
 from repro.core.tree import CategoryNode, CategoryTree
 from repro.relational.query import SelectQuery
-from repro.relational.table import RowSet
+from repro.relational.table import RowSet, RowSlice
 from repro.workload.preprocess import WorkloadStatistics
 
 Partitioning = list[tuple[CategoryLabel, RowSet]]
 
 #: A partitioning as counts: each category's label and ``|tset|``.
 Sizes = list[tuple[CategoryLabel, int]]
+
+
+#: The kind (first key item) of a node memo's partitioning entries.
+_PARTITIONING = "partitioning"
+
+
+def _release_level(
+    memos: dict[RowSet, NodeMemo], oversized: list[CategoryNode]
+) -> None:
+    """Drop what a build derived from a level's nodes once the level is
+    attached; the root keeps its histograms, which every later level's
+    numeric partitioners read to resolve their ranges."""
+    for node in oversized:
+        if node.is_root:
+            root_memo = memos[node.rows]
+            for key in [key for key in root_memo if key[0] != HISTOGRAM]:
+                del root_memo[key]
+        else:
+            del memos[node.rows]
 
 
 class Partitioner(Protocol):
@@ -81,11 +108,13 @@ class _LevelCandidates:
         oversized: list[CategoryNode],
         query: SelectQuery | None,
         root_rows: RowSet,
+        memos: NodeMemos | None,
     ) -> None:
         self._categorizer = categorizer
         self._oversized = oversized
         self._query = query
         self._root_rows = root_rows
+        self._memos = memos
         self._partitioners: dict[str, Partitioner] = {}
         self._sizes: dict[str, list[Sizes]] = {}
 
@@ -94,7 +123,7 @@ class _LevelCandidates:
         if partitioner is None:
             partitioner = self._partitioners[attribute] = (
                 self._categorizer._make_partitioner(
-                    attribute, self._query, self._root_rows
+                    attribute, self._query, self._root_rows, self._memos
                 )
             )
         return partitioner
@@ -146,12 +175,17 @@ class LevelByLevelCategorizer:
         *,
         collect_trace: bool = False,
         checkpoint: Callable[[], bool] | None = None,
+        memo: BuildMemo | None = None,
     ) -> CategoryTree:
         """Build a category tree over the result set ``rows`` of ``query``.
 
         Terminates when every category holds at most ``M`` tuples, when the
         candidate attributes are exhausted, or when no remaining attribute
         can refine any oversized category.
+
+        The tree's nodes are slices of one permutation of ``rows``'
+        positions, each reading its rows in ``rows``' order; the tree keeps
+        no reference to ``rows`` itself.
 
         With ``collect_trace=True`` the returned tree additionally carries
         a :class:`~repro.core.trace.DecisionTrace` on
@@ -167,10 +201,17 @@ class LevelByLevelCategorizer:
         This is the deadline hook the serving layer's degradation ladder
         uses (:mod:`repro.serving.degrade`): a budget that runs out
         mid-build keeps the work already done instead of discarding it.
+
+        ``memo``, for callers that categorize the same ``rows`` again
+        (with other settings, or to re-render), keeps every node's value
+        counts, histograms, candidate sizes and partitioning for the next
+        call given the same handle.  Without it, each level's are
+        released once the level is attached.  With ``enable_caches`` off
+        nothing is memoized and ``memo`` is ignored.
         """
         perf.count("categorize.calls")
         with perf.span("categorize"):
-            root = CategoryNode(rows)
+            root = CategoryNode(RowSlice.over(rows))
             tree = CategoryTree(root, query=query, technique=self.name)
             available = list(self._candidate_attributes(rows, query))
             trace: DecisionTrace | None = None
@@ -181,6 +222,11 @@ class LevelByLevelCategorizer:
                     eliminated=self._eliminated_attributes(rows, query),
                 )
                 tree.decision_trace = trace
+            memos: dict[RowSet, NodeMemo] | None = None
+            if self.config.enable_caches:
+                memos = {root.rows: {} if memo is None else memo.root_of(rows)}
+            else:
+                memo = None
             frontier: list[CategoryNode] = [root]
             threshold = self.config.max_tuples_per_category
 
@@ -195,7 +241,10 @@ class LevelByLevelCategorizer:
                     perf.count("categorize.checkpoint_stops")
                     break
                 with perf.span("categorize.level"):
-                    sizes = _LevelCandidates(self, oversized, query, rows)
+                    if memos is not None:
+                        for node in oversized:
+                            memos.setdefault(node.rows, {})
+                    sizes = _LevelCandidates(self, oversized, query, root.rows, memos)
                     chosen = self._choose_attribute(oversized, available, sizes)
                     if trace is not None:
                         trace.levels.append(
@@ -210,8 +259,14 @@ class LevelByLevelCategorizer:
                     if chosen is None:
                         break
                     frontier = self._attach_level(
-                        oversized, chosen, sizes.partitioner(chosen), sizes(chosen)
+                        oversized,
+                        chosen,
+                        sizes.partitioner(chosen),
+                        sizes(chosen),
+                        memos if memo is not None else None,
                     )
+                    if memos is not None and memo is None:
+                        _release_level(memos, oversized)
                     perf.count("categorize.levels")
                 available.remove(chosen)
                 if not frontier:
@@ -226,9 +281,20 @@ class LevelByLevelCategorizer:
         attribute: str,
         partitioner: Partitioner,
         sizes: list[Sizes],
+        kept: dict[RowSet, NodeMemo] | None,
     ) -> list[CategoryNode]:
         """Partition the nodes the chosen attribute refines and attach the
         partitions; return the new frontier.
+
+        Each node's slice is split into its children's, in the
+        partitioning's order.  ``kept`` (the memos of a build with a
+        :class:`~repro.core.memo.BuildMemo`) files in each node's memo,
+        per attribute, the sizes the node was partitioned for, its
+        children's positions (packed) and its children's memos, and
+        registers those memos for the children's views.  A node's memo is
+        thus reached from the root's along its label path: over one
+        result set, equal labels name the same rows in every tree, so a
+        later build whose sizes for the node are equal reuses all three.
 
         A node whose sizes name fewer than two categories is left a leaf,
         unpartitioned: a single pass-through category would add a label
@@ -238,8 +304,26 @@ class LevelByLevelCategorizer:
         for node, node_sizes in zip(oversized, sizes):
             if len(node_sizes) < 2:
                 continue
+            rows = node.rows
+            memo = memo_of(kept, rows)
+            saved = None if memo is None else memo.get((_PARTITIONING, attribute))
+            if saved is not None and saved[0] == node_sizes:
+                labels = [label for label, _ in node_sizes]
+                children = rows.split(saved[1])
+            else:
+                partitioning = partitioner.partition(rows)
+                labels = [label for label, _ in partitioning]
+                children = rows.split([part.positions() for _, part in partitioning])
+                if memo is not None:
+                    saved = memo[(_PARTITIONING, attribute)] = (
+                        node_sizes,
+                        [child.positions() for child in children],
+                        [{} for _ in children],
+                    )
+            if kept is not None:
+                kept.update(zip(children, saved[2]))
             new_frontier.extend(
-                node.add_children(attribute, partitioner.partition(node.rows))
+                node.add_children(attribute, list(zip(labels, children)))
             )
         return new_frontier
 
@@ -408,8 +492,14 @@ class LevelByLevelCategorizer:
         raise NotImplementedError
 
     def _make_partitioner(
-        self, attribute: str, query: SelectQuery | None, root_rows: RowSet
+        self,
+        attribute: str,
+        query: SelectQuery | None,
+        root_rows: RowSet,
+        memos: NodeMemos | None = None,
     ) -> Partitioner:
+        """The level's partitioner for ``attribute``; ``memos`` are the
+        build's node memos (None memoizes nothing)."""
         raise NotImplementedError
 
     def _choose_attribute(
@@ -469,7 +559,11 @@ class CostBasedCategorizer(LevelByLevelCategorizer):
         )
 
     def _make_partitioner(
-        self, attribute: str, query: SelectQuery | None, root_rows: RowSet
+        self,
+        attribute: str,
+        query: SelectQuery | None,
+        root_rows: RowSet,
+        memos: NodeMemos | None = None,
     ) -> Partitioner:
         schema_attribute = root_rows.table.schema.attribute(attribute)
         if schema_attribute.is_categorical:
@@ -479,6 +573,7 @@ class CostBasedCategorizer(LevelByLevelCategorizer):
                 query=query,
                 include_missing=self.config.include_missing_category,
                 use_index=self.config.enable_caches,
+                memos=memos,
             )
         return NumericPartitioner(
             attribute,
@@ -486,7 +581,7 @@ class CostBasedCategorizer(LevelByLevelCategorizer):
             self.config,
             query=query,
             root_rows=root_rows,
-            use_cache=self.config.enable_caches,
+            memos=memos,
         )
 
     def _choose_attribute(

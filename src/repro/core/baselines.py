@@ -23,7 +23,7 @@ shapes the benchmark suite checks.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.algorithm import (
     LevelByLevelCategorizer,
@@ -36,6 +36,7 @@ from repro.core.config import (
     PAPER_CONFIG,
     PAPER_RETAINED_ATTRIBUTES,
 )
+from repro.core.memo import NodeMemos, memo_of
 from repro.core.partition.categorical import (
     node_value_counts,
     query_universe,
@@ -67,14 +68,19 @@ class ArbitraryOrderCategoricalPartitioner:
         self,
         attribute: str,
         query: SelectQuery | None = None,
+        memos: NodeMemos | None = None,
     ) -> None:
         self.attribute = attribute
         self._universe = query_universe(query, attribute)
+        self._memos = memos
+
+    def _value_counts(self, rows: RowSet) -> Mapping[Any, int]:
+        return node_value_counts(rows, self.attribute, memo_of(self._memos, rows))
 
     def _ordered(self, rows: RowSet) -> list[Any]:
         if self._universe is not None:
             return self._universe
-        return universe_of(node_value_counts(rows, self.attribute))
+        return universe_of(self._value_counts(rows))
 
     def partition(self, rows: RowSet) -> Partitioning:
         universe = self._ordered(rows)
@@ -86,9 +92,7 @@ class ArbitraryOrderCategoricalPartitioner:
 
     def sizes(self, rows: RowSet) -> Sizes:
         return single_value_categories(
-            self.attribute,
-            self._ordered(rows),
-            node_value_counts(rows, self.attribute),
+            self.attribute, self._ordered(rows), self._value_counts(rows)
         )
 
 
@@ -102,12 +106,19 @@ class EquiWidthNumericPartitioner:
         config: CategorizerConfig,
         query: SelectQuery | None = None,
         root_rows: RowSet | None = None,
+        memos: NodeMemos | None = None,
     ) -> None:
         self.attribute = attribute
         self.width = 5.0 * config.separation_interval(attribute)
+        self._memos = memos
         # Reuse the cost-based partitioner's (vmin, vmax) resolution only.
         resolver = NumericPartitioner(
-            attribute, statistics, config, query=query, root_rows=root_rows
+            attribute,
+            statistics,
+            config,
+            query=query,
+            root_rows=root_rows,
+            memos=memos,
         )
         self.vmin, self.vmax = resolver.vmin, resolver.vmax
         self.splitpoints = (
@@ -128,7 +139,7 @@ class EquiWidthNumericPartitioner:
             return []
         return bucket_sizes(
             self.attribute,
-            node_histogram(rows, self.attribute),
+            node_histogram(rows, self.attribute, memo_of(self._memos, rows)),
             self.vmin,
             self.vmax,
             self.splitpoints,
@@ -170,17 +181,24 @@ class _NoCostPartitioningMixin(LevelByLevelCategorizer):
         return candidates
 
     def _make_partitioner(
-        self, attribute: str, query: SelectQuery | None, root_rows: RowSet
+        self,
+        attribute: str,
+        query: SelectQuery | None,
+        root_rows: RowSet,
+        memos: NodeMemos | None = None,
     ) -> Partitioner:
         schema_attribute = root_rows.table.schema.attribute(attribute)
         if schema_attribute.is_categorical:
-            return ArbitraryOrderCategoricalPartitioner(attribute, query=query)
+            return ArbitraryOrderCategoricalPartitioner(
+                attribute, query=query, memos=memos
+            )
         return EquiWidthNumericPartitioner(
             attribute,
             self.statistics,
             self.config,
             query=query,
             root_rows=root_rows,
+            memos=memos,
         )
 
 

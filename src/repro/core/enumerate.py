@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 from repro.core.algorithm import CostBasedCategorizer, Sizes
 from repro.core.config import CategorizerConfig, PAPER_CONFIG
 from repro.core.cost import CostModel
+from repro.core.memo import BuildMemo
 from repro.core.probability import ProbabilityEstimator
 from repro.core.tree import CategoryNode, CategoryTree
 from repro.relational.query import SelectQuery
@@ -98,6 +99,8 @@ def enumerate_optimal_tree(
     is tried; orders that are a prefix of an already-built deeper order
     still get evaluated independently because partitioning stops early
     when all nodes fit in M — identical trees simply cost the same.
+    One :class:`~repro.core.memo.BuildMemo` serves every order, so trees
+    that share a prefix count and partition its nodes once.
 
     Args:
         max_orders: guardrail; exceeding it raises rather than silently
@@ -124,11 +127,12 @@ def enumerate_optimal_tree(
     best_cost = math.inf
     costs: dict[tuple[str, ...], float] = {}
     evaluated = 0
+    memo = BuildMemo()
 
     for length in range(1, len(candidates) + 1):
         for order in itertools.permutations(candidates, length):
             tree = FixedOrderCategorizer(statistics, order, config).categorize(
-                rows, query
+                rows, query, memo=memo
             )
             cost = cost_model.tree_cost_all(tree)
             costs[order] = cost

@@ -15,8 +15,9 @@ The value inventory comes from the user query's IN clause when present
 Figure 6 chooses a level's attribute from each candidate category's label
 and size alone, so :meth:`CategoricalPartitioner.sizes` answers from one
 count per value: :meth:`~repro.relational.table.RowSet.count_values` over
-the node (integer codes on dictionary columns), memoized on the node.
-The same count is the value inventory when the query fixes none.
+the node (integer codes on dictionary columns), filed in the node's memo
+(:mod:`repro.core.memo`).  The same count is the value inventory when the
+query fixes none.
 
 :meth:`CategoricalPartitioner.partition` builds the categories' row sets,
 for the attribute a level chose.  Two bucketing strategies produce
@@ -48,6 +49,7 @@ from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from repro import perf
 from repro.core.labels import CategoricalLabel, CategoryLabel, MissingLabel
+from repro.core.memo import NodeMemo, NodeMemos, memo_of, memoized
 from repro.relational.query import SelectQuery
 from repro.relational.table import RowSet
 from repro.workload.preprocess import WorkloadStatistics
@@ -78,13 +80,11 @@ def query_universe(query: SelectQuery | None, attribute: str) -> list[Any] | Non
 
 
 def node_value_counts(
-    rows: RowSet, attribute: str, use_cache: bool = True
+    rows: RowSet, attribute: str, memo: NodeMemo | None = None
 ) -> Mapping[Any, int]:
-    """``rows.count_values(attribute)``, memoized on the view."""
-    if not use_cache:
-        return rows.count_values(attribute)
-    return rows.derive(
-        ("value_counts", attribute), lambda: rows.count_values(attribute)
+    """``rows.count_values(attribute)``, filed in the node's ``memo``."""
+    return memoized(
+        memo, ("value_counts", attribute), lambda: rows.count_values(attribute)
     )
 
 
@@ -116,6 +116,7 @@ class CategoricalPartitioner:
         universe: Sequence[Any] | None = None,
         include_missing: bool = False,
         use_index: bool = True,
+        memos: NodeMemos | None = None,
     ) -> None:
         """Args:
             attribute: the categorizing attribute A.
@@ -128,11 +129,14 @@ class CategoricalPartitioner:
                 tuples (last, after every real value).
             use_index: allow the table groupby-index fast path (disable
                 only for measurement baselines).
+            memos: the build's node memos; value counts and sizes of the
+                row sets it maps are filed there.  None memoizes nothing.
         """
         self.attribute = attribute
         self.statistics = statistics
         self.include_missing = include_missing
         self.use_index = use_index
+        self._memos = memos
         self._universe = (
             universe_of(universe)
             if universe is not None
@@ -164,28 +168,16 @@ class CategoricalPartitioner:
         perf.count("partition.categorical.calls")
         with perf.span("partition.categorical"):
             ordered = self.ordered_values(rows)
-            if not self.use_index:
-                perf.count("partition.categorical.scan_path")
-                return self._partition_via_scan(rows, ordered)
-            # The partitioning is a pure function of (view, universe order,
-            # missing policy); cache it on the view so repeated categorize
-            # calls reuse it wholesale.
-            key = (
-                "partition.categorical",
-                self.attribute,
-                tuple(ordered),
-                self.include_missing,
-            )
-            return list(
-                rows.derive(key, lambda: self._build_partitioning(rows, ordered))
-            )
+            if self.use_index and self._index_path_profitable(rows, ordered):
+                perf.count("partition.categorical.index_path")
+                return self._partition_via_index(rows, ordered)
+            perf.count("partition.categorical.scan_path")
+            return self._partition_via_scan(rows, ordered)
 
     def sizes(self, rows: RowSet) -> list[tuple[CategoryLabel, int]]:
         """``[(label, len(rows)) for label, rows in partition(rows)]``,
         from the node's value counts instead of its row sets."""
         ordered = self.ordered_values(rows)
-        if not self.use_index:
-            return self._categories(ordered, rows.count_values(self.attribute))
         key = (
             "sizes.categorical",
             self.attribute,
@@ -193,13 +185,15 @@ class CategoricalPartitioner:
             self.include_missing,
         )
         return list(
-            rows.derive(
-                key, lambda: self._categories(ordered, self._value_counts(rows))
+            memoized(
+                memo_of(self._memos, rows),
+                key,
+                lambda: self._categories(ordered, self._value_counts(rows)),
             )
         )
 
     def _value_counts(self, rows: RowSet) -> Mapping[Any, int]:
-        return node_value_counts(rows, self.attribute, self.use_index)
+        return node_value_counts(rows, self.attribute, memo_of(self._memos, rows))
 
     def _categories(
         self,
@@ -215,15 +209,6 @@ class CategoricalPartitioner:
         return categories
 
     # -- execution paths ------------------------------------------------------
-
-    def _build_partitioning(
-        self, rows: RowSet, ordered: list[Any]
-    ) -> list[tuple[CategoryLabel, RowSet]]:
-        if self._index_path_profitable(rows, ordered):
-            perf.count("partition.categorical.index_path")
-            return self._partition_via_index(rows, ordered)
-        perf.count("partition.categorical.scan_path")
-        return self._partition_via_scan(rows, ordered)
 
     def _index_path_profitable(self, rows: RowSet, ordered: list[Any]) -> bool:
         """Decide per node whether the groupby-index path is the cheaper one."""
@@ -244,7 +229,7 @@ class CategoricalPartitioner:
     ) -> list[tuple[CategoryLabel, RowSet]]:
         index = rows.table.groupby_index(self.attribute)
         table = rows.table
-        members = None if len(rows) == len(table) else set(rows.indices)
+        members = None if len(rows) == len(table) else set(rows.positions())
 
         def restrict(posting: Sequence[int]) -> RowSet:
             if members is None:

@@ -30,11 +30,12 @@ import bisect
 import itertools
 import math
 from array import array
-from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Mapping, NamedTuple, Sequence, TypeVar
 
 from repro import perf
 from repro.core.config import CategorizerConfig
 from repro.core.labels import CategoryLabel, MissingLabel, NumericLabel
+from repro.core.memo import NodeMemo, NodeMemos, memo_of, memoized
 from repro.relational.query import SelectQuery
 from repro.relational.table import RowSet
 from repro.workload.preprocess import WorkloadStatistics
@@ -83,16 +84,21 @@ class Histogram(NamedTuple):
         }
 
 
-def node_histogram(rows: RowSet, attribute: str, use_cache: bool = True) -> Histogram:
-    """``rows``' :class:`Histogram` on ``attribute``, memoized on the view.
+#: The kind (first key item) of a node memo's histogram entries.
+HISTOGRAM = "histogram"
 
-    The memo lives as long as the node's RowSet; it holds two packed
-    arrays over the node's *distinct* values, not one entry per row.
+
+def node_histogram(
+    rows: RowSet, attribute: str, memo: NodeMemo | None = None
+) -> Histogram:
+    """``rows``' :class:`Histogram` on ``attribute``, filed in the node's
+    ``memo``.
+
+    The entry holds two packed arrays over the node's *distinct* values,
+    not one entry per row.
     """
-    if not use_cache:
-        return Histogram.of(rows, attribute)
-    return rows.derive(
-        ("histogram", attribute), lambda: Histogram.of(rows, attribute)
+    return memoized(
+        memo, (HISTOGRAM, attribute), lambda: Histogram.of(rows, attribute)
     )
 
 
@@ -112,7 +118,7 @@ class NumericPartitioner:
         config: CategorizerConfig,
         query: SelectQuery | None = None,
         root_rows: RowSet | None = None,
-        use_cache: bool = True,
+        memos: NodeMemos | None = None,
     ) -> None:
         """Args:
             attribute: the categorizing attribute A.
@@ -122,14 +128,13 @@ class NumericPartitioner:
                 directly ("vmin and vmax can be obtained directly from Q").
             root_rows: the result set R, used to derive data bounds when
                 the query leaves either end open.
-            use_cache: memoize histograms, sizes and partitionings on the
-                RowSets they derive from (disable only for measurement
-                baselines).
+            memos: the build's node memos; histograms and sizes of the
+                row sets it maps are filed there.  None memoizes nothing.
         """
         self.attribute = attribute
         self.statistics = statistics
         self.config = config
-        self.use_cache = use_cache
+        self._memos = memos
         self.vmin, self.vmax = self._resolve_range(query, root_rows)
         table = statistics.splitpoints_table(attribute)
         self._splitpoints_by_goodness = (
@@ -139,11 +144,12 @@ class NumericPartitioner:
         )
         self._target = self._target_splitpoint_count()
         # Everything a node's splitpoints and buckets depend on besides the
-        # node itself: the memo key of sizes and partitions, so a memo hit
-        # skips the splitpoint selection too.  The table's version changes
-        # with every workload update, so an update misses the memo rather
-        # than staling it.
+        # node itself: the memo key of sizes, so a memo hit skips the
+        # splitpoint selection too.  The table's version changes with
+        # every workload update, so an update misses the memo rather than
+        # staling it.
         self._memo_key = (
+            "sizes.numeric",
             attribute,
             self.vmin,
             self.vmax,
@@ -166,8 +172,10 @@ class NumericPartitioner:
                 high = None if math.isinf(query_high) else float(query_high)
         if (low is None or high is None) and root_rows is not None:
             # The root's histogram is the one the first level's splitpoint
-            # selection reads, so later levels find it memoized.
-            values = node_histogram(root_rows, self.attribute, self.use_cache).values
+            # selection reads; the build keeps it for every later level.
+            values = node_histogram(
+                root_rows, self.attribute, memo_of(self._memos, root_rows)
+            ).values
             if len(values):
                 low = float(values[0]) if low is None else low
                 high = float(values[-1]) if high is None else high
@@ -187,7 +195,7 @@ class NumericPartitioner:
         node's tuples, until m−1 points are selected or the SPL runs out.
         Only finite values count: NaN and ±inf fall in no bucket.
         """
-        histogram = node_histogram(rows, self.attribute, self.use_cache)
+        histogram = node_histogram(rows, self.attribute, memo_of(self._memos, rows))
         if not histogram.cumulative[-1]:
             return []
         selected: list[float] = []
@@ -248,27 +256,16 @@ class NumericPartitioner:
         """
         perf.count("partition.numeric.calls")
         with perf.span("partition.numeric"):
-            return self._memoized(
-                "partition.numeric", rows, self._build_partitioning
-            )
+            return self._build_partitioning(rows, self.select_splitpoints(rows))
 
     def sizes(self, rows: RowSet) -> list[tuple[CategoryLabel, int]]:
         """``[(label, len(bucket)) for label, bucket in partition(rows)]``,
         counted on the node's histogram instead of bucketing its rows."""
-        return self._memoized("sizes.numeric", rows, self._count_sizes)
-
-    def _memoized(
-        self,
-        kind: str,
-        rows: RowSet,
-        build: Callable[[RowSet, list[float]], list[tuple[CategoryLabel, _Group]]],
-    ) -> list[tuple[CategoryLabel, _Group]]:
-        if not self.use_cache:
-            return build(rows, self.select_splitpoints(rows))
         return list(
-            rows.derive(
-                (kind, *self._memo_key),
-                lambda: build(rows, self.select_splitpoints(rows)),
+            memoized(
+                memo_of(self._memos, rows),
+                self._memo_key,
+                lambda: self._count_sizes(rows, self.select_splitpoints(rows)),
             )
         )
 
@@ -288,7 +285,7 @@ class NumericPartitioner:
     def _count_sizes(
         self, rows: RowSet, splitpoints: list[float]
     ) -> list[tuple[CategoryLabel, int]]:
-        histogram = node_histogram(rows, self.attribute, self.use_cache)
+        histogram = node_histogram(rows, self.attribute, memo_of(self._memos, rows))
         sizes: list[tuple[CategoryLabel, int]] = bucket_sizes(
             self.attribute, histogram, self.vmin, self.vmax, splitpoints
         )

@@ -6,12 +6,13 @@ categorizing attribute, each node carries a label and a tuple-set, and
 sibling order is semantically meaningful (the user reads labels top-down).
 
 Nodes reference their tuples as :class:`~repro.relational.table.RowSet`
-views over the shared result table, so the whole tree costs O(|R| · depth)
-row positions, never copies of tuple data.  As built, a position costs a
-list slot plus an int object, and each node also holds the categorizer's
-memos; :meth:`CategoryTree.compact` packs the positions into 4-byte
-arrays and drops the memos, for trees that are kept (the serving result
-cache compacts every tree it stores).
+views over the shared result table, never copies of tuple data.  A tree
+the categorizer builds is flat: one
+:class:`~repro.relational.table.Permutation` of the result's positions
+(4 bytes each), with every node's row set a
+:class:`~repro.relational.table.RowSlice` of it, so the whole tree keeps
+O(|R|) positions however deep it is.  Leaves share one empty ``children``
+tuple.  Hand-built and deserialized trees attach any row sets.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class CategoryNode:
         self.label = label
         self.rows = rows
         self.parent = parent
-        self.children: list[CategoryNode] = []
+        self.children: Sequence[CategoryNode] = ()
         self.child_attribute: str | None = None
 
     # -- structure -----------------------------------------------------------
@@ -102,9 +103,11 @@ class CategoryNode:
             if not rows:
                 raise ValueError(f"empty category {label.display()!r}")
         self.child_attribute = attribute
-        for label, rows in partitions:
-            self.children.append(CategoryNode(rows=rows, label=label, parent=self))
-        return self.children
+        self.children = children = [
+            CategoryNode(rows=rows, label=label, parent=self)
+            for label, rows in partitions
+        ]
+        return children
 
     # -- paths and traversal ---------------------------------------------------
 
@@ -171,17 +174,6 @@ class CategoryTree:
     def leaves(self) -> Iterator[CategoryNode]:
         """All leaf nodes."""
         return (node for node in self.nodes() if node.is_leaf)
-
-    def compact(self) -> None:
-        """:meth:`RowSet.compact <repro.relational.table.RowSet.compact>`
-        every node's row set.
-
-        The tree keeps its shape, labels, tuple sets and renderings; only
-        the build-time memos go and the positions are packed.  Call it
-        once the tree is built and before it is shared.
-        """
-        for node in self.nodes():
-            node.rows.compact()
 
     @property
     def result_size(self) -> int:

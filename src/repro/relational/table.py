@@ -11,6 +11,8 @@ Rows are materialized lazily as dicts or :class:`Row` views.  A
 :class:`RowSet` views (a table + a sequence of row indices) so that the
 category tree can hold the ``tset`` of every node without copying tuple
 data (paper Section 3.1: ``tset(C)`` is a subset of the result set R).
+A built tree holds them flat: one :class:`Permutation` of the result's
+positions per tree, and every node a :class:`RowSlice` of it.
 
 Bulk construction (:meth:`Table.from_columns`, :meth:`Table.from_rows`) is
 the preferred loading path — it coerces column-wise and hands whole columns
@@ -21,6 +23,8 @@ loop.
 from __future__ import annotations
 
 from array import array
+from itertools import chain, islice
+from operator import lt
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro import perf
@@ -335,13 +339,12 @@ class RowSet:
 
     The index sequence is stored as whatever compact form produced it —
     a ``range`` for whole-table views, the store's filtered list or a
-    posting ``array`` for selections, a tuple for explicit construction —
-    and only materialized as a tuple when :attr:`indices` is read.
-    :meth:`compact` packs it into an ``array`` for views that are kept
-    long after they are built.
+    posting ``array`` for selections, a tuple for explicit construction.
+    A category tree's nodes hold :class:`RowSlice` views instead: slices
+    of one shared :class:`Permutation`.
     """
 
-    __slots__ = ("table", "_indices", "_indices_tuple", "_ascending", "_derived")
+    __slots__ = ("table", "_indices", "_ascending")
 
     def __init__(self, table: Table, indices: Iterable[int]) -> None:
         self.table = table
@@ -349,28 +352,36 @@ class RowSet:
             self._indices: Sequence[int] = indices
         else:
             self._indices = tuple(indices)
-        self._indices_tuple: tuple[int, ...] | None = (
-            self._indices if type(self._indices) is tuple else None
-        )
         self._ascending: bool | None = None
-        self._derived: dict[Any, Any] | None = None
+
+    def positions(self) -> Sequence[int]:
+        """The row positions this view reads, in its order.
+
+        The view's own sequence (a tree node's slice gets a fresh
+        ``array``): callers must not mutate it.  Cheaper than
+        :attr:`indices` for callers that only iterate it.
+        """
+        return self._indices
 
     def __len__(self) -> int:
         return len(self._indices)
 
     def __iter__(self) -> Iterator[Row]:
-        return (Row(self.table, i) for i in self._indices)
+        table = self.table
+        return (Row(table, i) for i in self.positions())
 
     def __bool__(self) -> bool:
-        return len(self._indices) > 0
+        return len(self) > 0
 
     @property
     def indices(self) -> tuple[int, ...]:
-        """Row positions (in the base table) contained in this view."""
-        materialized = self._indices_tuple
-        if materialized is None:
-            materialized = self._indices_tuple = tuple(self._indices)
-        return materialized
+        """Row positions (in the base table) contained in this view.
+
+        A fresh tuple per read (unless the view was built from one), so
+        reading it keeps nothing alive on the view.
+        """
+        positions = self.positions()
+        return positions if type(positions) is tuple else tuple(positions)
 
     @property
     def is_ascending(self) -> bool:
@@ -384,59 +395,8 @@ class RowSet:
         """
         ascending = self._ascending
         if ascending is None:
-            ids = self._indices
-            if isinstance(ids, range):
-                ascending = ids.step > 0 or len(ids) <= 1
-            else:
-                iterator = iter(ids)
-                next(iterator, None)
-                ascending = all(a < b for a, b in zip(ids, iterator))
-            self._ascending = ascending
+            ascending = self._ascending = _ascending(self._indices)
         return ascending
-
-    def derive(self, key: Any, build: Callable[[], Any]) -> Any:
-        """Memoize an immutable derivation of this view under ``key``.
-
-        The partitioners use this to cache per-(view, attribute) work —
-        value counts, numeric histograms, candidate sizes, the chosen
-        attribute's partitioning — directly on the view they derive from.
-        Because a RowSet is an immutable window over an append-only table
-        (existing rows are never updated or deleted), any pure function of
-        the view's rows stays valid for the view's lifetime, so entries
-        never need invalidation; callers whose derivation also depends on
-        external state (e.g. workload splitpoints) fold that state into
-        ``key``.  Cached values are shared across repeated lookups and must
-        not be mutated; :meth:`compact` drops them all.
-        """
-        cache = self._derived
-        if cache is None:
-            cache = self._derived = {}
-        try:
-            value = cache[key]
-        except KeyError:
-            perf.count("rowset.derive.build")
-            value = cache[key] = build()
-        else:
-            perf.count("rowset.derive.hit")
-        return value
-
-    def compact(self) -> None:
-        """Shrink this view to what reading it needs.
-
-        Drops the :meth:`derive` memos and the tuple :attr:`indices`
-        materialized, keeps the cached :attr:`is_ascending` flag, and
-        packs the positions into an ``array`` of
-        :func:`~repro.relational.backends.index_typecode` (4 bytes per
-        position instead of a list slot plus an int object); a ``range``
-        or an ``array`` is kept as it is.  The view holds the same rows in
-        the same order, so every read answers as before, and a later
-        derivation is simply rebuilt.  Not thread-safe: compact a view
-        before sharing it.
-        """
-        self._derived = None
-        self._indices_tuple = None
-        if not isinstance(self._indices, (range, array)):
-            self._indices = array(index_typecode(len(self.table)), self._indices)
 
     def select(self, predicate: Predicate) -> "RowSet":
         """Return the sub-view of rows satisfying ``predicate``.
@@ -450,7 +410,9 @@ class RowSet:
         if isinstance(predicate, TruePredicate):
             return self
         table = self.table
-        kept, leftover = table._store.select_indices(predicate, self._indices)
+        kept, leftover = table._store.select_indices(
+            predicate, self.positions()
+        )
         if leftover is not None:
             kept = [i for i in kept if leftover.matches(Row(table, i))]
         return RowSet(table, kept)
@@ -476,7 +438,7 @@ class RowSet:
         table = self.table
         buckets: dict[Any, list[int]] = {}
         dropped = 0
-        for index in self._indices:
+        for index in self.positions():
             key = classify(Row(table, index))
             if key is None:
                 dropped += 1
@@ -502,10 +464,11 @@ class RowSet:
         walk is several times faster.
         """
         table = self.table
-        values = table._store.gather(attribute, self._indices)
+        positions = self.positions()
+        values = table._store.gather(attribute, positions)
         buckets: dict[Any, list[int]] = {}
         dropped = 0
-        for index, value in zip(self._indices, values):
+        for index, value in zip(positions, values):
             key = classify(value)
             if key is None:
                 dropped += 1
@@ -538,7 +501,7 @@ class RowSet:
         table = self.table
         table.column(attribute)  # helpful KeyError on unknown names
         index_lists, dropped = table._store.bucket_numeric(
-            attribute, self._indices, boundaries
+            attribute, self.positions(), boundaries
         )
         if dropped:
             perf.count("partition.dropped_rows", dropped)
@@ -551,7 +514,7 @@ class RowSet:
     def values(self, attribute: str) -> list[Any]:
         """Return the values of ``attribute`` across this view, in row order."""
         self.table.column(attribute)  # helpful KeyError on unknown names
-        return self.table._store.gather(attribute, self._indices)
+        return self.table._store.gather(attribute, self.positions())
 
     def count_values(self, attribute: str) -> dict[Any, int]:
         """Return value → number of rows holding it, NULLs under ``None``.
@@ -562,7 +525,7 @@ class RowSet:
         dict per call; callers may mutate it.
         """
         self.table.column(attribute)  # helpful KeyError on unknown names
-        return self.table._store.count_values(attribute, self._indices)
+        return self.table._store.count_values(attribute, self.positions())
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Materialize this view as a list of dicts."""
@@ -570,3 +533,123 @@ class RowSet:
 
     def __repr__(self) -> str:
         return f"RowSet(table={self.table.schema.name!r}, rows={len(self)})"
+
+
+def _ascending(positions: Sequence[int]) -> bool:
+    """True when ``positions`` ascend strictly."""
+    if isinstance(positions, range):
+        return positions.step > 0 or len(positions) <= 1
+    return all(map(lt, positions, islice(positions, 1, None)))
+
+
+class Permutation:
+    """One category tree's row positions, every node a contiguous slice.
+
+    Each level of a tree partitions its parents' tuples (Section 3.1), so
+    the whole tree is one reordering of the result's positions: a packed
+    ``array`` of :func:`~repro.relational.backends.index_typecode`,
+    copied from the result once per build, whose :class:`RowSlice`
+    views are the nodes' tuple sets.  Splitting a node
+    (:meth:`RowSlice.split`) reorders its slice in place.
+    """
+
+    __slots__ = ("positions", "rank")
+
+    def __init__(self, rows: RowSet) -> None:
+        source = rows.positions()
+        self.positions = array(index_typecode(len(rows.table)), source)
+        #: The sort key that restores the result's order: None when the
+        #: result ascends, as every selection's does; otherwise each
+        #: position's place in the result.
+        self.rank: Callable[[int], int] | None = (
+            None
+            if rows.is_ascending
+            else {position: i for i, position in enumerate(source)}.__getitem__
+        )
+
+
+class RowSlice(RowSet):
+    """Rows ``[start, stop)`` of a :class:`Permutation`: one node's tuples.
+
+    A slice reads its rows in the result's order, as every view
+    partitioned from the result does.  Once :meth:`split`, its slice holds
+    its children one after another and the rows they dropped after them,
+    so it reads them merged back into the result's order.
+    """
+
+    __slots__ = ("_permutation", "_start", "_stop", "_grouped")
+
+    def __init__(
+        self, table: Table, permutation: Permutation, start: int, stop: int
+    ) -> None:
+        self.table = table
+        self._permutation = permutation
+        self._start = start
+        self._stop = stop
+        self._grouped = False
+
+    @classmethod
+    def over(cls, rows: RowSet) -> "RowSlice":
+        """The whole of a fresh :class:`Permutation` of ``rows``."""
+        permutation = Permutation(rows)
+        return cls(rows.table, permutation, 0, len(permutation.positions))
+
+    def positions(self) -> Sequence[int]:
+        permutation = self._permutation
+        positions = permutation.positions[self._start:self._stop]
+        if self._grouped:
+            positions = array(
+                positions.typecode, sorted(positions, key=permutation.rank)
+            )
+        return positions
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __bool__(self) -> bool:
+        return self._stop > self._start
+
+    @property
+    def is_ascending(self) -> bool:
+        return self._permutation.rank is None
+
+    def split(self, parts: Sequence[Sequence[int]]) -> list["RowSlice"]:
+        """Reorder this slice in place into one sub-slice per part.
+
+        ``parts`` hold positions: disjoint subsequences of this view, each
+        in the view's order, as partitioning the view yields them.  Each
+        part's rows become the next contiguous sub-slice, and the rows in
+        no part (a partitioning drops NULL, non-finite and out-of-universe
+        values) follow the last one in their order, so each returned slice
+        reads exactly its part and this view still reads what it read
+        before.  Not thread-safe: split a tree's slices before sharing it.
+
+        Raises:
+            ValueError: if the slice is already split, or the parts hold
+                more rows than it.
+        """
+        if self._grouped:
+            raise ValueError("slice is already split")
+        table, permutation = self.table, self._permutation
+        positions = permutation.positions
+        typecode = positions.typecode
+        start, stop = self._start, self._stop
+        end = start + sum(map(len, parts))
+        if end > stop:
+            raise ValueError(f"parts hold {end - start} rows; the slice {stop - start}")
+        dropped = None
+        if end < stop:
+            kept = set(chain.from_iterable(parts))
+            dropped = [i for i in positions[start:stop] if i not in kept]
+        slices = []
+        for part in parts:
+            end = start + len(part)
+            if type(part) is not array or part.typecode != typecode:
+                part = array(typecode, part)
+            positions[start:end] = part
+            slices.append(RowSlice(table, permutation, start, end))
+            start = end
+        if dropped:
+            positions[start:stop] = array(typecode, dropped)
+        self._grouped = True
+        return slices

@@ -21,10 +21,10 @@ pins a single statistics epoch for the whole batch and shares one
 deadline across it (the ROADMAP's batch-API follow-on).
 
 Results are cached per ``(epoch, technique, normalized SQL)`` with LRU +
-TTL eviction.  An entry is the tree alone, compacted
-(:meth:`~repro.core.tree.CategoryTree.compact`) before it is published:
-a hit reads only labels, counts and row positions, so the categorizer's
-per-``RowSet`` memos are dropped and the positions packed.  Only
+TTL eviction.  An entry is the tree alone, as the categorizer built it:
+nodes, labels, and one packed permutation of the result's positions of
+which every node's row set is a slice (:mod:`repro.core.tree`); the
+build's memos are gone before it returns.  Only
 full-rung responses are cached — caching a degraded tree would keep
 serving yesterday's timeout after the pressure is gone — and never one
 computed for a caller-requested decision trace, which belongs to its
@@ -154,8 +154,8 @@ class ResultCache:
     """LRU + TTL cache of full-rung categorizations.
 
     Keys are ``namespace:epoch:technique:normalized-SQL`` strings;
-    values hold the compacted tree, whose root's row set is the query's
-    result set, so a hit skips query execution *and* tree building.  The
+    values hold the tree, whose root's row set is the query's result set,
+    so a hit skips query execution *and* tree building.  The
     ``service.cache`` fault site fires on every lookup — an armed
     ``evict`` directive drops the entry being looked up, simulating
     memory pressure.
@@ -202,9 +202,6 @@ class ResultCache:
     def put(self, key: str, tree: CategoryTree) -> None:
         if self.capacity == 0:
             return
-        # Before publishing: no hit, and no request coalesced onto this
-        # computation, may see the tree while it is being compacted.
-        tree.compact()
         with self._lock:
             self._entries[key] = _CacheEntry(tree, self._clock())
             self._entries.move_to_end(key)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.algorithm import CostBasedCategorizer
 from repro.core.config import CategorizerConfig, PAPER_CONFIG
+from repro.core.memo import BuildMemo
 from repro.perf import Instrumentation
 from repro.relational.table import Table
 from repro.study.simulated import TechniqueFactory
@@ -52,7 +53,9 @@ def run_timing_study(
 
     Count tables are built once (they do not depend on M); only tree
     construction is timed, matching the paper's "execution times of our
-    hierarchical categorization algorithm".
+    hierarchical categorization algorithm".  Each result keeps one
+    :class:`~repro.core.memo.BuildMemo` across the sweep, so the trees
+    for different M share what their common nodes derive.
     """
     statistics = preprocess_workload(workload, table.schema, config.separation_intervals)
     sampled = workload.sample(query_count, seed=seed)
@@ -61,7 +64,7 @@ def run_timing_study(
         user_query = broaden_to_region(exploration)
         rows = user_query.query.execute(table)
         if len(rows) > 0:
-            prepared.append((user_query.query, rows))
+            prepared.append((user_query.query, rows, BuildMemo()))
 
     # A study-local instrumentation keeps timing isolated from (and
     # unaffected by) the global ACTIVE registry's enabled state.
@@ -72,16 +75,16 @@ def run_timing_study(
         categorizer = technique(statistics, m_config)
         span_name = f"study.timing[m={m}]"
         node = inst.spans.child(span_name)
-        for query, rows in prepared:
+        for query, rows, memo in prepared:
             with inst.span(span_name):
-                categorizer.categorize(rows, query)
+                categorizer.categorize(rows, query, memo=memo)
         points.append(
             TimingPoint(
                 m=m,
                 queries_timed=node.calls,
                 mean_seconds=node.seconds / max(1, node.calls),
                 mean_result_size=(
-                    sum(len(rows) for _, rows in prepared) / max(1, len(prepared))
+                    sum(len(rows) for _, rows, _ in prepared) / max(1, len(prepared))
                 ),
                 p95_seconds=(
                     inst.durations[span_name].quantile(0.95) if node.calls else 0.0

@@ -193,11 +193,16 @@ class WorkloadStatistics:
             },
             memoize=self._memoize,
         )
+        # Readers of a pinned epoch add entries to these memos while it is
+        # being copied, so each is snapshotted in one C-level call first:
+        # iterating a live dict would fail once a reader grew it.
         clone._occ_memo = {
-            attribute: dict(memo) for attribute, memo in self._occ_memo.items()
+            attribute: dict(memo)
+            for attribute, memo in list(self._occ_memo.items())
         }
         clone._range_memo = {
-            attribute: dict(memo) for attribute, memo in self._range_memo.items()
+            attribute: dict(memo)
+            for attribute, memo in list(self._range_memo.items())
         }
         return clone
 
@@ -348,8 +353,6 @@ class WorkloadStatistics:
             overlap = per_attribute[key] = self.range_index(
                 attribute
             ).count_overlapping(low, high, high_inclusive=high_inclusive)
-        else:
-            perf.count("stats.range.memo_hit")
         return overlap
 
 

@@ -164,8 +164,11 @@ def view(table, picks):
     return table.all_rows() if picks is None else RowSet(table, picks)
 
 
-def partitioners(statistics, config, query, root):
+def partitioners(statistics, config, query, root, memos):
+    """Every partitioner; the cached ones file their counts in ``memos``
+    (view → node memo), the others memoize nothing."""
     for cached, missing in [(True, False), (True, True), (False, False), (False, True)]:
+        node_memos = memos if cached else None
         for attribute in CATEGORICAL:
             yield CategoricalPartitioner(
                 attribute,
@@ -173,6 +176,7 @@ def partitioners(statistics, config, query, root):
                 query=query,
                 include_missing=missing,
                 use_index=cached,
+                memos=node_memos,
             )
         for attribute in NUMERIC:
             yield NumericPartitioner(
@@ -181,13 +185,13 @@ def partitioners(statistics, config, query, root):
                 config.with_overrides(include_missing_category=missing),
                 query=query,
                 root_rows=root,
-                use_cache=cached,
+                memos=node_memos,
             )
     for attribute in CATEGORICAL:
-        yield ArbitraryOrderCategoricalPartitioner(attribute, query=query)
+        yield ArbitraryOrderCategoricalPartitioner(attribute, query=query, memos=memos)
     for attribute in NUMERIC:
         yield EquiWidthNumericPartitioner(
-            attribute, statistics, config, query=query, root_rows=root
+            attribute, statistics, config, query=query, root_rows=root, memos=memos
         )
 
 
@@ -215,7 +219,8 @@ def test_sizes_equal_partition_lengths(data):
         node = view(table, node_picks)
         sized = []
         root = view(table, root_picks)
-        for partitioner in partitioners(statistics, config, query, root):
+        memos = {root: {}, node: {}}
+        for partitioner in partitioners(statistics, config, query, root, memos):
             sizes = partitioner.sizes(node)
             assert sizes == [
                 (label, len(part)) for label, part in partitioner.partition(node)
@@ -243,7 +248,10 @@ def test_sizes_memo_follows_workload_updates():
         {"x": 5.0, "n": 5.0},
     )
     node = Table.from_rows(SCHEMA, rows).all_rows()
-    before = [p.sizes(node) for p in partitioners(statistics, PAPER_CONFIG, None, node)]
+    memos = {node: {}}  # kept across the update, as a BuildMemo keeps it
+    before = [
+        p.sizes(node) for p in partitioners(statistics, PAPER_CONFIG, None, node, memos)
+    ]
     for _ in range(3):
         statistics.record_query(
             WorkloadQuery.from_sql(
@@ -251,7 +259,7 @@ def test_sizes_memo_follows_workload_updates():
             )
         )
     after = []
-    for partitioner in partitioners(statistics, PAPER_CONFIG, None, node):
+    for partitioner in partitioners(statistics, PAPER_CONFIG, None, node, memos):
         sizes = partitioner.sizes(node)
         assert sizes == [
             (label, len(part)) for label, part in partitioner.partition(node)

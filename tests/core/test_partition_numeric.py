@@ -226,68 +226,85 @@ class TestAutoBucketCount:
 
 
 class TestPartitionCaching:
-    """use_cache must change only where results come from, never what they are."""
+    """A memo must change only where results come from, never what they are."""
 
     def test_cached_equals_uncached(self, stats):
         rows = make_rows([1_500, 3_000, 6_000, 7_000, 9_000, 4_000])
         query = SelectQuery("ListProperty", RangePredicate("price", 1_000, 10_000))
         config = CategorizerConfig(bucket_count=3)
         cached = NumericPartitioner(
-            "price", stats, config, query=query, use_cache=True
+            "price", stats, config, query=query, memos={rows: {}}
         )
-        uncached = NumericPartitioner(
-            "price", stats, config, query=query, use_cache=False
-        )
+        uncached = NumericPartitioner("price", stats, config, query=query)
         as_comparable = lambda parts: [(label, r.indices) for label, r in parts]
+        assert cached.sizes(rows) == uncached.sizes(rows)
         assert as_comparable(cached.partition(rows)) == as_comparable(
             uncached.partition(rows)
         )
 
     def test_repeat_partition_served_from_view_cache(self, stats):
+        """Re-categorizing one result with a ``BuildMemo`` handle serves
+        every partitioning from the handle: no partitioner runs again."""
         from repro import perf
+        from repro.core.memo import BuildMemo
+        from repro.render.treeview import render_tree
 
         rows = make_rows([1_500, 3_000, 6_000, 7_000, 9_000, 4_000])
         query = SelectQuery("ListProperty", RangePredicate("price", 1_000, 10_000))
-        partitioner = NumericPartitioner(
-            "price", stats, CategorizerConfig(bucket_count=3), query=query
+        categorizer = CostBasedCategorizer(
+            stats,
+            CategorizerConfig(
+                bucket_count=3, min_bucket_tuples=1, max_tuples_per_category=2
+            ),
         )
-        first = partitioner.partition(rows)
+        memo = BuildMemo()
+        first = categorizer.categorize(rows, query, memo=memo)
         perf.reset()
         perf.enable()
         try:
-            second = partitioner.partition(rows)
+            second = categorizer.categorize(rows, query, memo=memo)
         finally:
             perf.disable()
         counters = dict(perf.get().counters)
         perf.reset()
-        assert counters.get("rowset.derive.hit", 0) >= 1
-        # The cached partitioning shares the same RowSet objects...
-        assert [r for _, r in first] == [r for _, r in second]
-        # ...but the list itself is a fresh copy the caller may extend.
-        assert first is not second
+        assert first.root.children, "the tree must partition at least once"
+        assert counters.get("categorize.calls") == 1
+        assert counters.get("partition.numeric.calls", 0) == 0
+        assert render_tree(second) == render_tree(first)
+        # A fresh build without the handle partitions again.
+        perf.enable()
+        try:
+            categorizer.categorize(rows, query)
+        finally:
+            perf.disable()
+        assert perf.get().counters.get("partition.numeric.calls", 0) >= 1
+        perf.reset()
 
     def test_splitpoint_change_misses_stale_entry(self):
         # New workload evidence changes the selected splitpoints, which are
-        # part of the cache key: the view must NOT serve the old bucketing.
+        # part of the memo key: the memo must NOT serve the old bucketing.
         from repro.workload.model import WorkloadQuery
 
         stats = make_stats([(2_000, 5_000), (1_000, 5_000)])
         rows = make_rows([1_500, 3_000, 6_000, 7_000, 9_000, 4_000])
         query = SelectQuery("ListProperty", RangePredicate("price", 1_000, 10_000))
         config = CategorizerConfig(bucket_count=2, min_bucket_tuples=1)
-        before = NumericPartitioner("price", stats, config, query=query).partition(
-            rows
-        )
+        memos = {rows: {}}  # one node memo, kept across the update
+        before = NumericPartitioner(
+            "price", stats, config, query=query, memos=memos
+        ).sizes(rows)
         for _ in range(5):
             stats.record_query(
                 WorkloadQuery.from_sql(
                     "SELECT * FROM ListProperty WHERE price BETWEEN 7000 AND 9000"
                 )
             )
-        after = NumericPartitioner("price", stats, config, query=query).partition(
-            rows
+        partitioner = NumericPartitioner(
+            "price", stats, config, query=query, memos=memos
         )
+        after = partitioner.sizes(rows)
         assert [label for label, _ in before] != [label for label, _ in after]
+        assert after == [(label, len(r)) for label, r in partitioner.partition(rows)]
 
 
 class TestNonFiniteValues:

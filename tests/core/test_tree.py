@@ -164,9 +164,9 @@ class TestValidation:
             "price", [(NumericLabel("price", 0, 1000), parts["a"])]
         )
         children[1].child_attribute = "zzz"  # simulate a corrupted tree
-        children[1].children.append(
+        children[1].children = [
             CategoryNode(parts["b"], CategoricalLabel("zzz", ("x",)), children[1])
-        )
+        ]
         with pytest.raises(ValueError, match="multiple categorizing attributes"):
             CategoryTree(root).validate()
 

@@ -175,44 +175,6 @@ class TestRowSetAscending:
         assert RowSet(table, (2,)).is_ascending
 
 
-class TestRowSetDerive:
-    def test_build_once_then_served_from_cache(self, table):
-        rows = table.all_rows()
-        calls = []
-
-        def build():
-            calls.append(1)
-            return [1, 2, 3]
-
-        first = rows.derive("key", build)
-        second = rows.derive("key", build)
-        assert first is second
-        assert len(calls) == 1
-
-    def test_distinct_keys_independent(self, table):
-        rows = table.all_rows()
-        assert rows.derive("a", lambda: "A") == "A"
-        assert rows.derive("b", lambda: "B") == "B"
-
-    def test_caches_none_results(self, table):
-        rows = table.all_rows()
-        calls = []
-
-        def build():
-            calls.append(1)
-            return None
-
-        assert rows.derive("nothing", build) is None
-        assert rows.derive("nothing", build) is None
-        assert len(calls) == 1
-
-    def test_views_do_not_share_caches(self, table):
-        everything = table.all_rows()
-        subset = table.select(InPredicate("city", ["Seattle"]))
-        everything.derive("k", lambda: "all")
-        assert subset.derive("k", lambda: "sub") == "sub"
-
-
 class TestInsertAtomicity:
     def test_failed_coercion_leaves_table_unchanged(self, table):
         size = len(table)

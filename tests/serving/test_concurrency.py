@@ -10,14 +10,17 @@ The epoch-snapshot contract under real threads:
 * with ≥1000 ``record_query`` calls racing the readers, every query is
   conserved (published + pending == recorded), including through a
   publish outage followed by a concurrent drain;
-* cache hits racing misses, compactions and evictions answer exactly as
-  a tree that was never compacted.
+* copying statistics for a publish survives readers adding memo entries
+  to the epoch being copied;
+* cache hits racing misses and evictions answer exactly as a tree built
+  for the request alone.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 
 from repro.render.treeview import render_tree
 from repro.serving.faults import FaultInjector
@@ -38,9 +41,11 @@ class TestSnapshotStoreUnderThreads:
         failures: list[str] = []
 
         def writer():
-            for query in queries:
-                store.record_query(query)
-            stop.set()
+            try:
+                for query in queries:
+                    store.record_query(query)
+            finally:
+                stop.set()
 
         def reader():
             last_epoch = -1
@@ -75,6 +80,50 @@ class TestSnapshotStoreUnderThreads:
         assert store.pin().statistics.total_queries == seed_n + N_RECORDS
         assert store.epoch_number >= N_RECORDS // 16
 
+    def test_copy_survives_readers_adding_memo_entries(self, fresh_statistics):
+        """A reader's first lookup of an attribute adds its memo dict to
+        the pinned epoch while a publish may be copying that epoch; the
+        copy must neither fail nor lose a count table."""
+        statistics = fresh_statistics
+        schema = statistics.schema
+        categorical = [a.name for a in schema.categorical_attributes()]
+        numeric = [a.name for a in schema.numeric_attributes()]
+        stop = threading.Event()
+
+        def reader():
+            # Evicting and re-adding keeps the memo dicts changing size as
+            # fast as first lookups of fresh attributes would.
+            while not stop.is_set():
+                for name in categorical:
+                    statistics._occ_memo.pop(name, None)
+                    statistics.occ(name, "x")
+                for name in numeric:
+                    statistics._range_memo.pop(name, None)
+                    statistics.n_overlap_range(name, 0, 1)
+
+        failures: list[str] = []
+        copies = 0
+        thread = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline and not failures:
+                try:
+                    clone = statistics.copy()
+                except RuntimeError as exc:
+                    failures.append(repr(exc))
+                else:
+                    copies += 1
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not failures, f"{failures[0]} after {copies} copies"
+        assert clone.total_queries == statistics.total_queries
+
 
 class TestServiceUnderThreads:
     def test_categorize_races_ingestion(self, make_service):
@@ -83,9 +132,11 @@ class TestServiceUnderThreads:
         failures: list[str] = []
 
         def writer():
-            for _ in range(N_RECORDS):
-                service.record_query(LOG_SQL)
-            stop.set()
+            try:
+                for _ in range(N_RECORDS):
+                    service.record_query(LOG_SQL)
+            finally:
+                stop.set()
 
         def reader(sql: str):
             last_epoch = -1
@@ -119,10 +170,10 @@ class TestServiceUnderThreads:
         assert health["published"] == N_RECORDS
         assert health["pending"] == 0
 
-    def test_hits_race_misses_and_compaction(self, make_service):
-        """More threads than cores race misses, compactions and LRU
-        evictions of a one-entry cache; every answer equals that of a
-        tree that was never compacted."""
+    def test_hits_race_misses_and_evictions(self, make_service):
+        """More threads than cores race misses and LRU evictions of a
+        one-entry cache; every answer equals that of a tree built for the
+        request alone."""
 
         def answer(result):
             return (

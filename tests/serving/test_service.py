@@ -1,7 +1,11 @@
 """Tests for the long-lived categorization service."""
 
+import gc
+from array import array
+
 import pytest
 
+from repro.relational.table import RowSlice
 from repro.render.treeview import render_tree
 from repro.serving.degrade import RUNG_FULL, RUNG_SHOWTUPLES, RUNGS
 from repro.serving.errors import InvalidRequest
@@ -129,6 +133,10 @@ class TestResultCache:
 
     @pytest.mark.parametrize("technique", ["cost-based", "attr-cost", "no-cost"])
     def test_hit_answers_as_an_uncompacted_tree(self, make_service, technique):
+        """A hit answers as a tree built fresh for the request, and the
+        cached tree holds no memo and no list of positions: every node's
+        rows are a slice of one packed permutation."""
+
         def answer(result):
             summary = result.as_dict()
             for varying in ("trace_id", "cached", "elapsed_ms"):
@@ -136,17 +144,23 @@ class TestResultCache:
             return summary, render_tree(result.tree)
 
         for sql in (SERVE_SQL, LOG_SQL):
-            # Capacity 0 stores nothing, so nothing is compacted.
+            # Capacity 0 stores nothing: every request builds afresh.
             reference = make_service(technique=technique, cache_capacity=0)
             expected = reference.categorize(sql)
-            assert any(node.rows._derived for node in expected.tree.nodes())
             service = make_service(technique=technique)
             miss = service.categorize(sql)
             hit = service.categorize(sql)
             assert hit.cached and hit.tree is miss.tree
             assert hit.rows is hit.tree.root.rows
             assert answer(miss) == answer(hit) == answer(expected)
-            assert all(node.rows._derived is None for node in hit.tree.nodes())
+            assert hit.tree.root.children
+            permutation = hit.tree.root.rows._permutation
+            assert isinstance(permutation.positions, array)
+            for node in hit.tree.nodes():
+                assert type(node.rows) is RowSlice
+                assert node.rows._permutation is permutation
+                held = gc.get_referents(node.rows) + gc.get_referents(permutation)
+                assert not [ref for ref in held if isinstance(ref, (dict, list))]
 
     def test_key_is_normalized_sql(self, make_service):
         service = make_service()
