@@ -61,7 +61,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithm import CostBasedCategorizer
-from repro.core.memo import BuildMemo, memoized
+from repro.core.memo import BuildMemo
 from repro.explore.exploration import replay_all, replay_few, replay_one
 from repro.relational.backends import index_typecode
 from repro.relational.table import RowSet, RowSlice
@@ -214,31 +214,6 @@ def test_flat_tree_matches_nested_oracle(rows, statements, config, query, m, dat
                     collect_trace=True,
                 )
                 assert answers(swept) == answers(oracle), (layout, technique, sweep_m)
-
-
-def test_memoized_builds_once_per_node_and_key():
-    """Each node memo builds a key's value once, ``None`` included, and
-    keeps it apart from other keys and other nodes' memos; without a memo
-    every call builds afresh."""
-    calls = []
-
-    def build(value):
-        def run():
-            calls.append(value)
-            return value
-
-        return run
-
-    memo, other = {}, {}
-    first = memoized(memo, "a", build(["A"]))
-    assert memoized(memo, "a", build(["again"])) is first
-    assert memoized(memo, "none", build(None)) is None
-    assert memoized(memo, "none", build("not built")) is None
-    assert memoized(memo, "b", build("B")) == "B"
-    assert memoized(other, "a", build("other")) == "other"
-    assert memoized(None, "a", build("fresh")) == "fresh"
-    assert memoized(None, "a", build("fresh again")) == "fresh again"
-    assert calls == [["A"], None, "B", "other", "fresh", "fresh again"]
 
 
 def test_build_memo_serves_one_result_set(homes_table, statistics, seattle_query):

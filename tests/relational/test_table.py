@@ -4,6 +4,7 @@ from array import array
 
 import pytest
 
+from repro.core.memo import memo_of, memoized
 from repro.relational.expressions import InPredicate, RangePredicate, TruePredicate
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.table import Table
@@ -173,6 +174,54 @@ class TestRowSetAscending:
 
         assert RowSet(table, ()).is_ascending
         assert RowSet(table, (2,)).is_ascending
+
+
+class TestRowSetDerive:
+    """What a build derives from a row-set view is filed in that view's
+    memo (``repro.core.memo``): built once per view and key."""
+
+    def test_build_once_then_served_from_cache(self, table):
+        rows = table.all_rows()
+        memos = {rows: {}}
+        calls = []
+
+        def build():
+            calls.append(1)
+            return [1, 2, 3]
+
+        first = memoized(memo_of(memos, rows), "key", build)
+        second = memoized(memo_of(memos, rows), "key", build)
+        assert first is second
+        assert len(calls) == 1
+        # Without a memo every call builds afresh.
+        assert memoized(memo_of(None, rows), "key", build) is not first
+        assert len(calls) == 2
+
+    def test_distinct_keys_independent(self, table):
+        rows = table.all_rows()
+        memo = memo_of({rows: {}}, rows)
+        assert memoized(memo, "a", lambda: "A") == "A"
+        assert memoized(memo, "b", lambda: "B") == "B"
+
+    def test_caches_none_results(self, table):
+        rows = table.all_rows()
+        memo = memo_of({rows: {}}, rows)
+        calls = []
+
+        def build():
+            calls.append(1)
+            return None
+
+        assert memoized(memo, "nothing", build) is None
+        assert memoized(memo, "nothing", build) is None
+        assert len(calls) == 1
+
+    def test_views_do_not_share_caches(self, table):
+        everything = table.all_rows()
+        subset = table.select(InPredicate("city", ["Seattle"]))
+        memos = {everything: {}, subset: {}}
+        memoized(memo_of(memos, everything), "k", lambda: "all")
+        assert memoized(memo_of(memos, subset), "k", lambda: "sub") == "sub"
 
 
 class TestInsertAtomicity:
