@@ -44,6 +44,7 @@ GATED_METRICS: tuple[tuple[str, str], ...] = (
     ("cold_boot", "peak_kb"),
     ("cold_boot", "retained_kb"),
     ("selection_memory", "peak_kb"),
+    ("postings_memory", "build_peak_kb"),
     ("serving_hot_path", "warm_ms"),
     ("columnar_scale", "columnar_ms"),
     ("serving_load", "async_req_ms"),

@@ -26,11 +26,14 @@ Both loops assert observational equivalence before timing anything —
 speed without identical results is a bug, not a win.  Measurements
 append a ``columnar_scale`` record to ``BENCH_partition.json``; CI's
 ``columnar-scale`` job gates the ``columnar_ms`` trajectory through
-``compare_bench.py``.
+``compare_bench.py``.  A third test traces one attribute's posting-list
+build at this scale: it must peak at no more than twice what it keeps.
 """
 
+import gc
 import random
 import time
+import tracemalloc
 
 from repro.core.algorithm import CostBasedCategorizer
 from repro.core.config import PAPER_CONFIG
@@ -296,3 +299,39 @@ def test_columnar_scale_serve_equivalence():
     # end-to-end gain is bounded by their share; the floor here is only
     # "the column store must clearly pay for itself".
     assert speedup >= 1.5
+
+
+def test_columnar_scale_postings_memory():
+    """One attribute's posting lists at 500k rows peak at <= 2x what they
+    keep.
+
+    The build takes the whole-table value counts, lays one packed
+    positions array out from them and fills it in one pass, so it holds
+    little beyond the array it keeps; per-value lists of ints held ~10x.
+    Traced from a fresh table, so the value counts are built too.
+    """
+    table = Table.from_columns(
+        scale_schema(), generate_columns(SCALE_ROWS), coerce=False
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = table.groupby_index("city")
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept -= before
+    peak -= before
+    assert sum(map(len, index.values())) == SCALE_ROWS
+
+    print()
+    print(
+        format_table(
+            ["attribute", "values", "build peak KiB", "kept KiB"],
+            [["city", len(index), f"{peak / 1024:.1f}", f"{kept / 1024:.1f}"]],
+            title=f"Posting-list build at {SCALE_ROWS} rows",
+        )
+    )
+    assert peak <= 2 * kept

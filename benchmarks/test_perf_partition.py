@@ -13,6 +13,7 @@ Level construction is the categorizer's inner loop.  This module times
 * the memory a cold boot (``DatasetDescriptor.build``) peaks at and
   keeps, from a CSV file and a log file,
 * the largest transient one search's selection allocates,
+* the memory the categorical posting-list builds peak at and keep,
 * the cost of the always-on instrumentation hooks when disabled.
 
 Each bench appends its measurements to ``BENCH_partition.json`` at the
@@ -36,6 +37,8 @@ from repro.core.algorithm import CostBasedCategorizer
 from repro.core.config import PAPER_CONFIG
 from repro.core.memo import BuildMemo
 from repro.relational.csvio import write_csv
+from repro.relational.table import Table
+from repro.relational.types import AttributeKind
 from repro.serving.service import ResultCache
 from repro.study.report import format_table
 from repro.workload.preprocess import preprocess_workload
@@ -446,6 +449,72 @@ def test_perf_selection_memory(bench_homes, bench_workload):
             "peak_kb": round(largest / 1024, 1),
         },
     )
+
+
+def test_perf_postings_memory(bench_homes):
+    """Bytes the bench relation's categorical posting-list builds peak at
+    and keep.
+
+    The relation is copied into a fresh table, so no posting list or
+    whole-table value count is built yet; then each categorical
+    attribute's ``groupby_index`` is built in turn under ``tracemalloc``.
+    ``build_peak_kb`` is the largest peak of one build above the memory
+    traced before it: the attribute's value counts, its packed positions
+    and offsets, and whatever filling them holds besides.  ``kept_kb`` is
+    what all the builds keep.  Byte counts repeat across runs and hosts.
+    """
+    schema = bench_homes.schema
+    table = Table.from_columns(
+        schema,
+        {name: list(bench_homes.column(name)) for name in schema.names()},
+        coerce=False,
+    )
+    names = [
+        attribute.name
+        for attribute in schema
+        if attribute.kind is AttributeKind.CATEGORICAL
+    ]
+    builds = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for name in names:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            table.groupby_index(name)
+            current, peak = tracemalloc.get_traced_memory()
+            builds.append((name, peak - before, current - before))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    largest = max(peak for _, peak, _ in builds)
+
+    print()
+    print(
+        format_table(
+            ["attribute", "build peak KiB", "kept KiB"],
+            [
+                [name, f"{peak / 1024:.1f}", f"{held / 1024:.1f}"]
+                for name, peak, held in builds
+            ],
+            title=f"Posting-list builds ({len(table)} rows)",
+        )
+    )
+    _append_bench_record(
+        "postings_memory",
+        {
+            "rows": len(table),
+            "attributes": len(names),
+            "build_peak_kb": round(largest / 1024, 1),
+            "kept_kb": round(kept / 1024, 1),
+        },
+    )
+    # One packed array per attribute: a build holds little beyond what
+    # it keeps (per-value lists of ints held ~10x the kept bytes).
+    for name, peak, held in builds:
+        assert peak <= 2 * held, (name, peak, held)
 
 
 def test_perf_instrumentation_disabled_overhead(

@@ -29,7 +29,9 @@ identical partitionings:
   groupby index (:meth:`repro.relational.table.Table.groupby_index`) with
   the node's index set — C-speed comprehensions instead of per-row Python
   calls.  The index is built once per (table, attribute) and reused across
-  levels, nodes and repeated ``categorize`` calls.
+  levels, nodes and repeated ``categorize`` calls; a whole-table node
+  adopts each value's posting list, a slice of the attribute's one packed
+  positions array, without copying it.
 
 The index path wins when the node covers a sizable share of the rows whose
 values it partitions on (always true at the root level); for small deep

@@ -15,19 +15,20 @@ values plus a set of NULL positions.
 The payoff is **column-at-a-time selection**: instead of asking
 ``predicate.matches(row)`` once per row (a Python call plus a dict-protocol
 lookup each), :meth:`ColumnStore.select_indices` evaluates one conjunct
-over the whole candidate index list as a single list comprehension.  On a
-coded column each conjunct (IN, comparison, range, IS NULL) is first
-evaluated once per dictionary entry into a per-code match table, and the
-comprehension reads one small code per row; a raw column compares its
-packed values.  The store chooses one of two access paths:
+over a block of candidate positions as a single list comprehension, and
+packs what the block keeps.  On a coded column each conjunct (IN,
+comparison, range, IS NULL) is first evaluated once per dictionary entry
+into a per-code match table, and the comprehension reads one small code
+per row; a raw column compares its packed values.  The store chooses one
+of two access paths:
 
 * **index first**: on a whole-table view, the store counts each ``IN``
   conjunct on a CATEGORICAL attribute exactly, from that attribute's
   whole-table value counts (:meth:`ColumnStore.tally`).  When the
   smallest count is below :data:`INDEX_CROSSOVER` of the table, the other
   conjuncts filter only that conjunct's posting lists
-  (:meth:`ColumnStore.groupby`), and the survivors are merged into
-  ascending order.  If any other conjunct cannot be vectorized, the store
+  (:meth:`ColumnStore.groupby`, slices of one packed array per
+  attribute), and the survivors are merged into ascending order.  If any other conjunct cannot be vectorized, the store
   drops this path and scans instead.
 * **scan**: conjuncts are applied in order, each narrowing the candidate
   list, which preserves the row-at-a-time engine's left-to-right
@@ -56,15 +57,9 @@ import bisect
 import math
 from array import array
 from collections import Counter
-from itertools import chain
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    Sequence,
-)
+from collections.abc import Mapping
+from itertools import accumulate, chain, repeat
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro import perf
 from repro.relational.expressions import (
@@ -107,6 +102,12 @@ INDEX_CROSSOVER = 0.7
 #: movies generator's ``votes`` (12,687 values in 20,000 rows) goes raw.
 NUMERIC_DICTIONARY_CAP = 4096
 
+#: Candidates a selection filters per pass.  It packs what each block
+#: keeps before reading the next, so it holds at most this many positions
+#: as Python ints (~36 B each: 147 KiB) beside its packed result (4 B
+#: each); per block it pays one slice and one call per conjunct.
+FILTER_BLOCK = 4096
+
 #: The raw value typecode of the INT and FLOAT columns.
 _VALUE_TYPECODES = {DataType.INT: "q", DataType.FLOAT: "d"}
 
@@ -129,8 +130,8 @@ _NAN_KEY = object()
 _NEGATIVE_ZERO_KEY = object()
 _SPECIAL_FLOATS = {_NAN_KEY: math.nan, _NEGATIVE_ZERO_KEY: -0.0}
 
-#: A filter of candidate positions for one conjunct.
-Filter = Callable[[Sequence[int]], Sequence[int]]
+#: A filter of candidate positions for one conjunct: the list it keeps.
+Filter = Callable[[Sequence[int]], list[int]]
 
 
 def require_columnar(name: str) -> None:
@@ -177,11 +178,79 @@ def _float_key(value: Any) -> Any:
     return value
 
 
-def _merge_nan_keys(groups: dict, merge: Callable[[list], Any]) -> None:
-    """Fold every NaN key of ``groups`` into one ``math.nan`` key, in place."""
-    nans = [key for key in groups if key != key]
+def packed(positions: Sequence[int], typecode: str) -> array:
+    """A fresh ``array`` of ``typecode`` holding ``positions``; an array
+    or a ``memoryview`` slice of one in that typecode is copied byte for
+    byte."""
+    if type(positions) is memoryview and positions.format == typecode:
+        copy = array(typecode)
+        copy.frombytes(positions.cast("B"))
+        return copy
+    return array(typecode, positions)
+
+
+def _merge_nan_keys(counts: dict[Any, int]) -> None:
+    """Add up every NaN key of ``counts`` under one ``math.nan`` key, in
+    place."""
+    nans = [key for key in counts if key != key]
     if nans:
-        groups[math.nan] = merge([groups.pop(key) for key in nans])
+        counts[math.nan] = sum(counts.pop(key) for key in nans)
+
+
+class Postings(Mapping):
+    """One attribute's posting lists: value -> ascending row positions.
+
+    Every list lives in one packed ``positions`` array of
+    :func:`index_typecode`, one value's rows after another's, and
+    ``offsets[g]:offsets[g + 1]`` bounds the ``g``-th value's.  Reading a
+    value hands out a ``memoryview`` slice of the array: nothing is
+    copied, and the slice keeps the array alive.  The values are the
+    whole-table value counts' (:meth:`ColumnStore.tally`), in their
+    order, so keys merge as a dict's do: every NaN under ``math.nan``,
+    and 0.0 with -0.0.
+    """
+
+    __slots__ = ("positions", "offsets", "_places", "_view")
+
+    def __init__(
+        self, tally: Mapping[Any, int], row_places: Iterable[int], rows: int
+    ) -> None:
+        """Fill the lists in one pass over the rows: ``row_places``
+        yields, row by row, the place in ``tally`` of the row's value.
+
+        The offsets are the prefix sums of the tally's counts, so each row
+        is written straight to its slot and no list is ever grown.
+        """
+        typecode = index_typecode(rows)
+        self.offsets = offsets = array(typecode, [0])
+        offsets.extend(accumulate(tally.values()))
+        self.positions = array(typecode, [0]) * rows
+        self._view = view = memoryview(self.positions)
+        ends = offsets.tolist()  # each value's next free slot
+        for position, place in enumerate(row_places):
+            slot = ends[place]
+            view[slot] = position
+            ends[place] = slot + 1
+        self._places = _places_of(tally)
+
+    def __getitem__(self, value: Any) -> memoryview:
+        place = self._places[value]
+        offsets = self.offsets
+        return self._view[offsets[place]:offsets[place + 1]]
+
+    def __contains__(self, value: Any) -> bool:
+        return value in self._places
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._places)
+
+    def __len__(self) -> int:
+        return len(self._places)
+
+
+def _places_of(tally: Mapping[Any, int]) -> dict[Any, int]:
+    """value -> its place in ``tally``'s order."""
+    return {value: place for place, value in enumerate(tally)}
 
 
 class _DictionaryFull(Exception):
@@ -268,19 +337,20 @@ class NumericColumn:
         else:
             counts = Counter(map(self._data.__getitem__, indices))
         if self.typecode == "d":
-            _merge_nan_keys(counts, sum)
+            _merge_nan_keys(counts)
         return counts
 
-    def postings(self) -> dict[Any, array]:
-        """value -> ascending positions, NULLs under ``None`` and every
-        NaN under ``math.nan``; see :meth:`ColumnStore.groupby`."""
-        buckets: dict[Any, list[int]] = {}
-        for position, value in enumerate(self):
-            buckets.setdefault(value, []).append(position)
-        if self.typecode == "d":
-            _merge_nan_keys(buckets, lambda lists: sorted(chain(*lists)))
-        typecode = index_typecode(len(self._data))
-        return {value: array(typecode, ids) for value, ids in buckets.items()}
+    def postings(self, tally: Mapping[Any, int]) -> Postings:
+        """The posting lists of this column's :meth:`count` over every
+        row (``tally``); see :meth:`ColumnStore.groupby`."""
+        places = _places_of(tally)
+        # A NaN read back is a new object every time, so it misses the
+        # dict (NaN != NaN) and falls to the one NaN place.
+        return Postings(
+            tally,
+            map(places.get, self, repeat(places.get(math.nan))),
+            len(self._data),
+        )
 
 
 class IntColumn(NumericColumn):
@@ -452,7 +522,11 @@ class DictColumn:
         add up under one key, as a dict merges them.
         """
         decode = self._decode
-        counted = Counter(map(self._codes.__getitem__, indices)).items()
+        codes = self._codes
+        if isinstance(indices, range) and indices == range(len(codes)):
+            counted = Counter(codes).items()  # every row: count the codes as they lie
+        else:
+            counted = Counter(map(codes.__getitem__, indices)).items()
         counts = {decode[code]: n for code, n in counted}
         if len(counts) < len(counted):
             counts = {}
@@ -460,22 +534,17 @@ class DictColumn:
                 counts[decode[code]] = counts.get(decode[code], 0) + n
         return counts
 
-    def postings(self) -> dict[Any, array]:
-        """value -> ascending positions, NULLs under ``None``; see
-        :meth:`ColumnStore.groupby`.  Buckets by code (list indexing, no
-        hashing), then decodes once per distinct value."""
-        positions: list[list[int]] = [[] for _ in self._decode]
-        appends = [ids.append for ids in positions]
-        for position, code in enumerate(self._codes):
-            appends[code](position)
-        typecode = index_typecode(len(self._codes))
-        index: dict[Any, array] = {}
-        for value, ids in zip(self._decode, positions):
-            if ids:
-                if value in index:  # -0.0 beside 0.0: one key, as in a dict
-                    ids = sorted(chain(index[value], ids))
-                index[value] = array(typecode, ids)
-        return index
+    def postings(self, tally: Mapping[Any, int]) -> Postings:
+        """The posting lists of this column's :meth:`count` over every
+        row (``tally``); see :meth:`ColumnStore.groupby`.  Places each
+        code once (-0.0 with 0.0, as the tally merges them), then reads
+        one code per row, with no hashing."""
+        places = _places_of(tally)
+        place_of_code = [places.get(value, 0) for value in self._decode]
+        codes: Iterable[int] = self._codes
+        if place_of_code != list(range(len(place_of_code))):
+            codes = map(place_of_code.__getitem__, codes)
+        return Postings(tally, codes, len(self._codes))
 
     def matches(self, test: Callable[[Any], bool]) -> list[bool]:
         """``test(value)`` per code, False for NULL's: the per-code table
@@ -518,7 +587,7 @@ class ColumnStore:
             for attribute in schema
             if attribute.kind is AttributeKind.CATEGORICAL
         )
-        self._postings: dict[str, dict[Any, array]] = {}
+        self._postings: dict[str, Postings] = {}
         self._tallies: dict[str, dict[Any, int]] = {}
 
     def __len__(self) -> int:
@@ -586,20 +655,23 @@ class ColumnStore:
         """The column's logical values at ``indices``, in that order."""
         return self._columns[name].gather(indices)
 
-    def groupby(self, name: str) -> dict[Any, array]:
+    def groupby(self, name: str) -> Postings:
         """value -> ascending row positions, NULLs under the ``None`` key.
 
-        Each posting list is packed as an ``array`` of
-        :func:`index_typecode`.  Keys merge as a dict's do: every NaN under
-        ``math.nan``, and 0.0 with -0.0.  Built with one column scan on
-        first use, then kept until the next write; callers must not mutate
-        it.
+        Every posting list is a ``memoryview`` slice of one packed array
+        of :func:`index_typecode` (:class:`Postings`), laid out from the
+        counts :meth:`tally` keeps.  Keys merge as a dict's do: every NaN
+        under ``math.nan``, and 0.0 with -0.0.  Built with one column scan
+        on first use, then kept until the next write; callers must not
+        mutate it.
         """
         index = self._postings.get(name)
         if index is None:
             perf.count("table.groupby_index.build")
             with perf.span("table.groupby_index.build"):
-                index = self._postings[name] = self._columns[name].postings()
+                index = self._postings[name] = self._columns[name].postings(
+                    self.tally(name)
+                )
         else:
             perf.count("table.groupby_index.hit")
         return index
@@ -790,7 +862,9 @@ class ColumnStore:
         of conjuncts the store could not vectorize (``None`` when fully
         evaluated).  The caller must apply ``leftover`` row-at-a-time over
         ``narrowed`` to finish the selection.  ``narrowed`` keeps the order
-        of ``indices``.
+        of ``indices``.  It is packed, an ``array`` of
+        :func:`index_typecode` or a posting list's slice, unless the store
+        vectorized no conjunct: then it is ``indices`` as given.
         """
         parts = (
             predicate.parts
@@ -803,10 +877,9 @@ class ColumnStore:
                 perf.count("select.index_path")
                 return seeded, None
         perf.count("select.scan_path")
-        current: Sequence[int] = indices
+        filters: list[Filter] = []
+        leftover: Predicate | None = None
         for position, part in enumerate(parts):
-            if not len(current):
-                return current, None
             keep = self._filter(part)
             if keep is None:
                 # Hand the un-vectorizable suffix back, preserving the
@@ -818,9 +891,32 @@ class ColumnStore:
                     if len(remaining) == 1
                     else Conjunction(remaining)
                 )
-                return current, leftover
-            current = keep(current)
-        return current, None
+                break
+            filters.append(keep)
+        return self._narrowed(indices, filters), leftover
+
+    def _narrowed(
+        self, indices: Sequence[int], filters: Sequence[Filter]
+    ) -> Sequence[int]:
+        """``indices`` narrowed by each filter in turn, packed into an
+        ``array`` of :func:`index_typecode`; ``indices`` themselves when
+        there is no filter.
+
+        Reads :data:`FILTER_BLOCK` candidates at a time and runs the whole
+        chain over each block before packing what survives, so it holds
+        one block's positions as Python ints (~36 B each) beside the
+        packed result (4 B each), and each conjunct still sees exactly the
+        rows the conjuncts before it kept.
+        """
+        if not filters:
+            return indices
+        kept = array(index_typecode(len(self)))
+        for start in range(0, len(indices), FILTER_BLOCK):
+            block = indices[start:start + FILTER_BLOCK]
+            for keep in filters:
+                block = keep(block)
+            kept.fromlist(block)
+        return kept
 
     def _select_from_postings(
         self, parts: Sequence[Predicate]
@@ -865,17 +961,18 @@ class ColumnStore:
         ]
         if None in others:
             return None
+        typecode = index_typecode(len(self))
         if not count:
-            return []
+            return array(typecode)
         index = self.groupby(parts[position].attribute)
-        matches: list[Sequence[int]] = []
-        for candidates in [index[value] for value in values if value in index]:
-            for keep in others:
-                candidates = keep(candidates)
-            matches.append(candidates)
+        matches = [
+            self._narrowed(index[value], others)
+            for value in values
+            if value in index
+        ]
         if len(matches) == 1:
             return matches[0]
-        return sorted(chain.from_iterable(matches))
+        return array(typecode, sorted(chain.from_iterable(matches)))
 
     def _filter(self, predicate: Predicate) -> Filter | None:
         """The filter of candidate positions for one conjunct, or None when

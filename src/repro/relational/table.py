@@ -28,13 +28,14 @@ from operator import lt
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro import perf
-from repro.relational.backends import ColumnStore, index_typecode
+from repro.relational.backends import ColumnStore, Postings, index_typecode, packed
 from repro.relational.expressions import Predicate, TruePredicate
 from repro.relational.schema import Attribute, TableSchema
 
 #: Index containers RowSet adopts without copying (all are immutable by
 #: convention here: nobody mutates a RowSet's indices after construction).
-_INDEX_SEQUENCES = (tuple, list, range, array)
+#: A ``memoryview`` is a posting list's slice of its packed array.
+_INDEX_SEQUENCES = (tuple, list, range, array, memoryview)
 
 
 class Row(Mapping[str, Any]):
@@ -246,7 +247,7 @@ class Table:
         """Return the schema attribute called ``name``."""
         return self.schema.attribute(name)
 
-    def groupby_index(self, name: str) -> Mapping[Any, array]:
+    def groupby_index(self, name: str) -> Postings:
         """value → ascending row indices for attribute ``name``, cached.
 
         The store builds it on first use with one column scan and keeps it
@@ -254,10 +255,11 @@ class Table:
         repeated ``categorize`` calls, and for the whole-table selections
         it seeds from a categorical ``IN``; every write invalidates it.
         NULLs are grouped under the ``None`` key so callers can decide
-        whether a missing-value category exists.  Each posting list is a
-        packed ``array('i')`` (4 bytes per row position; ``'q'`` once the
-        table reaches 2**31 rows), which a :class:`RowSet` adopts without
-        copying.  Callers must not mutate the result.
+        whether a missing-value category exists.  Every posting list is a
+        ``memoryview`` slice of one packed ``array('i')`` per attribute
+        (4 bytes per row position; ``'q'`` once the table reaches 2**31
+        rows), which a :class:`RowSet` adopts without copying.  Callers
+        must not mutate the result.
         """
         self.column(name)  # raise the helpful KeyError on unknown names
         return self._store.groupby(name)
@@ -338,8 +340,9 @@ class RowSet:
     index sequence without copying data.
 
     The index sequence is stored as whatever compact form produced it —
-    a ``range`` for whole-table views, the store's filtered list or a
-    posting ``array`` for selections, a tuple for explicit construction.
+    a ``range`` for whole-table views, a packed ``array`` or a posting
+    list's ``memoryview`` slice for selections, a partitioning's list, a
+    tuple for explicit construction.
     A category tree's nodes hold :class:`RowSlice` views instead: slices
     of one shared :class:`Permutation`.
     """
@@ -414,7 +417,10 @@ class RowSet:
             predicate, self.positions()
         )
         if leftover is not None:
-            kept = [i for i in kept if leftover.matches(Row(table, i))]
+            kept = array(
+                index_typecode(len(table)),
+                [i for i in kept if leftover.matches(Row(table, i))],
+            )
         return RowSet(table, kept)
 
     def partition_by(
@@ -557,7 +563,7 @@ class Permutation:
 
     def __init__(self, rows: RowSet) -> None:
         source = rows.positions()
-        self.positions = array(index_typecode(len(rows.table)), source)
+        self.positions = packed(source, index_typecode(len(rows.table)))
         #: The sort key that restores the result's order: None when the
         #: result ascends, as every selection's does; otherwise each
         #: position's place in the result.
@@ -645,7 +651,7 @@ class RowSlice(RowSet):
         for part in parts:
             end = start + len(part)
             if type(part) is not array or part.typecode != typecode:
-                part = array(typecode, part)
+                part = packed(part, typecode)
             positions[start:end] = part
             slices.append(RowSlice(table, permutation, start, end))
             start = end

@@ -265,11 +265,13 @@ class TestGroupbyOnBothBackends:
         assert list(index[300]) == [0]
 
     def test_groupby_values_are_packed(self, table):
+        # The row oracle packs each list on its own; the column store
+        # hands out memoryview slices of one packed array per attribute.
         for name in ("city", "price", "bath"):
-            assert all(
-                type(ids) is array and ids.typecode == "i"
-                for ids in table.groupby_index(name).values()
-            )
+            for ids in table.groupby_index(name).values():
+                if type(ids) is memoryview:
+                    ids = ids.obj
+                assert type(ids) is array and ids.typecode == "i"
 
     def test_insert_invalidates(self, table):
         before = table.groupby_index("city")

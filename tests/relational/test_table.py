@@ -134,8 +134,12 @@ class TestGroupbyIndex:
         assert list(index["Seattle"]) == [0, 2]
         assert list(index["Bellevue"]) == [1]
         assert list(index["Redmond"]) == [3]
+        # Each list is a slice of one packed array('i'), not a copy.
         assert all(
-            type(ids) is array and ids.typecode == "i" for ids in index.values()
+            type(ids) is memoryview
+            and type(ids.obj) is array
+            and ids.obj.typecode == "i"
+            for ids in index.values()
         )
 
     def test_nulls_grouped_under_none(self, table):
