@@ -28,8 +28,9 @@ of two access paths:
   smallest count is below :data:`INDEX_CROSSOVER` of the table, the other
   conjuncts filter only that conjunct's posting lists
   (:meth:`ColumnStore.groupby`, slices of one packed array per
-  attribute), and the survivors are merged into ascending order.  If any other conjunct cannot be vectorized, the store
-  drops this path and scans instead.
+  attribute), and the survivors are merged into ascending order.  If
+  any other conjunct cannot be vectorized, the store drops this path
+  and scans instead.
 * **scan**: conjuncts are applied in order, each narrowing the candidate
   list, which preserves the row-at-a-time engine's left-to-right
   short-circuit semantics exactly.  Any conjunct the store cannot vectorize
