@@ -93,13 +93,22 @@ class Partitioner(Protocol):
     def sizes(self, rows: RowSet) -> Sizes: ...
 
 
-class _LevelCandidates:
-    """One level's candidate attributes, sized over its oversized nodes.
+#: One oversized node as a candidate attribute prices it: ``P(C)``, each
+#: category's ``(P(Ci), |tset(Ci)|)`` (none when the node stays a leaf)
+#: and the node's one-level ``CostAll(Tree(C, A))``.
+PricedNode = tuple[float, Sequence[tuple[float, int]], float]
+
+
+class LevelCandidates:
+    """One level's candidate attributes, sized and priced over its
+    oversized nodes.
 
     Calling it with an attribute builds the attribute's partitioner and
     sizes every oversized node on first use, then serves the result, so a
     choose-policy that stops early (No-Cost, a fixed order) sizes only the
-    attributes it looks at.
+    attributes it looks at.  :meth:`cost` prices an attribute once in the
+    same way, so the argmin and the decision trace of a traced build read
+    one ``COST_A``.
     """
 
     def __init__(
@@ -108,15 +117,18 @@ class _LevelCandidates:
         oversized: list[CategoryNode],
         query: SelectQuery | None,
         root_rows: RowSet,
-        memos: NodeMemos | None,
+        memos: NodeMemos,
+        traced: bool,
     ) -> None:
         self._categorizer = categorizer
         self._oversized = oversized
         self._query = query
         self._root_rows = root_rows
         self._memos = memos
+        self._traced = traced
         self._partitioners: dict[str, Partitioner] = {}
         self._sizes: dict[str, list[Sizes]] = {}
+        self._costs: dict[str, tuple[float, list[PricedNode] | None]] = {}
 
     def partitioner(self, attribute: str) -> Partitioner:
         partitioner = self._partitioners.get(attribute)
@@ -136,6 +148,18 @@ class _LevelCandidates:
                 partitioner.sizes(node.rows) for node in self._oversized
             ]
         return sizes
+
+    def cost(self, attribute: str) -> tuple[float, list[PricedNode] | None]:
+        """The attribute's ``COST_A`` over the level and, in a traced
+        build, what each node contributed to it."""
+        cost = self._costs.get(attribute)
+        if cost is None:
+            priced: list[PricedNode] | None = [] if self._traced else None
+            total = self._categorizer._level_cost(
+                self._oversized, attribute, self(attribute), priced
+            )
+            cost = self._costs[attribute] = (total, priced)
+        return cost
 
 
 class LevelByLevelCategorizer:
@@ -206,8 +230,7 @@ class LevelByLevelCategorizer:
         (with other settings, or to re-render), keeps every node's value
         counts, histograms, candidate sizes and partitioning for the next
         call given the same handle.  Without it, each level's are
-        released once the level is attached.  With ``enable_caches`` off
-        nothing is memoized and ``memo`` is ignored.
+        released once the level is attached.
         """
         perf.count("categorize.calls")
         with perf.span("categorize"):
@@ -222,11 +245,9 @@ class LevelByLevelCategorizer:
                     eliminated=self._eliminated_attributes(rows, query),
                 )
                 tree.decision_trace = trace
-            memos: dict[RowSet, NodeMemo] | None = None
-            if self.config.enable_caches:
-                memos = {root.rows: {} if memo is None else memo.root_of(rows)}
-            else:
-                memo = None
+            memos: dict[RowSet, NodeMemo] = {
+                root.rows: {} if memo is None else memo.root_of(rows)
+            }
             frontier: list[CategoryNode] = [root]
             threshold = self.config.max_tuples_per_category
 
@@ -241,18 +262,19 @@ class LevelByLevelCategorizer:
                     perf.count("categorize.checkpoint_stops")
                     break
                 with perf.span("categorize.level"):
-                    if memos is not None:
-                        for node in oversized:
-                            memos.setdefault(node.rows, {})
-                    sizes = _LevelCandidates(self, oversized, query, root.rows, memos)
-                    chosen = self._choose_attribute(oversized, available, sizes)
+                    for node in oversized:
+                        memos.setdefault(node.rows, {})
+                    candidates = LevelCandidates(
+                        self, oversized, query, root.rows, memos, trace is not None
+                    )
+                    chosen = self._choose_attribute(oversized, available, candidates)
                     if trace is not None:
                         trace.levels.append(
                             self._trace_level(
                                 len(trace.levels) + 1,
                                 oversized,
                                 available,
-                                sizes,
+                                candidates,
                                 chosen,
                             )
                         )
@@ -261,11 +283,11 @@ class LevelByLevelCategorizer:
                     frontier = self._attach_level(
                         oversized,
                         chosen,
-                        sizes.partitioner(chosen),
-                        sizes(chosen),
+                        candidates.partitioner(chosen),
+                        candidates(chosen),
                         memos if memo is not None else None,
                     )
-                    if memos is not None and memo is None:
+                    if memo is None:
                         _release_level(memos, oversized)
                     perf.count("categorize.levels")
                 available.remove(chosen)
@@ -332,46 +354,52 @@ class LevelByLevelCategorizer:
         oversized: list[CategoryNode],
         attribute: str,
         sizes: list[Sizes],
+        priced: list[PricedNode] | None = None,
     ) -> float:
-        """``COST_A = Σ_{C∈S} P(C) · CostAll(Tree(C, A))`` (Figure 6).
+        """``COST_A = Σ_{C∈S} P(C) · CostAll(Tree(C, A))`` (Figure 6), the
+        one sum the argmin and the decision trace both read.
 
         Children are scored as leaves (their own subdivision is decided at
         later levels).  An attribute that refines no node scores infinity.
+        ``priced``, when given, receives each node's :data:`PricedNode`.
         """
-        if not any(len(node_sizes) >= 2 for node_sizes in sizes):
+        refines = any(len(node_sizes) >= 2 for node_sizes in sizes)
+        if not refines and priced is None:
             return math.inf
         total = 0.0
         for node, node_sizes in zip(oversized, sizes):
             p_node = self.estimator.exploration_probability(node)
+            children: Sequence[tuple[float, int]] = ()
             if len(node_sizes) < 2:
                 # The node stays a leaf under this attribute.
-                total += p_node * node.tuple_count
-                continue
-            children = [
-                (
-                    self.estimator.exploration_probability_of_label(
-                        label, context=node
-                    ),
-                    size,
+                node_all = float(node.tuple_count)
+            else:
+                children = [
+                    (
+                        self.estimator.exploration_probability_of_label(
+                            label, context=node
+                        ),
+                        size,
+                    )
+                    for label, size in node_sizes
+                ]
+                node_all = self.cost_model.one_level_cost_all(
+                    node.tuple_count, attribute, children, context=node
                 )
-                for label, size in node_sizes
-            ]
-            total += p_node * self.cost_model.one_level_cost_all(
-                node.tuple_count, attribute, children, context=node
-            )
-        return total
+            total += p_node * node_all
+            if priced is not None:
+                priced.append((p_node, children, node_all))
+        return total if refines else math.inf
 
+    @staticmethod
     def _cheapest_attribute(
-        self,
-        oversized: list[CategoryNode],
-        available: list[str],
-        sizes: Callable[[str], list[Sizes]],
+        available: list[str], candidates: LevelCandidates
     ) -> str | None:
         """The argmin of :meth:`_level_cost`; ties go to the earlier one."""
         best_attribute: str | None = None
         best_cost = math.inf
         for attribute in available:
-            cost = self._level_cost(oversized, attribute, sizes(attribute))
+            cost, _ = candidates.cost(attribute)
             if cost < best_cost:
                 best_attribute, best_cost = attribute, cost
         return best_attribute
@@ -383,26 +411,26 @@ class LevelByLevelCategorizer:
         level: int,
         oversized: list[CategoryNode],
         available: list[str],
-        sizes: Callable[[str], list[Sizes]],
+        candidates: LevelCandidates,
         chosen: str | None,
     ) -> LevelTrace:
         """Score every candidate under both scenarios for the decision trace.
 
-        Recomputed independently of the choose-policy, so the trace shows
-        what the paper's cost model says about each candidate even when a
-        degraded baseline policy (No-Cost, Attr-Cost) ignored it.  The
-        ALL-scenario aggregation below is exactly :meth:`_level_cost`.
+        Every candidate is reported, so the trace shows what the paper's
+        cost model says about each one even when a degraded baseline policy
+        (No-Cost, Attr-Cost) ignored it.  CostAll is the argmin's
+        :meth:`_level_cost`, read from ``candidates``.
         """
         with perf.span("categorize.trace"):
-            candidates = tuple(
-                self._trace_candidate(attribute, oversized, sizes(attribute))
+            decisions = tuple(
+                self._trace_candidate(attribute, oversized, candidates)
                 for attribute in available
             )
             return LevelTrace(
                 level=level,
                 oversized_nodes=len(oversized),
                 oversized_tuples=sum(node.tuple_count for node in oversized),
-                candidates=candidates,
+                candidates=decisions,
                 chosen=chosen,
             )
 
@@ -410,42 +438,29 @@ class LevelByLevelCategorizer:
         self,
         attribute: str,
         oversized: list[CategoryNode],
-        sizes: list[Sizes],
+        candidates: LevelCandidates,
     ) -> CandidateDecision:
         """One candidate's CostAll/CostOne aggregation with its Pw/P inputs."""
+        sizes = candidates(attribute)
+        cost_all, priced = candidates.cost(attribute)
         refines = any(len(node_sizes) >= 2 for node_sizes in sizes)
         evaluations: list[NodeEvaluation] = []
-        total_all = 0.0
         total_one = 0.0
         frac = self.config.frac
-        for node, node_sizes in zip(oversized, sizes):
-            p_node = self.estimator.exploration_probability(node)
+        for node, node_sizes, (p_node, children, node_all) in zip(
+            oversized, sizes, priced
+        ):
             if len(node_sizes) < 2:
-                # The node stays a leaf under this attribute (cf. _level_cost).
+                # The node stays a leaf under this attribute.
                 pw = 1.0
-                node_all = float(node.tuple_count)
                 node_one = frac * node.tuple_count
-                children: list[float] = []
             else:
                 pw = self.estimator.showtuples_probability_for(
                     attribute, context=node
                 )
-                children = [
-                    self.estimator.exploration_probability_of_label(
-                        label, context=node
-                    )
-                    for label, _ in node_sizes
-                ]
-                labels_and_sizes = [
-                    (p, size) for p, (_, size) in zip(children, node_sizes)
-                ]
-                node_all = self.cost_model.one_level_cost_all(
-                    node.tuple_count, attribute, labels_and_sizes, context=node
-                )
                 node_one = self.cost_model.one_level_cost_one(
-                    node.tuple_count, attribute, labels_and_sizes, context=node
+                    node.tuple_count, attribute, children, context=node
                 )
-            total_all += p_node * node_all
             total_one += p_node * node_one
             if len(evaluations) < MAX_NODE_DETAILS:
                 evaluations.append(
@@ -456,7 +471,7 @@ class LevelByLevelCategorizer:
                         pw=pw,
                         categories=len(node_sizes),
                         child_probabilities=tuple(
-                            children[:MAX_CHILD_PROBABILITIES]
+                            p for p, _ in children[:MAX_CHILD_PROBABILITIES]
                         ),
                         children_truncated=len(children) > MAX_CHILD_PROBABILITIES,
                         cost_all=node_all,
@@ -465,7 +480,7 @@ class LevelByLevelCategorizer:
                 )
         return CandidateDecision(
             attribute=attribute,
-            cost_all=total_all if refines else math.inf,
+            cost_all=cost_all,
             cost_one=total_one if refines else math.inf,
             usage_fraction=self.statistics.usage_fraction(attribute),
             category_count=sum(len(node_sizes) for node_sizes in sizes),
@@ -506,11 +521,12 @@ class LevelByLevelCategorizer:
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        sizes: Callable[[str], list[Sizes]],
+        candidates: LevelCandidates,
     ) -> str | None:
-        """Pick the level's attribute; ``sizes(attribute)`` gives each
-        oversized node's candidate categories as (label, size), computed
-        only for the attributes asked about."""
+        """Pick the level's attribute; ``candidates(attribute)`` gives each
+        oversized node's candidate categories as (label, size), and
+        ``candidates.cost(attribute)`` their ``COST_A``, computed only for
+        the attributes asked about."""
         raise NotImplementedError
 
 
@@ -572,7 +588,6 @@ class CostBasedCategorizer(LevelByLevelCategorizer):
                 self.statistics,
                 query=query,
                 include_missing=self.config.include_missing_category,
-                use_index=self.config.enable_caches,
                 memos=memos,
             )
         return NumericPartitioner(
@@ -588,6 +603,6 @@ class CostBasedCategorizer(LevelByLevelCategorizer):
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        sizes: Callable[[str], list[Sizes]],
+        candidates: LevelCandidates,
     ) -> str | None:
-        return self._cheapest_attribute(oversized, available, sizes)
+        return self._cheapest_attribute(available, candidates)

@@ -23,10 +23,11 @@ shapes the benchmark suite checks.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.algorithm import (
     LevelByLevelCategorizer,
+    LevelCandidates,
     Partitioner,
     Partitioning,
     Sizes,
@@ -44,11 +45,11 @@ from repro.core.partition.categorical import (
     universe_of,
 )
 from repro.core.partition.numeric import (
-    NumericPartitioner,
     bucket_sizes,
     bucketize,
     equi_width_splitpoints,
     node_histogram,
+    value_range,
 )
 from repro.core.tree import CategoryNode
 from repro.relational.query import SelectQuery
@@ -102,7 +103,6 @@ class EquiWidthNumericPartitioner:
     def __init__(
         self,
         attribute: str,
-        statistics: WorkloadStatistics,
         config: CategorizerConfig,
         query: SelectQuery | None = None,
         root_rows: RowSet | None = None,
@@ -111,16 +111,7 @@ class EquiWidthNumericPartitioner:
         self.attribute = attribute
         self.width = 5.0 * config.separation_interval(attribute)
         self._memos = memos
-        # Reuse the cost-based partitioner's (vmin, vmax) resolution only.
-        resolver = NumericPartitioner(
-            attribute,
-            statistics,
-            config,
-            query=query,
-            root_rows=root_rows,
-            memos=memos,
-        )
-        self.vmin, self.vmax = resolver.vmin, resolver.vmax
+        self.vmin, self.vmax = value_range(attribute, query, root_rows, memos)
         self.splitpoints = (
             equi_width_splitpoints(self.vmin, self.vmax, self.width)
             if self.vmin < self.vmax
@@ -193,12 +184,7 @@ class _NoCostPartitioningMixin(LevelByLevelCategorizer):
                 attribute, query=query, memos=memos
             )
         return EquiWidthNumericPartitioner(
-            attribute,
-            self.statistics,
-            self.config,
-            query=query,
-            root_rows=root_rows,
-            memos=memos,
+            attribute, self.config, query=query, root_rows=root_rows, memos=memos
         )
 
 
@@ -211,12 +197,12 @@ class NoCostCategorizer(_NoCostPartitioningMixin):
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        sizes: Callable[[str], list[Sizes]],
+        candidates: LevelCandidates,
     ) -> str | None:
         # "Arbitrarily (without replacement)": take the next attribute in
         # the (possibly shuffled) predefined order that refines any node.
         for attribute in available:
-            if any(len(node_sizes) >= 2 for node_sizes in sizes(attribute)):
+            if any(len(node_sizes) >= 2 for node_sizes in candidates(attribute)):
                 return attribute
         return None
 
@@ -230,6 +216,6 @@ class AttrCostCategorizer(_NoCostPartitioningMixin):
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        sizes: Callable[[str], list[Sizes]],
+        candidates: LevelCandidates,
     ) -> str | None:
-        return self._cheapest_attribute(oversized, available, sizes)
+        return self._cheapest_attribute(available, candidates)

@@ -75,10 +75,6 @@ class CategorizerConfig:
         separation_intervals: per-attribute splitpoint grid spacing.
         max_levels: safety bound on tree depth (the attribute no-repeat rule
             already bounds it; this guards degenerate schemas).
-        enable_caches: allow the hot-path caches (the table groupby-index
-            partitioning fast path; see docs/performance.md).  On by
-            default — disable only to measure the uncached baseline; trees
-            are identical either way.
     """
 
     max_tuples_per_category: int = 20
@@ -94,7 +90,6 @@ class CategorizerConfig:
         default_factory=lambda: dict(LIST_PROPERTY_SEPARATION_INTERVALS)
     )
     max_levels: int = 16
-    enable_caches: bool = True
 
     def __post_init__(self) -> None:
         if self.max_tuples_per_category < 1:

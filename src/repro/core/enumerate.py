@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.core.algorithm import CostBasedCategorizer, Sizes
+from repro.core.algorithm import CostBasedCategorizer, LevelCandidates
 from repro.core.config import CategorizerConfig, PAPER_CONFIG
 from repro.core.cost import CostModel
 from repro.core.memo import BuildMemo
@@ -62,14 +62,14 @@ class FixedOrderCategorizer(CostBasedCategorizer):
         self,
         oversized: list[CategoryNode],
         available: list[str],
-        sizes: Callable[[str], list[Sizes]],
+        candidates: LevelCandidates,
     ) -> str | None:
         # ``available`` preserves the prescribed order; take its head if it
         # can refine anything, else stop (a fixed order has no fallback).
         if not available:
             return None
         head = available[0]
-        if any(len(node_sizes) >= 2 for node_sizes in sizes(head)):
+        if any(len(node_sizes) >= 2 for node_sizes in candidates(head)):
             return head
         return None
 

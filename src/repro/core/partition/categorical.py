@@ -117,7 +117,6 @@ class CategoricalPartitioner:
         query: SelectQuery | None = None,
         universe: Sequence[Any] | None = None,
         include_missing: bool = False,
-        use_index: bool = True,
         memos: NodeMemos | None = None,
     ) -> None:
         """Args:
@@ -129,15 +128,12 @@ class CategoricalPartitioner:
                 data (used when the caller has already computed it).
             include_missing: append an "unknown" category for NULL-valued
                 tuples (last, after every real value).
-            use_index: allow the table groupby-index fast path (disable
-                only for measurement baselines).
             memos: the build's node memos; value counts and sizes of the
                 row sets it maps are filed there.  None memoizes nothing.
         """
         self.attribute = attribute
         self.statistics = statistics
         self.include_missing = include_missing
-        self.use_index = use_index
         self._memos = memos
         self._universe = (
             universe_of(universe)
@@ -170,7 +166,7 @@ class CategoricalPartitioner:
         perf.count("partition.categorical.calls")
         with perf.span("partition.categorical"):
             ordered = self.ordered_values(rows)
-            if self.use_index and self._index_path_profitable(rows, ordered):
+            if self._index_path_profitable(rows, ordered):
                 perf.count("partition.categorical.index_path")
                 return self._partition_via_index(rows, ordered)
             perf.count("partition.categorical.scan_path")

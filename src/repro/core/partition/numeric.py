@@ -102,6 +102,40 @@ def node_histogram(
     )
 
 
+def value_range(
+    attribute: str,
+    query: SelectQuery | None,
+    root_rows: RowSet | None,
+    memos: NodeMemos | None = None,
+) -> tuple[float, float]:
+    """(vmin, vmax) of a level's numeric partitionings on ``attribute``.
+
+    A finite range on ``attribute`` in the query fixes a bound directly
+    ("vmin and vmax can be obtained directly from Q"); a bound it leaves
+    open comes from the result set ``root_rows``, whose histogram is
+    filed in ``memos``.  With neither, the range is empty, (0.0, 0.0).
+    """
+    low = high = None
+    if query is not None:
+        bounds = query.range_on(attribute)
+        if bounds is not None:
+            query_low, query_high = bounds
+            low = None if math.isinf(query_low) else float(query_low)
+            high = None if math.isinf(query_high) else float(query_high)
+    if (low is None or high is None) and root_rows is not None:
+        # The root's histogram is the one the first level's splitpoint
+        # selection reads; the build keeps it for every later level.
+        values = node_histogram(root_rows, attribute, memo_of(memos, root_rows)).values
+        if len(values):
+            low = float(values[0]) if low is None else low
+            high = float(values[-1]) if high is None else high
+    if low is None or high is None:
+        # No information at all: an empty range yields no splitpoints
+        # and partition() degenerates to a single bucket.
+        return 0.0, 0.0
+    return low, max(low, high)
+
+
 class NumericPartitioner:
     """Partitions nodes on one numeric attribute using workload splitpoints.
 
@@ -135,7 +169,7 @@ class NumericPartitioner:
         self.statistics = statistics
         self.config = config
         self._memos = memos
-        self.vmin, self.vmax = self._resolve_range(query, root_rows)
+        self.vmin, self.vmax = value_range(attribute, query, root_rows, memos)
         table = statistics.splitpoints_table(attribute)
         self._splitpoints_by_goodness = (
             table.best_splitpoints(self.vmin, self.vmax)
@@ -158,32 +192,6 @@ class NumericPartitioner:
             config.min_bucket_tuples,
             config.include_missing_category,
         )
-
-    def _resolve_range(
-        self, query: SelectQuery | None, root_rows: RowSet | None
-    ) -> tuple[float, float]:
-        """Determine (vmin, vmax) from the query, falling back to the data."""
-        low = high = None
-        if query is not None:
-            bounds = query.range_on(self.attribute)
-            if bounds is not None:
-                query_low, query_high = bounds
-                low = None if math.isinf(query_low) else float(query_low)
-                high = None if math.isinf(query_high) else float(query_high)
-        if (low is None or high is None) and root_rows is not None:
-            # The root's histogram is the one the first level's splitpoint
-            # selection reads; the build keeps it for every later level.
-            values = node_histogram(
-                root_rows, self.attribute, memo_of(self._memos, root_rows)
-            ).values
-            if len(values):
-                low = float(values[0]) if low is None else low
-                high = float(values[-1]) if high is None else high
-        if low is None or high is None:
-            # No information at all: an empty range yields no splitpoints
-            # and partition() degenerates to a single bucket.
-            return 0.0, 0.0
-        return low, max(low, high)
 
     # -- splitpoint selection ------------------------------------------------
 

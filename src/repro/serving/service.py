@@ -113,11 +113,7 @@ class ServeResult:
             "rung": self.rung,
             "epoch": self.epoch,
             "row_count": len(self.rows),
-            "category_count": (
-                sum(1 for node in self.tree.nodes() if not node.is_root)
-                if self.tree is not None
-                else 0
-            ),
+            "category_count": _tree_digest(self.tree)["categories"],
             "degraded": str(self.degraded) if self.degraded else None,
             "cached": self.cached,
             "elapsed_ms": round(self.elapsed_ms, 3),
@@ -129,7 +125,8 @@ def _tree_digest(tree) -> dict[str, Any]:
 
     Both accessors walk the whole tree (hundreds of microseconds at
     scale); a cached tree is served many times and is immutable once
-    built, so sampled cache hits must not re-pay the traversals.
+    built, so neither a response's ``category_count`` nor a sampled
+    ``service`` event re-pays the traversals on a cache hit.
     """
     if tree is None:
         return {"categories": 0, "chosen": []}

@@ -153,9 +153,7 @@ class SplitPointsTable:
     :meth:`record_range` (a new log entry) drops the memo.
     """
 
-    def __init__(
-        self, attribute: str, separation_interval: float, memoize: bool = True
-    ) -> None:
+    def __init__(self, attribute: str, separation_interval: float) -> None:
         if separation_interval <= 0:
             raise ValueError(
                 f"separation interval for {attribute!r} must be positive, "
@@ -165,17 +163,11 @@ class SplitPointsTable:
         self.separation_interval = separation_interval
         self._starts: Counter[float] = Counter()
         self._ends: Counter[float] = Counter()
-        self._memoize = memoize
         # (vmin, vmax) -> goodness-sorted splitpoints; dropped on record_range.
         self._best_memo: dict[tuple[float, float], list[float]] = {}
         #: Names the table's counts: new on every change, unique in the
         #: process, so a memo keyed by it cannot outlive what it derived.
         self.version = next(_VERSIONS)
-
-    def set_memoization(self, enabled: bool) -> None:
-        """Enable/disable the goodness-query memo; disabling drops it."""
-        self._memoize = enabled
-        self._best_memo.clear()
 
     def copy(self) -> "SplitPointsTable":
         """An independent copy, keeping the warm goodness memo.
@@ -185,9 +177,7 @@ class SplitPointsTable:
         memo via :meth:`record_range`, while untouched attributes keep
         serving memoized answers in the new epoch (copy-on-write).
         """
-        clone = SplitPointsTable(
-            self.attribute, self.separation_interval, memoize=self._memoize
-        )
+        clone = SplitPointsTable(self.attribute, self.separation_interval)
         clone._starts = Counter(self._starts)
         clone._ends = Counter(self._ends)
         clone._best_memo = dict(self._best_memo)
@@ -246,31 +236,13 @@ class SplitPointsTable:
         selected m−1 of them.  Memoized per ``(vmin, vmax)`` until the next
         :meth:`record_range`; callers must not mutate the returned list.
         """
-        if self._memoize:
-            memoized = self._best_memo.get((vmin, vmax))
-            if memoized is not None:
-                return memoized
+        memoized = self._best_memo.get((vmin, vmax))
+        if memoized is not None:
+            return memoized
         rows = self.rows_in_range(vmin, vmax)
         rows.sort(key=lambda row: (-row.goodness, row.splitpoint))
-        best = [row.splitpoint for row in rows]
-        if self._memoize:
-            self._best_memo[(vmin, vmax)] = best
+        best = self._best_memo[(vmin, vmax)] = [row.splitpoint for row in rows]
         return best
-
-    def grid_points(self, vmin: float, vmax: float) -> list[float]:
-        """All gridpoints strictly inside (vmin, vmax), whether or not used.
-
-        The equi-width fallback and the No-Cost baseline need the raw grid.
-        """
-        interval = self.separation_interval
-        first = math.floor(vmin / interval) * interval + interval
-        points: list[float] = []
-        point = first
-        while point < vmax:
-            if point > vmin:
-                points.append(point)
-            point += interval
-        return points
 
 
 class RangeIndex:

@@ -12,12 +12,11 @@ incremental :meth:`WorkloadStatistics.record_query` — fold conditions
 through the single shared :func:`fold_query_conditions` dispatcher, so the
 two cannot drift apart.
 
-Because the same lookups recur across nodes, levels and repeated
-``categorize`` calls, the query-time accessors (``usage_fraction``,
-``occ``, ``n_overlap_range``) are memoized; :meth:`record_query`
-invalidates exactly the entries the new log entry can change (every usage
-fraction, since ``N`` is their shared denominator, plus the value tables
-of the attributes the query constrains).
+``usage_fraction`` and ``occ`` read their count tables directly, one
+``Counter`` lookup each.  ``n_overlap_range`` bisects the range index, and
+the same buckets recur across nodes, levels and repeated ``categorize``
+calls, so it is memoized per attribute; :meth:`record_query` drops the
+memos of the attributes the new log entry constrains.
 """
 
 from __future__ import annotations
@@ -98,11 +97,8 @@ class WorkloadStatistics:
 
     Build via :func:`preprocess_workload`.  Exposes the quantities of
     Sections 4.2 and 5.1: ``N``, ``NAttr(A)``, ``occ(v)``, splitpoint
-    goodness scores, and range-overlap counts.
-
-    The accessors backing the categorizer's inner loop are memoized (see
-    the module docstring); pass ``memoize=False`` — or call
-    :meth:`set_memoization` — to measure or serve without the caches.
+    goodness scores, and range-overlap counts (memoized; see the module
+    docstring).
     """
 
     def __init__(
@@ -112,72 +108,35 @@ class WorkloadStatistics:
         occurrences: Mapping[str, OccurrenceCounts],
         splitpoints: Mapping[str, SplitPointsTable],
         range_indexes: Mapping[str, RangeIndex],
-        memoize: bool = True,
     ) -> None:
         self.schema = schema
         self.usage = usage
         self._occurrences = dict(occurrences)
         self._splitpoints = dict(splitpoints)
         self._range_indexes = dict(range_indexes)
-        self._memoize = memoize
-        # attribute -> fraction; cleared wholesale on every record_query
-        # because N (the shared denominator) changes.
-        self._usage_memo: dict[str, float] = {}
-        # attribute -> {value -> occ}; dropped per touched attribute.
-        self._occ_memo: dict[str, dict[Any, int]] = {}
         # attribute -> {(low, high, high_inclusive) -> NOverlap};
         # dropped per touched attribute.
         self._range_memo: dict[str, dict[tuple[float, float, bool], int]] = {}
 
-    # -- memoization control --------------------------------------------------
-
-    @property
-    def memoization_enabled(self) -> bool:
-        """True when query-time accessors are served from memo caches."""
-        return self._memoize
-
-    def set_memoization(self, enabled: bool) -> None:
-        """Enable/disable memoization; disabling drops every cached entry.
-
-        The split-point goodness memo lives on each
-        :class:`~repro.workload.counts.SplitPointsTable` and is toggled
-        together with the lookup memos here.
-        """
-        self._memoize = enabled
-        self.clear_memos()
-        for table in self._splitpoints.values():
-            table.set_memoization(enabled)
-
-    def clear_memos(self) -> None:
-        """Drop every memoized lookup (the tables themselves are kept)."""
-        self._usage_memo.clear()
-        self._occ_memo.clear()
-        self._range_memo.clear()
-
     def _invalidate(self, touched: list[str]) -> None:
         """Invalidate exactly what one new logged query can change."""
-        # N grew, so every cached NAttr(A)/N is stale.
-        self._usage_memo.clear()
         for attribute in touched:
-            self._occ_memo.pop(attribute, None)
             self._range_memo.pop(attribute, None)
         perf.count("stats.invalidations")
 
     # -- snapshot support ------------------------------------------------------
 
     def copy(self) -> "WorkloadStatistics":
-        """An independent copy with warm memo caches (copy-on-write basis).
+        """An independent copy with a warm range memo (copy-on-write basis).
 
         The epoch-snapshot store (:mod:`repro.serving.snapshot`) publishes
         a new epoch by copying the current statistics and folding the
         pending delta into the copy, leaving the published epoch untouched
-        for pinned readers.  Count tables are deep-copied; the query-time
-        memo dicts are copied too, so lookups untouched by the delta stay
-        warm in the new epoch while :meth:`record_query` invalidation
-        evicts exactly the entries the delta can change.
-
-        The schema is shared (immutable); the usage-fraction memo is not
-        carried over because any delta changes ``N``, its denominator.
+        for pinned readers.  Count tables are deep-copied; the range memo
+        is copied too, so overlap counts untouched by the delta stay warm
+        in the new epoch while :meth:`record_query` invalidation evicts
+        exactly the attributes the delta can change.  The schema is shared
+        (immutable).
         """
         clone = WorkloadStatistics(
             schema=self.schema,
@@ -191,15 +150,10 @@ class WorkloadStatistics:
             range_indexes={
                 name: index.copy() for name, index in self._range_indexes.items()
             },
-            memoize=self._memoize,
         )
-        # Readers of a pinned epoch add entries to these memos while it is
-        # being copied, so each is snapshotted in one C-level call first:
+        # Readers of a pinned epoch add entries to the memo while it is
+        # being copied, so it is snapshotted in one C-level call first:
         # iterating a live dict would fail once a reader grew it.
-        clone._occ_memo = {
-            attribute: dict(memo)
-            for attribute, memo in list(self._occ_memo.items())
-        }
         clone._range_memo = {
             attribute: dict(memo)
             for attribute, memo in list(self._range_memo.items())
@@ -229,8 +183,8 @@ class WorkloadStatistics:
         are additive over queries, so statistics can track a live log
         without periodic full rescans; the numeric range index re-sorts
         lazily on the next overlap count.  Dispatch is shared with the
-        batch path via :func:`fold_query_conditions`, and the memo caches
-        are invalidated so no stale probability survives the update.
+        batch path via :func:`fold_query_conditions`, and the range memo
+        is invalidated so no stale overlap count survives the update.
         """
         touched = fold_query_conditions(
             query,
@@ -254,14 +208,7 @@ class WorkloadStatistics:
 
     def usage_fraction(self, attribute: str) -> float:
         """``NAttr(A)/N``: the probability a random user constrains ``A``."""
-        if not self._memoize:
-            return self.usage.usage_fraction(attribute)
-        fraction = self._usage_memo.get(attribute)
-        if fraction is None:
-            fraction = self._usage_memo[attribute] = self.usage.usage_fraction(
-                attribute
-            )
-        return fraction
+        return self.usage.usage_fraction(attribute)
 
     # -- per-attribute tables -----------------------------------------------
 
@@ -307,18 +254,7 @@ class WorkloadStatistics:
 
     def occ(self, attribute: str, value: Any) -> int:
         """``occ(v)`` = NOverlap of the single-value category ``A = v``."""
-        if not self._memoize:
-            return self.occurrence_counts(attribute).occ(value)
-        per_attribute = self._occ_memo.get(attribute)
-        if per_attribute is None:
-            per_attribute = self._occ_memo[attribute] = {}
-        occ = per_attribute.get(value)
-        if occ is None:
-            perf.count("stats.occ.memo_miss")
-            occ = per_attribute[value] = self.occurrence_counts(attribute).occ(
-                value
-            )
-        return occ
+        return self.occurrence_counts(attribute).occ(value)
 
     def n_overlap_values(self, attribute: str, values: frozenset | set) -> int:
         """NOverlap of a multi-value categorical label ``A IN B``.
@@ -339,10 +275,6 @@ class WorkloadStatistics:
         self, attribute: str, low: float, high: float, high_inclusive: bool = False
     ) -> int:
         """NOverlap of a numeric label ``low <= A < high`` (Section 4.2)."""
-        if not self._memoize:
-            return self.range_index(attribute).count_overlapping(
-                low, high, high_inclusive=high_inclusive
-            )
         per_attribute = self._range_memo.get(attribute)
         if per_attribute is None:
             per_attribute = self._range_memo[attribute] = {}
@@ -364,7 +296,6 @@ def preprocess_workload(
     workload: Iterable[WorkloadQuery],
     schema: TableSchema,
     separation_intervals: Mapping[str, float] | None = None,
-    memoize: bool = True,
 ) -> WorkloadStatistics:
     """Scan ``workload`` once and build every count table.
 
@@ -379,9 +310,6 @@ def preprocess_workload(
         separation_intervals: per-attribute splitpoint grid spacing (the
             paper uses 5000/100/5 for price/square footage/year built);
             attributes not listed use :data:`DEFAULT_SEPARATION_INTERVAL`.
-        memoize: enable the query-time lookup memos on the returned
-            statistics (and on each SplitPoints table); disable only for
-            measurement baselines.
 
     Condition dispatch is :func:`fold_query_conditions` — see its docstring
     for the exact rules, including IN conditions on numeric attributes
@@ -396,9 +324,7 @@ def preprocess_workload(
     }
     splitpoints = {
         attr.name: SplitPointsTable(
-            attr.name,
-            intervals.get(attr.name, DEFAULT_SEPARATION_INTERVAL),
-            memoize=memoize,
+            attr.name, intervals.get(attr.name, DEFAULT_SEPARATION_INTERVAL)
         )
         for attr in schema.numeric_attributes()
     }
@@ -421,5 +347,4 @@ def preprocess_workload(
         occurrences=occurrences,
         splitpoints=splitpoints,
         range_indexes=range_indexes,
-        memoize=memoize,
     )

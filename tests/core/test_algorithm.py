@@ -179,30 +179,7 @@ class TestEdgeCases:
         assert tree.root.is_leaf
 
 
-def _tree_shape(tree):
-    def node_shape(node):
-        return (
-            str(node.label),
-            node.tuple_count,
-            tuple(node_shape(child) for child in node.children),
-        )
-
-    return node_shape(tree.root)
-
-
 class TestLazyPartitionings:
-    def test_cached_and_uncached_trees_identical(
-        self, homes_table_module, statistics_module, seattle_query_module
-    ):
-        rows = seattle_query_module.execute(homes_table_module)
-        cached = CostBasedCategorizer(statistics_module, PAPER_CONFIG).categorize(
-            rows, seattle_query_module
-        )
-        uncached = CostBasedCategorizer(
-            statistics_module, PAPER_CONFIG.with_overrides(enable_caches=False)
-        ).categorize(rows, seattle_query_module)
-        assert _tree_shape(cached) == _tree_shape(uncached)
-
     @pytest.mark.parametrize("technique", ["cost-based", "no-cost", "attr-cost"])
     def test_partition_runs_once_per_internal_node(
         self,

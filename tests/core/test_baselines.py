@@ -95,21 +95,21 @@ class TestNoCostPartitioners:
         universe = seattle_query.values_on("neighborhood")
         assert {label.single_value for label, _ in parts} <= universe
 
-    def test_equi_width_partitioner(self, rows, statistics, seattle_query):
+    def test_equi_width_partitioner(self, rows, seattle_query):
         partitioner = EquiWidthNumericPartitioner(
-            "price", statistics, PAPER_CONFIG, query=seattle_query, root_rows=rows
+            "price", PAPER_CONFIG, query=seattle_query, root_rows=rows
         )
         assert partitioner.width == 25_000.0
         parts = partitioner.partition(rows)
         assert len(parts) > 1
         assert all(len(r) > 0 for _, r in parts)
 
-    def test_equi_width_degenerate_range(self, statistics):
+    def test_equi_width_degenerate_range(self):
         from repro.data.homes import list_property_schema
         from repro.relational.table import Table
 
         empty = Table(list_property_schema()).all_rows()
         partitioner = EquiWidthNumericPartitioner(
-            "price", statistics, PAPER_CONFIG, root_rows=empty
+            "price", PAPER_CONFIG, root_rows=empty
         )
         assert partitioner.partition(empty) == []

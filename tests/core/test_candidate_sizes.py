@@ -175,7 +175,6 @@ def partitioners(statistics, config, query, root, memos):
                 statistics,
                 query=query,
                 include_missing=missing,
-                use_index=cached,
                 memos=node_memos,
             )
         for attribute in NUMERIC:
@@ -191,7 +190,7 @@ def partitioners(statistics, config, query, root, memos):
         yield ArbitraryOrderCategoricalPartitioner(attribute, query=query, memos=memos)
     for attribute in NUMERIC:
         yield EquiWidthNumericPartitioner(
-            attribute, statistics, config, query=query, root_rows=root, memos=memos
+            attribute, config, query=query, root_rows=root, memos=memos
         )
 
 

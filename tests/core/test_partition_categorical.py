@@ -111,66 +111,57 @@ def _as_comparable(partitioning):
     return [(label, part.indices) for label, part in partitioning]
 
 
+def _via_index(partitioner, rows):
+    ordered = partitioner.ordered_values(rows)
+    return _as_comparable(partitioner._partition_via_index(rows, ordered))
+
+
+def _via_scan(partitioner, rows):
+    ordered = partitioner.ordered_values(rows)
+    return _as_comparable(partitioner._partition_via_scan(rows, ordered))
+
+
 class TestIndexPathEquivalence:
     """The groupby-index fast path must match the scan path exactly."""
 
     def test_full_table_partitioning_identical(self, stats, rows):
-        fast = CategoricalPartitioner("neighborhood", stats, use_index=True)
-        slow = CategoricalPartitioner("neighborhood", stats, use_index=False)
-        assert _as_comparable(fast.partition(rows)) == _as_comparable(
-            slow.partition(rows)
-        )
+        partitioner = CategoricalPartitioner("neighborhood", stats)
+        assert _via_index(partitioner, rows) == _via_scan(partitioner, rows)
 
     def test_subset_partitioning_identical(self, stats, rows):
         subset = rows.select(InPredicate("neighborhood", ["A, WA", "B, WA"]))
-        fast = CategoricalPartitioner("neighborhood", stats, use_index=True)
-        slow = CategoricalPartitioner("neighborhood", stats, use_index=False)
-        assert _as_comparable(fast.partition(subset)) == _as_comparable(
-            slow.partition(subset)
-        )
+        partitioner = CategoricalPartitioner("neighborhood", stats)
+        assert _via_index(partitioner, subset) == _via_scan(partitioner, subset)
 
     def test_query_universe_identical(self, stats, rows):
         query = SelectQuery(
             "ListProperty", InPredicate("neighborhood", ["A, WA", "C, WA"])
         )
-        fast = CategoricalPartitioner(
-            "neighborhood", stats, query=query, use_index=True
-        )
-        slow = CategoricalPartitioner(
-            "neighborhood", stats, query=query, use_index=False
-        )
-        assert _as_comparable(fast.partition(rows)) == _as_comparable(
-            slow.partition(rows)
-        )
+        partitioner = CategoricalPartitioner("neighborhood", stats, query=query)
+        assert _via_index(partitioner, rows) == _via_scan(partitioner, rows)
 
     def test_missing_category_identical(self, stats):
         table = Table(list_property_schema())
         for hood in ("A, WA", "B, WA", None, "A, WA", None):
             table.insert({"neighborhood": hood, "price": 1})
         rows = table.all_rows()
-        fast = CategoricalPartitioner(
-            "neighborhood", stats, include_missing=True, use_index=True
+        partitioner = CategoricalPartitioner(
+            "neighborhood", stats, include_missing=True
         )
-        slow = CategoricalPartitioner(
-            "neighborhood", stats, include_missing=True, use_index=False
-        )
-        assert _as_comparable(fast.partition(rows)) == _as_comparable(
-            slow.partition(rows)
-        )
+        assert _via_index(partitioner, rows) == _via_scan(partitioner, rows)
 
     def test_non_ascending_view_falls_back_to_scan(self, stats, rows):
         from repro.relational.table import RowSet
 
         shuffled = RowSet(rows.table, tuple(reversed(rows.indices)))
-        fast = CategoricalPartitioner("neighborhood", stats, use_index=True)
-        assert not fast._index_path_profitable(
-            shuffled, fast.ordered_values(shuffled)
+        partitioner = CategoricalPartitioner("neighborhood", stats)
+        assert not partitioner._index_path_profitable(
+            shuffled, partitioner.ordered_values(shuffled)
         )
         # The partitioning still works (via the scan path) and preserves
         # the view's own row order inside each bucket.
-        slow = CategoricalPartitioner("neighborhood", stats, use_index=False)
-        assert _as_comparable(fast.partition(shuffled)) == _as_comparable(
-            slow.partition(shuffled)
+        assert _as_comparable(partitioner.partition(shuffled)) == _via_scan(
+            partitioner, shuffled
         )
 
     def test_scan_path_builds_no_posting_list(self, stats, rows):
@@ -197,9 +188,7 @@ class TestIndexPathEquivalence:
         perf.reset()
         perf.enable()
         try:
-            CategoricalPartitioner(
-                "neighborhood", stats, use_index=True
-            ).partition(rows)
+            CategoricalPartitioner("neighborhood", stats).partition(rows)
         finally:
             perf.disable()
         counters = dict(perf.get().counters)

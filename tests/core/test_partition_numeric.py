@@ -11,6 +11,7 @@ from repro.core.partition.numeric import (
     NumericPartitioner,
     bucketize,
     equi_width_partition,
+    equi_width_splitpoints,
 )
 from repro.data.homes import list_property_schema
 from repro.relational.expressions import RangePredicate
@@ -195,6 +196,10 @@ class TestBucketize:
 
 
 class TestEquiWidth:
+    def test_splitpoints_strictly_inside_range(self):
+        assert equi_width_splitpoints(500, 3_500, 1_000) == [1_000, 2_000, 3_000]
+        assert equi_width_splitpoints(1_000, 3_000, 1_000) == [2_000]
+
     def test_splits_at_width_multiples(self):
         rows = make_rows([1_200, 2_700, 4_100, 4_900])
         parts = equi_width_partition("price", rows, 1_000, 5_000, 2_000)

@@ -46,6 +46,30 @@ class TestCollection:
             assert traced.display() == untraced.display()
             assert traced.rows.indices == untraced.rows.indices
 
+    def test_traced_build_prices_each_candidate_once(
+        self, statistics, seattle_query, seattle_rows
+    ):
+        """The trace reads the argmin's COST_A instead of pricing each
+        (node, candidate) again, so a traced build evaluates one-level
+        CostAll exactly as often as a plain one."""
+        from repro import perf
+
+        categorizer = CostBasedCategorizer(statistics, PAPER_CONFIG)
+        evaluations = []
+        for collect_trace in (False, True):
+            perf.reset()
+            perf.enable()
+            try:
+                categorizer.categorize(
+                    seattle_rows, seattle_query, collect_trace=collect_trace
+                )
+            finally:
+                perf.disable()
+            evaluations.append(perf.get().counters.get("cost.one_level_evals", 0))
+            perf.reset()
+        assert evaluations[0] > 0
+        assert evaluations[1] == evaluations[0]
+
     def test_reused_categorizer_traces_each_call_afresh(
         self, statistics, seattle_query, seattle_rows
     ):

@@ -131,6 +131,23 @@ class TestResultCache:
         assert hit.cached
         assert hit.tree is miss.tree  # the exact tree, not a rebuild
 
+    def test_hit_counts_no_category_again(self, make_service, monkeypatch):
+        """A response's ``category_count`` is counted once per tree: a hit
+        answers it from the tree's digest without walking a node."""
+        from repro.core.tree import CategoryTree
+
+        service = make_service()
+        miss = service.categorize(SERVE_SQL)
+        assert miss.as_dict()["category_count"] == miss.tree.category_count() > 0
+
+        def walk(tree):
+            raise AssertionError("a cache hit walked the tree")
+
+        monkeypatch.setattr(CategoryTree, "nodes", walk)
+        hit = service.categorize(SERVE_SQL)
+        assert hit.cached
+        assert hit.as_dict()["category_count"] == miss.as_dict()["category_count"]
+
     @pytest.mark.parametrize("technique", ["cost-based", "attr-cost", "no-cost"])
     def test_hit_answers_as_an_uncompacted_tree(self, make_service, technique):
         """A hit answers as a tree built fresh for the request, and the

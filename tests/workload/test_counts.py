@@ -130,10 +130,6 @@ class TestSplitPointsTable:
         assert table.goodness(2_000) == 50
         assert table.best_splitpoints(0, 10_000)[:2] == [5_000, 8_000]
 
-    def test_grid_points(self):
-        table = SplitPointsTable("price", 1_000)
-        assert table.grid_points(500, 3_500) == [1_000, 2_000, 3_000]
-
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             SplitPointsTable("price", 0)

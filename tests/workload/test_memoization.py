@@ -1,6 +1,7 @@
-"""Cache-invalidation tests: ``record_query`` must update every memoized
-probability ingredient — no stale ``usage_fraction``, ``occ``,
-``n_overlap_range`` or split-point ordering may survive a live log update.
+"""Cache-invalidation tests: ``record_query`` must update every
+probability ingredient — no stale ``usage_fraction``, ``occ``, memoized
+``n_overlap_range`` or memoized split-point ordering may survive a live
+log update.
 """
 
 import pytest
@@ -29,42 +30,28 @@ def stats():
 
 
 class TestMemoizationCorrectness:
-    def test_memoized_equals_unmemoized(self, stats):
-        cold = preprocess_workload(
-            Workload.from_sql_strings(BASE_SQL),
-            list_property_schema(),
-            {"price": 5_000},
-            memoize=False,
-        )
-        assert not cold.memoization_enabled
-        for attribute in ("neighborhood", "price", "bedroomcount"):
-            assert stats.usage_fraction(attribute) == cold.usage_fraction(
-                attribute
+    def test_memos_equal_direct_lookups(self, stats):
+        """Memoized overlap counts and goodness orders equal the tables'
+        own answers, on the first lookup and on a memo hit."""
+        index = stats.range_index("price")
+        for low, high in ((150_000, 260_000), (0, 100_000), (150_000, 260_000)):
+            assert stats.n_overlap_range("price", low, high) == (
+                index.count_overlapping(low, high)
             )
-        for value in ("A, WA", "B, WA", "nowhere"):
-            assert stats.occ("neighborhood", value) == cold.occ(
-                "neighborhood", value
-            )
-        for low, high in ((150_000, 260_000), (0, 100_000)):
-            assert stats.n_overlap_range("price", low, high) == cold.n_overlap_range(
-                "price", low, high
-            )
+        table = stats.splitpoints_table("price")
+        for _ in range(2):
+            assert table.best_splitpoints(0, 1_000_000) == [
+                row.splitpoint
+                for row in sorted(
+                    table.rows_in_range(0, 1_000_000),
+                    key=lambda row: (-row.goodness, row.splitpoint),
+                )
+            ]
 
     def test_repeated_lookup_served_from_memo(self, stats):
         first = stats.n_overlap_range("price", 150_000, 260_000)
         assert ("price") in stats._range_memo
         assert stats.n_overlap_range("price", 150_000, 260_000) == first
-
-    def test_set_memoization_false_clears_and_bypasses(self, stats):
-        stats.usage_fraction("price")
-        stats.occ("neighborhood", "A, WA")
-        stats.n_overlap_range("price", 0, 999_999)
-        stats.set_memoization(False)
-        assert not stats._usage_memo
-        assert not stats._occ_memo
-        assert not stats._range_memo
-        # still correct without the caches
-        assert stats.occ("neighborhood", "A, WA") == 1
 
 
 class TestRecordQueryInvalidation:
@@ -73,7 +60,6 @@ class TestRecordQueryInvalidation:
     def test_usage_fraction_updates(self, stats):
         before = stats.usage_fraction("bedroomcount")
         assert before == 0.0
-        assert "bedroomcount" in stats._usage_memo  # memo was populated
         stats.record_query(
             WorkloadQuery.from_sql(
                 "SELECT * FROM ListProperty WHERE bedroomcount BETWEEN 3 AND 4"
@@ -96,7 +82,6 @@ class TestRecordQueryInvalidation:
 
     def test_occ_updates(self, stats):
         assert stats.occ("neighborhood", "C, WA") == 0
-        assert "C, WA" in stats._occ_memo["neighborhood"]  # memo populated
         stats.record_query(
             WorkloadQuery.from_sql(
                 "SELECT * FROM ListProperty WHERE neighborhood IN ('C, WA')"
